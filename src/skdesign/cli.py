@@ -15,10 +15,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import __version__, efficiency, oracles, search, sizer
+from . import __version__, efficiency, search, sizer
 from .efficiency import Family
-from .infofield import field_of
-from .kernels import Kind, TensorShape, ValidationError
+from .kernels import Kernel, Kind, LayerSpec, ValidationError
+from .oracles import _input_groups, _shuffle_group, interleave
 
 SCHEMA_VERSION = 1
 
@@ -167,7 +167,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         if groups is None:
             groups = opt.discrete[0]
-    r = efficiency.ratio(family, c, f, groups if family.has_group_freedom else None)
+    r = efficiency.ratio(family, c, f, groups)
     doc["ratio"] = _fraction_doc(r)
     lines.append(f"  parameter ratio vs standard 3x3: {_fmt_fraction(r)}")
     if groups is not None:
@@ -178,28 +178,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"  groups M={groups[0]}, N={groups[1]}: M*N "
             f"{'=' if ok else '!='} intermediate channels {k}"
         )
-    fam_obj = _family_stub(family)
-    known = sorted(search.identify_known(fam_obj, groups, input_channels=c))
+    known = sorted(family.known_architectures(groups, input_channels=c))
     doc["known_architectures"] = known
     if known:
         lines.append(f"  coincides with: {', '.join(known)}")
     _emit(doc, lines, args.format)
     return EXIT_OK
-
-
-def _family_stub(family: Family) -> search.DesignFamily:
-    kinds = {
-        Family.DW_PW: (Kind.DEPTHWISE, Kind.POINTWISE),
-        Family.GC_PWG: (Kind.GROUP, Kind.POINTWISE_GROUP),
-        Family.PW_DW_PW: (Kind.POINTWISE, Kind.DEPTHWISE, Kind.POINTWISE),
-        Family.PWG_DW_PWG: (Kind.POINTWISE_GROUP, Kind.DEPTHWISE, Kind.POINTWISE_GROUP),
-    }[family]
-    return search.DesignFamily(
-        canonical_sequence=kinds,
-        bottleneck=family.bottlenecked,
-        multiset=tuple(sorted(k.value for k in kinds)),
-        witnesses=(),
-    )
 
 
 def _block_from_args(args: argparse.Namespace) -> sizer.BlockSpec:
@@ -288,13 +272,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_ORACLE if failures else EXIT_OK
 
 
-_GRAPH_DESIGNS = {
-    "standard": (Kind.STANDARD,),
-    "dw+pw": (Kind.DEPTHWISE, Kind.POINTWISE),
-    "gc+pwg": (Kind.GROUP, Kind.POINTWISE_GROUP),
-    "pw+dw+pw": (Kind.POINTWISE, Kind.DEPTHWISE, Kind.POINTWISE),
-    "pwg+dw+pwg": (Kind.POINTWISE_GROUP, Kind.DEPTHWISE, Kind.POINTWISE_GROUP),
-}
+_GRAPH_DESIGNS = {"standard": (Kind.STANDARD,), **{f.value: f.kinds for f in Family}}
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
@@ -306,23 +284,16 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     kinds = _GRAPH_DESIGNS[args.design]
     c = args.channels
     groups = list(args.groups) if args.groups else []
-    layers = []
-    gi = 0
-    for kind in kinds:
-        if kind.is_grouped:
-            if gi >= len(groups):
-                raise ValidationError(
-                    f"design {args.design} needs --groups with "
-                    f"{sum(1 for k in kinds if k.is_grouped)} numbers"
-                )
-            g = groups[gi]
-            gi += 1
-        else:
-            g = 1
-        from .kernels import Kernel, LayerSpec
-
-        spatial = 1 if kind in (Kind.POINTWISE, Kind.POINTWISE_GROUP) else 3
-        layers.append(LayerSpec(Kernel(kind, spatial=spatial, groups=g), c, c))
+    grouped = sum(kind.is_grouped for kind in kinds)
+    if groups and not grouped:
+        raise ValidationError(f"{args.design} carries no group numbers")
+    if len(groups) < grouped:
+        raise ValidationError(f"design {args.design} needs --groups with {grouped} numbers")
+    numbers = iter(groups)
+    layers = [
+        LayerSpec(Kernel.of(kind, groups=next(numbers) if kind.is_grouped else None), c, c)
+        for kind in kinds
+    ]
     dot = render_dot(layers, name=args.design)
     doc = {
         "command": "graph",
@@ -341,8 +312,6 @@ def render_dot(layers, name: str = "design") -> str:
     spatial kernels are green (they also carry spatial context), 1x1 edges
     are blue.
     """
-    from .oracles import _input_groups, _shuffle_group, interleave
-
     safe = name.replace("+", "_")
     out = [f'digraph "{safe}" {{', "  rankdir=LR;", "  node [shape=circle, fontsize=10];"]
     for li, layer in enumerate(layers):

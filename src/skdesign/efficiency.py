@@ -26,10 +26,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import oracles
 from .kernels import (
+    Kind,
     LayerSpec,
     ValidationError,
     depthwise,
@@ -42,22 +43,49 @@ from .kernels import (
 
 
 class Family(enum.Enum):
+    """The four surviving compositions, named by their kernel sequence.
+
+    The three-kernel sandwiches are the 1:4 bottleneck structures; the
+    families with grouped kernels carry the group numbers (M, N).
+    """
+
     DW_PW = "dw+pw"
     GC_PWG = "gc+pwg"
     PW_DW_PW = "pw+dw+pw"
     PWG_DW_PWG = "pwg+dw+pwg"
 
-    @property
-    def kernel_count(self) -> int:
-        return 2 if self in (Family.DW_PW, Family.GC_PWG) else 3
+    def __init__(self, value: str) -> None:
+        self.kinds = tuple(Kind(name) for name in value.split("+"))
+        self.kernel_count = len(self.kinds)
+        self.has_group_freedom = any(kind.is_grouped for kind in self.kinds)
+        self.bottlenecked = self.kernel_count == 3
 
-    @property
-    def has_group_freedom(self) -> bool:
-        return self in (Family.GC_PWG, Family.PWG_DW_PWG)
+    def known_architectures(
+        self,
+        groups: Optional[Sequence[Optional[int]]] = None,
+        input_channels: Optional[int] = None,
+    ) -> frozenset[str]:
+        """Architectures an instance coincides with or specializes.
 
-    @property
-    def bottlenecked(self) -> bool:
-        return self in (Family.PW_DW_PW, Family.PWG_DW_PWG)
+        The depthwise/pointwise pair is the building block of MobileNet and
+        Xception (equivalently the grouped pair at its M = C, N = 1
+        boundary).  The bottlenecked pointwise sandwich is the extreme case
+        of ResNeXt where the cardinality equals the bottleneck width.  The
+        grouped sandwich with equal group numbers is ShuffleNet's unit.
+        `groups` may hold None for the ungrouped slots of a witness.
+        """
+        if self is Family.DW_PW:
+            return frozenset({"MobileNet", "Xception"})
+        if self is Family.PW_DW_PW:
+            return frozenset({"ResNeXt-extreme"})
+        g = tuple(x for x in groups if x is not None) if groups is not None else ()
+        if len(g) != 2:
+            return frozenset()
+        if self is Family.PWG_DW_PWG:
+            return frozenset({"ShuffleNet"}) if g[0] == g[1] else frozenset()
+        if g == (input_channels, 1):
+            return frozenset({"MobileNet", "Xception"})
+        return frozenset()
 
     @staticmethod
     def parse(name: str) -> "Family":

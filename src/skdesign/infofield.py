@@ -56,10 +56,6 @@ class InfoField:
         """The field of one standard k x k convolution: (k, k, all channels)."""
         return InfoField(spatial, spatial, Fraction(1))
 
-    def channels(self, original_channels: int) -> Fraction:
-        """Absolute channel coverage with respect to the original input."""
-        return self.coverage * original_channels
-
     def __str__(self) -> str:
         return f"({self.spatial_x}, {self.spatial_y}, {self.coverage})"
 
@@ -142,43 +138,65 @@ def trace(design: Sequence[LayerSpec], input_channels: int) -> list[InfoField]:
     return fields
 
 
-def classify(
-    design: Sequence[LayerSpec], input_channels: int, reference: InfoField
-) -> FieldVerdict:
-    """Early-stop walk of a design against the standard-convolution field.
+def step(
+    field: InfoField,
+    layer: LayerSpec,
+    original_channels: int,
+    reference: InfoField,
+    last: bool = False,
+) -> tuple[InfoField, Optional[VerdictKind]]:
+    """One layer of the early-stop walk: the new field, and the verdict that
+    ends the walk here, if any.
 
     A kernel contributes when it grows the field or changes the channel
     count (the latter exempts the thin ends of bottleneck structures).
     Verdicts, in the order they are detected:
 
-    * INFERIOR_NO_GROWTH   some kernel contributed nothing;
+    * INFERIOR_NO_GROWTH   the kernel contributed nothing;
     * INFERIOR_EARLY_FULL  the reference field was complete before a
-      non-contributing tail kernel (index reported is where the field first
-      reached the reference);
+      non-contributing kernel;
     * SPATIAL_MISMATCH     the spatial extent overshot the reference (the
       field can never shrink, so this is detected as soon as it happens);
-    * VALID / INSUFFICIENT_FIELD on the final comparison.
+    * VALID / INSUFFICIENT_FIELD after the last layer, by comparing the
+      final field with the reference.
+    """
+    new = propagate(field, layer, original_channels)
+    if layer.in_channels == layer.out_channels:
+        if new == field:
+            return new, VerdictKind.INFERIOR_NO_GROWTH
+        if field == reference:
+            return new, VerdictKind.INFERIOR_EARLY_FULL
+    if new.spatial_x > reference.spatial_x or new.spatial_y > reference.spatial_y:
+        return new, VerdictKind.SPATIAL_MISMATCH
+    if last:
+        return new, VerdictKind.VALID if new == reference else VerdictKind.INSUFFICIENT_FIELD
+    return new, None
+
+
+def classify(
+    design: Sequence[LayerSpec], input_channels: int, reference: InfoField
+) -> FieldVerdict:
+    """Early-stop walk of a design against the standard-convolution field.
+
+    The verdict is the first one `step` reports.  INFERIOR_NO_GROWTH
+    reports the index of the idle kernel, INFERIOR_EARLY_FULL the index
+    where the field first reached the reference, every other verdict the
+    field it was reached with.
     """
     if not design:
         raise ValidationError("empty design")
     _check_chaining(design)
     field = InfoField.initial(input_channels)
     first_full: Optional[int] = None
+    last = len(design) - 1
     for i, layer in enumerate(design):
-        new = propagate(field, layer, input_channels)
-        changes_channels = layer.in_channels != layer.out_channels
-        if new == field and not changes_channels:
-            return FieldVerdict(VerdictKind.INFERIOR_NO_GROWTH, at_index=i)
-        if field == reference and not changes_channels:
-            return FieldVerdict(VerdictKind.INFERIOR_EARLY_FULL, at_index=first_full)
-        if new.spatial_x > reference.spatial_x or new.spatial_y > reference.spatial_y:
-            return FieldVerdict(VerdictKind.SPATIAL_MISMATCH, final=new)
-        if new == reference and first_full is None:
+        field, verdict = step(field, layer, input_channels, reference, last=i == last)
+        if verdict is VerdictKind.INFERIOR_NO_GROWTH:
+            return FieldVerdict(verdict, at_index=i)
+        if verdict is VerdictKind.INFERIOR_EARLY_FULL:
+            return FieldVerdict(verdict, at_index=first_full)
+        if verdict is not None:
+            return FieldVerdict(verdict, final=field)
+        if first_full is None and field == reference:
             first_full = i
-        field = new
-    if field == reference:
-        return FieldVerdict(VerdictKind.VALID, final=field)
-    if field.coverage < reference.coverage:
-        return FieldVerdict(VerdictKind.INSUFFICIENT_FIELD, final=field)
-    # coverage complete but the spatial extent fell short of the reference
-    return FieldVerdict(VerdictKind.INSUFFICIENT_FIELD, final=field)
+    raise AssertionError("step gives a verdict at the last layer")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 
 class ValidationError(ValueError):
@@ -52,8 +53,14 @@ class Kernel:
     spatial: int = 3
     groups: int = 1
 
+    @classmethod
+    def of(cls, kind: Kind, spatial: int = 3, groups: Optional[int] = None) -> "Kernel":
+        """A kernel of `kind`: 1x1 kinds ignore `spatial`, and groups=None means
+        no group number."""
+        return cls(kind, spatial if kind.is_spatial else 1, groups or 1)
+
     def __post_init__(self) -> None:
-        if self.kind in (Kind.POINTWISE, Kind.POINTWISE_GROUP):
+        if not self.kind.is_spatial:
             if self.spatial != 1:
                 raise ValidationError(
                     f"{self.kind.value} kernels have spatial size fixed to 1, got {self.spatial}"
@@ -185,21 +192,3 @@ def out_channels(layer: LayerSpec) -> int:
     if layer.kernel.kind is Kind.DEPTHWISE and layer.out_channels != layer.in_channels:
         raise ValidationError("depthwise layers preserve the channel count")
     return layer.out_channels
-
-
-def _kernel_unchecked(kind: Kind, spatial: int, groups: int) -> Kernel:
-    """Build a Kernel bypassing validation.  Test-suite use only."""
-    k = object.__new__(Kernel)
-    object.__setattr__(k, "kind", kind)
-    object.__setattr__(k, "spatial", spatial)
-    object.__setattr__(k, "groups", groups)
-    return k
-
-
-def _layer_unchecked(kernel: Kernel, in_channels: int, out_channels: int) -> LayerSpec:
-    """Build a LayerSpec bypassing validation.  Test-suite use only."""
-    layer = object.__new__(LayerSpec)
-    object.__setattr__(layer, "kernel", kernel)
-    object.__setattr__(layer, "in_channels", in_channels)
-    object.__setattr__(layer, "out_channels", out_channels)
-    return layer

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Sequence, Union
 
 from .kernels import Kind, LayerSpec, TensorShape, ValidationError
@@ -225,8 +226,6 @@ def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:
 
 @lru_cache(maxsize=None)
 def _subsets_of_size(n: int, size: int) -> tuple[int, ...]:
-    from itertools import combinations
-
     return tuple(
         sum(1 << i for i in combo) for combo in combinations(range(n), size)
     )

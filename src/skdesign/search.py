@@ -9,7 +9,7 @@ to a maximum length, then prunes in three stages:
    group assignment (plain and, for 3+ kernel sequences, with a 1:4
    bottleneck) and kept only when its information field equals the one of
    the standard convolution it replaces;
-3. efficiency: the early-stop rules inside `infofield.classify` discard
+3. efficiency: the early-stop rules of `infofield.step` discard
    instances containing kernels that contribute nothing.
 
 Surviving candidates collapse into design families keyed by their kernel
@@ -38,14 +38,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .infofield import FieldVerdict, InfoField, VerdictKind, propagate
-from .kernels import (
-    Kernel,
-    Kind,
-    LayerSpec,
-    ValidationError,
-    param_count,
-)
+from .efficiency import Family
+from .infofield import FieldVerdict, InfoField, VerdictKind, classify, step
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 
 SK_ALPHABET: tuple[Kind, ...] = (
     Kind.GROUP,
@@ -61,13 +56,11 @@ _KIND_CHAR = {
     Kind.POINTWISE_GROUP: "q",
 }
 
-# canonical-order tie break: spatial kinds before pointwise kinds, then lexical
-_PRECEDENCE = {
-    Kind.DEPTHWISE: (0, "dw"),
-    Kind.GROUP: (0, "gc"),
-    Kind.POINTWISE: (1, "pw"),
-    Kind.POINTWISE_GROUP: (1, "pwg"),
-}
+
+def _kind_order(kind: Kind) -> tuple[bool, str]:
+    """Canonical-order tie break: spatial kinds before 1x1 kinds, then lexical."""
+    return (not kind.is_spatial, kind.value)
+
 
 DEFAULT_DOMINATION_GRID: tuple[tuple[int, int], ...] = (
     (8, 8),
@@ -108,7 +101,7 @@ class SearchConfig:
 
 
 def sequence_name(sequence: Sequence[Kind]) -> str:
-    return "+".join(_PRECEDENCE[k][1] for k in sequence)
+    return "+".join(k.value for k in sequence)
 
 
 def is_repeated(sequence: Sequence[Kind]) -> bool:
@@ -153,18 +146,17 @@ class DesignCandidate:
     def layers(self, spatial: int = 3) -> list[LayerSpec]:
         out = []
         for kind, g, (c_in, c_out) in zip(self.sequence, self.groups, self.channel_plan):
-            k = 1 if kind in (Kind.POINTWISE, Kind.POINTWISE_GROUP) else spatial
-            out.append(LayerSpec(Kernel(kind, spatial=k, groups=g or 1), c_in, c_out))
+            out.append(LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out))
         return out
 
     def params(self, spatial: int = 3) -> int:
         return sum(param_count(layer) for layer in self.layers(spatial))
 
     def describe(self) -> str:
-        parts = []
-        for kind, g in zip(self.sequence, self.groups):
-            name = _PRECEDENCE[kind][1]
-            parts.append(f"{name}({g})" if g else name)
+        parts = [
+            f"{kind.value}({g})" if g else kind.value
+            for kind, g in zip(self.sequence, self.groups)
+        ]
         tag = " [bottleneck]" if self.bottleneck else ""
         return "+".join(parts) + tag
 
@@ -252,8 +244,6 @@ def evaluate_candidate(
     candidate: DesignCandidate, config: SearchConfig
 ) -> DesignCandidate:
     """Classify one candidate against the reference field."""
-    from .infofield import classify
-
     verdict = classify(
         candidate.layers(config.spatial),
         config.reference_channels,
@@ -291,52 +281,35 @@ def _evaluate_sequence(
         for i in range(len(seq) - 1, -1, -1):
             suffix[i] = sizes[i] * suffix[i + 1]
         enumerated += suffix[0]
-        layers_cache: list[dict[Optional[int], LayerSpec]] = []
-        for kind, (c_in, c_out) in zip(seq, plan):
-            k = 1 if kind in (Kind.POINTWISE, Kind.POINTWISE_GROUP) else config.spatial
-            layers_cache.append(
-                {
-                    g: LayerSpec(Kernel(kind, spatial=k, groups=g or 1), c_in, c_out)
-                    for g in _slot_choices(kind, c_in, c_out)
-                }
-            )
+        layers_cache = [
+            {
+                g: LayerSpec(Kernel.of(kind, config.spatial, g), c_in, c_out)
+                for g in choices
+            }
+            for kind, (c_in, c_out), choices in zip(seq, plan, choice_sets)
+        ]
 
-        def bury(kind_name: str, weight: int) -> None:
-            counts[kind_name] = counts.get(kind_name, 0) + weight
-
-        def dfs(i: int, fld: InfoField, first_full: Optional[int], chosen: tuple) -> None:
-            if i == len(seq):
-                if fld == reference:
-                    bury(VerdictKind.VALID.value, 1)
+        def dfs(i: int, fld: InfoField, chosen: tuple) -> None:
+            last = i == len(seq) - 1
+            rest = suffix[i + 1]
+            for g, layer in layers_cache[i].items():
+                new, verdict = step(fld, layer, c_ref, reference, last=last)
+                if verdict is None:
+                    dfs(i + 1, new, chosen + (g,))
+                    continue
+                counts[verdict.value] = counts.get(verdict.value, 0) + rest
+                if verdict is VerdictKind.VALID:
                     valid.append(
                         DesignCandidate(
                             sequence=seq,
-                            groups=chosen,
+                            groups=chosen + (g,),
                             bottleneck=bottleneck,
                             channel_plan=plan,
-                            verdict=FieldVerdict(VerdictKind.VALID, final=fld),
+                            verdict=FieldVerdict(verdict, final=new),
                         )
                     )
-                else:
-                    bury(VerdictKind.INSUFFICIENT_FIELD.value, 1)
-                return
-            rest = suffix[i + 1]
-            for g, layer in layers_cache[i].items():
-                new = propagate(fld, layer, c_ref)
-                changes = layer.in_channels != layer.out_channels
-                if new == fld and not changes:
-                    bury(VerdictKind.INFERIOR_NO_GROWTH.value, rest)
-                    continue
-                if fld == reference and not changes:
-                    bury(VerdictKind.INFERIOR_EARLY_FULL.value, rest)
-                    continue
-                if new.spatial_x > reference.spatial_x or new.spatial_y > reference.spatial_y:
-                    bury(VerdictKind.SPATIAL_MISMATCH.value, rest)
-                    continue
-                ff = first_full if first_full is not None else (i if new == reference else None)
-                dfs(i + 1, new, ff, chosen + (g,))
 
-        dfs(0, InfoField.initial(c_ref), None, ())
+        dfs(0, InfoField.initial(c_ref), ())
 
     return valid, counts, enumerated
 
@@ -394,7 +367,7 @@ def _witness_sort_key(w: DesignCandidate):
     return (
         w.params(),
         w.bottleneck,
-        tuple(_PRECEDENCE[k] for k in w.sequence),
+        tuple(map(_kind_order, w.sequence)),
         tuple(g or 0 for g in w.groups),
     )
 
@@ -569,7 +542,7 @@ def run_search(config: SearchConfig) -> SearchResult:
         kept = [families[k] for k in sorted(families)]
         removed = []
 
-    kept.sort(key=lambda fam: (fam.length, tuple(_PRECEDENCE[k] for k in fam.canonical_sequence)))
+    kept.sort(key=lambda fam: (fam.length, tuple(map(_kind_order, fam.canonical_sequence))))
     stage_counts = (
         ("sequences_raw", raw),
         ("sequences_after_composition", len(sequences)),
@@ -592,32 +565,11 @@ def identify_known(
     groups: Optional[Sequence[int]] = None,
     input_channels: Optional[int] = None,
 ) -> frozenset[str]:
-    """Architectures a family instance coincides with or specializes.
-
-    The depthwise/pointwise pair is the building block of MobileNet and
-    Xception (equivalently the grouped pair at its M = C, N = 1 boundary).
-    The bottlenecked pointwise sandwich is the extreme case of ResNeXt
-    where the cardinality equals the bottleneck width.  The grouped
-    sandwich with equal group numbers is ShuffleNet's unit.
-    """
-    name = family.name
-    g = tuple(x for x in groups if x is not None) if groups is not None else None
-    if name == "dw+pw":
-        return frozenset({"MobileNet", "Xception"})
-    if name == "pw+dw+pw":
-        return frozenset({"ResNeXt-extreme"})
-    if name == "pwg+dw+pwg":
-        if g is not None and len(g) == 2 and g[0] == g[1]:
-            return frozenset({"ShuffleNet"})
+    """Architectures a family instance coincides with or specializes; see
+    `efficiency.Family.known_architectures`.  Empty outside the four
+    families."""
+    try:
+        known = Family(family.name)
+    except ValueError:
         return frozenset()
-    if name == "gc+pwg":
-        if (
-            g is not None
-            and len(g) == 2
-            and input_channels is not None
-            and g[0] == input_channels
-            and g[1] == 1
-        ):
-            return frozenset({"MobileNet", "Xception"})
-        return frozenset()
-    return frozenset()
+    return known.known_architectures(groups, input_channels)

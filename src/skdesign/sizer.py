@@ -22,7 +22,6 @@ from typing import Optional
 
 from .efficiency import Family, UnderBudgetError, layers_for
 from .kernels import (
-    Kind,
     LayerSpec,
     ValidationError,
     flop_count,

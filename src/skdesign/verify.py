@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 from . import oracles
 from .infofield import field_of
-from .kernels import Kernel, Kind, LayerSpec
-from .search import SK_ALPHABET, sequence_name
+from .kernels import ValidationError
+from .search import SK_ALPHABET, DesignCandidate, _slot_choices, sequence_name
 
-INFOFIELD_CHANNELS = (4, 8, 12, 16)
+# both suites start at this channel count
+MIN_CHANNELS = 4
+INFOFIELD_CHANNELS = (MIN_CHANNELS, 8, 12, 16)
 
 
 @dataclass
@@ -51,10 +53,18 @@ class VerifyResult:
         }
 
 
+def _check_c_max(c_max: int) -> None:
+    if c_max < MIN_CHANNELS:
+        raise ValidationError(
+            f"c_max {c_max} checks nothing: both verify suites start at C = {MIN_CHANNELS}"
+        )
+
+
 def verify_theorem1(c_max: int = 64) -> VerifyResult:
     """Exhaustive check that grouped-pair minimizers use M*N = C."""
+    _check_c_max(c_max)
     result = VerifyResult("theorem1")
-    for c in range(4, c_max + 1, 2):
+    for c in range(MIN_CHANNELS, c_max + 1, 2):
         for f in (c, 2 * c, 4 * c):
             grid = oracles.divisor_grid_min("gc+pwg", c, f, constraint="le")
             result.checked += 1
@@ -67,34 +77,18 @@ def verify_theorem1(c_max: int = 64) -> VerifyResult:
     return result
 
 
-def _group_choices(kind: Kind, c: int) -> tuple[int, ...]:
-    if kind is Kind.GROUP:
-        return tuple(d for d in range(2, c) if c % d == 0)
-    if kind is Kind.POINTWISE_GROUP:
-        return tuple(d for d in range(2, c + 1) if c % d == 0)
-    return (1,)
-
-
-def _constant_width_layers(
-    seq: tuple[Kind, ...], groups: tuple[int, ...], c: int, spatial: int = 3
-) -> list[LayerSpec]:
-    out = []
-    for kind, g in zip(seq, groups):
-        k = 1 if kind in (Kind.POINTWISE, Kind.POINTWISE_GROUP) else spatial
-        out.append(LayerSpec(Kernel(kind, spatial=k, groups=g), c, c))
-    return out
-
-
 def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
     """Calculus triple vs dependency-graph triple, all sequences and groups."""
+    _check_c_max(c_max)
     result = VerifyResult("infofield")
     channels = [c for c in INFOFIELD_CHANNELS if c <= c_max]
     for c in channels:
         for length in range(1, len_max + 1):
             for seq in itertools.product(SK_ALPHABET, repeat=length):
-                choice_sets = [_group_choices(kind, c) for kind in seq]
+                choice_sets = [_slot_choices(kind, c, c) for kind in seq]
+                plan = ((c, c),) * length
                 for groups in itertools.product(*choice_sets):
-                    layers = _constant_width_layers(seq, groups, c)
+                    layers = DesignCandidate(seq, groups, False, plan).layers()
                     calc = field_of(layers, c)
                     want = (
                         calc.spatial_x,
@@ -111,7 +105,7 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
                             continue
                         got = (got[0], got[1], best)
                     result.counterexamples.append(
-                        f"C={c}, {sequence_name(seq)} groups={groups}: "
+                        f"C={c}, {sequence_name(seq)} groups={tuple(g or 1 for g in groups)}: "
                         f"calculus {want}, graph {got}"
                     )
     return result

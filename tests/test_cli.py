@@ -156,3 +156,27 @@ def test_graph_json_carries_the_same_dot(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(as_json)["dot"] + "\n" == table
+
+
+@pytest.mark.parametrize("family", ["dw+pw", "pw+dw+pw"])
+def test_analyze_rejects_groups_on_family_without_grouped_kernel(capsys, family):
+    code, out, err = run(capsys, "analyze", family, "--c", "64", "--f", "64", "--groups", "4,4")
+    assert code == EXIT_VALIDATION
+    assert "carries no group numbers" in err
+    assert out == ""
+
+
+def test_graph_rejects_groups_on_design_without_grouped_kernel(capsys):
+    code, out, err = run(capsys, "graph", "dw+pw", "--groups", "2,2")
+    assert code == EXIT_VALIDATION
+    assert "carries no group numbers" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("c_max", ["2", "3"])
+def test_verify_rejects_c_max_below_the_first_case(capsys, c_max):
+    for suite in ([], ["--theorem1"], ["--infofield"]):
+        code, out, err = run(capsys, "verify", *suite, "--c-max", c_max)
+        assert code == EXIT_VALIDATION
+        assert "C = 4" in err
+        assert "PASS" not in out

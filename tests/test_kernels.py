@@ -9,8 +9,6 @@ from skdesign.kernels import (
     LayerSpec,
     TensorShape,
     ValidationError,
-    _kernel_unchecked,
-    _layer_unchecked,
     depthwise,
     flop_count,
     group_conv,
@@ -20,6 +18,24 @@ from skdesign.kernels import (
     pointwise_group,
     standard,
 )
+
+
+def _kernel_unchecked(kind: Kind, spatial: int, groups: int) -> Kernel:
+    """Build a Kernel bypassing validation."""
+    k = object.__new__(Kernel)
+    object.__setattr__(k, "kind", kind)
+    object.__setattr__(k, "spatial", spatial)
+    object.__setattr__(k, "groups", groups)
+    return k
+
+
+def _layer_unchecked(kernel: Kernel, in_channels: int, out_channels: int) -> LayerSpec:
+    """Build a LayerSpec bypassing validation."""
+    layer = object.__new__(LayerSpec)
+    object.__setattr__(layer, "kernel", kernel)
+    object.__setattr__(layer, "in_channels", in_channels)
+    object.__setattr__(layer, "out_channels", out_channels)
+    return layer
 
 
 def test_param_count_standard():

@@ -98,17 +98,23 @@ def test_concretize_depthwise_pair_single_candidate():
 
 
 def test_fused_evaluation_matches_naive_path():
-    cfg = SearchConfig(reference_channels=8, reference_out_channels=8, max_length=3)
-    for seq in _all_sequences(3):
-        valid_fast = {
-            (c.groups, c.bottleneck)
-            for c in _evaluate_sequence(seq, cfg)[0]
-        }
-        valid_naive = set()
-        for cand in concretize(seq, cfg):
-            if evaluate_candidate(cand, cfg).verdict.is_valid:
-                valid_naive.add((cand.groups, cand.bottleneck))
-        assert valid_fast == valid_naive, seq
+    # full per-verdict counts, not only the valid sets; at (8, 16) the plain
+    # plans change width as well as the bottleneck plans
+    for c, f, max_len in [(8, 8, 4), (8, 16, 4), (16, 16, 3)]:
+        cfg = SearchConfig(reference_channels=c, reference_out_channels=f, max_length=max_len)
+        for seq in _all_sequences(max_len):
+            valid, counts, enumerated = _evaluate_sequence(seq, cfg)
+            valid_fast = {(cand.groups, cand.bottleneck) for cand in valid}
+            valid_naive = set()
+            counts_naive: dict[str, int] = {}
+            for cand in concretize(seq, cfg):
+                verdict = evaluate_candidate(cand, cfg).verdict
+                counts_naive[verdict.kind.value] = counts_naive.get(verdict.kind.value, 0) + 1
+                if verdict.is_valid:
+                    valid_naive.add((cand.groups, cand.bottleneck))
+            assert valid_fast == valid_naive, (c, f, seq)
+            assert counts == counts_naive, (c, f, seq)
+            assert enumerated == sum(counts_naive.values()), (c, f, seq)
 
 
 def test_fused_counts_tie_out():
