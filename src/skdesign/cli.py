@@ -85,7 +85,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         reference_out_channels=out_channels,
         enable_bottleneck_variants=not args.no_bottleneck,
         enable_domination_filter=not args.no_domination,
-        jobs=args.jobs,
     )
     result = search.run_search(config)
     doc: dict[str, Any] = {
@@ -357,7 +356,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-bottleneck", action="store_true")
     p.add_argument("--no-domination", action="store_true")
     p.add_argument("--audit", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_search)
 

@@ -153,21 +153,13 @@ def ratio(
     Exact rational.  Must equal family_params / (9*C*F) wherever both are
     defined, which the test suite checks as an integer identity.
     """
+    layers_for(family, c, f, groups)  # group numbers, 4 | F and divisibility
     if family is Family.DW_PW:
-        if groups is not None:
-            raise ValidationError("dw+pw carries no group numbers")
         return Fraction(1, f) + Fraction(1, 9)
     if family is Family.PW_DW_PW:
-        if groups is not None:
-            raise ValidationError("pw+dw+pw carries no group numbers")
-        if f % 4:
-            raise ValidationError(f"bottleneck ratio requires 4 | F, got F={f}")
         return Fraction(c + f + 9, 36 * c)
-    if groups is None:
-        raise ValidationError(f"{family.value} needs group numbers (M, N)")
     m, n = groups
     if family is Family.GC_PWG:
-        layers_for(family, c, f, groups)  # divisibility validation
         if m * n > c:
             raise ValidationError(
                 f"infeasible groups: M*N = {m * n} exceeds C = {c}, the field "
@@ -175,7 +167,6 @@ def ratio(
             )
         return Fraction(c, m * f) + Fraction(1, 9 * n)
     # pwg+dw+pwg: the closed form assumes K = M*N exactly
-    layers_for(family, c, f, groups)
     k = f // 4
     if m * n != k:
         raise ValidationError(

@@ -33,7 +33,6 @@ three rules are:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -81,7 +80,6 @@ class SearchConfig:
     enable_bottleneck_variants: bool = True
     enable_domination_filter: bool = True
     domination_grid: tuple[tuple[int, int], ...] = DEFAULT_DOMINATION_GRID
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.max_length < 1:
@@ -256,15 +254,19 @@ def _evaluate_sequence(
     seq: tuple[Kind, ...],
     config: SearchConfig,
 ) -> tuple[list[DesignCandidate], dict[str, int], int]:
-    """Fused concretize + classify with subtree pruning.
+    """Fused concretize + classify with subtree pruning and prefix merging.
 
     Returns (valid candidates, per-verdict candidate counts, enumerated
     total).  A prefix killed at slot i accounts for every full assignment
     sharing that prefix, so the counts tie out exactly against the full
-    cartesian size.
+    cartesian size.  `step` depends only on the incoming field and the
+    layer, so all prefixes that reach the same field at slot i share their
+    completions: each (slot, field) pair is walked once per plan and its
+    verdict counts and valid group tails are reused.
     """
     c_ref = config.reference_channels
     reference = config.reference_field
+    last = len(seq) - 1
     valid: list[DesignCandidate] = []
     counts: dict[str, int] = {}
     enumerated = 0
@@ -278,7 +280,7 @@ def _evaluate_sequence(
         if 0 in sizes:
             continue
         suffix = [1] * (len(seq) + 1)
-        for i in range(len(seq) - 1, -1, -1):
+        for i in range(last, -1, -1):
             suffix[i] = sizes[i] * suffix[i + 1]
         enumerated += suffix[0]
         layers_cache = [
@@ -288,38 +290,45 @@ def _evaluate_sequence(
             }
             for kind, (c_in, c_out), choices in zip(seq, plan, choice_sets)
         ]
+        memo: dict[tuple[int, InfoField], tuple[dict[str, int], list[tuple]]] = {}
 
-        def dfs(i: int, fld: InfoField, chosen: tuple) -> None:
-            last = i == len(seq) - 1
-            rest = suffix[i + 1]
+        def walk(i: int, fld: InfoField) -> tuple[dict[str, int], list[tuple]]:
+            """Verdict counts and valid group tails of every completion of
+            slots i onward, entered with field `fld`."""
+            key = (i, fld)
+            if key in memo:
+                return memo[key]
+            here: dict[str, int] = {}
+            tails: list[tuple] = []
             for g, layer in layers_cache[i].items():
-                new, verdict = step(fld, layer, c_ref, reference, last=last)
+                new, verdict = step(fld, layer, c_ref, reference, last=i == last)
                 if verdict is None:
-                    dfs(i + 1, new, chosen + (g,))
+                    sub_counts, sub_tails = walk(i + 1, new)
+                    for name, n in sub_counts.items():
+                        here[name] = here.get(name, 0) + n
+                    tails.extend((g,) + tail for tail in sub_tails)
                     continue
-                counts[verdict.value] = counts.get(verdict.value, 0) + rest
+                here[verdict.value] = here.get(verdict.value, 0) + suffix[i + 1]
                 if verdict is VerdictKind.VALID:
-                    valid.append(
-                        DesignCandidate(
-                            sequence=seq,
-                            groups=chosen + (g,),
-                            bottleneck=bottleneck,
-                            channel_plan=plan,
-                            verdict=FieldVerdict(verdict, final=new),
-                        )
-                    )
+                    tails.append((g,))
+            memo[key] = here, tails
+            return here, tails
 
-        dfs(0, InfoField.initial(c_ref), ())
+        plan_counts, plan_tails = walk(0, InfoField.initial(c_ref))
+        for name, n in plan_counts.items():
+            counts[name] = counts.get(name, 0) + n
+        valid.extend(
+            DesignCandidate(
+                sequence=seq,
+                groups=groups,
+                bottleneck=bottleneck,
+                channel_plan=plan,
+                verdict=FieldVerdict(VerdictKind.VALID, final=reference),
+            )
+            for groups in plan_tails
+        )
 
     return valid, counts, enumerated
-
-
-def _worker(args: tuple[tuple[tuple[Kind, ...], ...], SearchConfig]):
-    chunk, config = args
-    out = []
-    for seq in chunk:
-        out.append(_evaluate_sequence(seq, config))
-    return out
 
 
 @dataclass(frozen=True)
@@ -399,13 +408,7 @@ def _family_optimal_params(
     multiset: tuple[str, ...], c: int, f: int, config: SearchConfig
 ) -> Optional[int]:
     """Cheapest valid instance of a kernel multiset at channel counts (C, F)."""
-    probe = replace(
-        config,
-        reference_channels=c,
-        reference_out_channels=f,
-        enable_domination_filter=False,
-        jobs=1,
-    )
+    probe = replace(config, reference_channels=c, reference_out_channels=f)
     best: Optional[int] = None
     for seq in _distinct_orderings(multiset):
         validc, _, _ = _evaluate_sequence(seq, probe)
@@ -506,19 +509,7 @@ def run_search(config: SearchConfig) -> SearchResult:
     sequences = list(enumerate_sequences(config))
     raw = raw_sequence_count(config.max_length)
 
-    results = []
-    if config.jobs > 1:
-        chunks = [
-            tuple(sequences[i :: config.jobs]) for i in range(config.jobs)
-        ]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for part in pool.map(_worker, [(chunk, config) for chunk in chunks]):
-                results.extend(part)
-        # interleaved chunking is deterministic but unordered; order never
-        # matters because aggregation is commutative and output is sorted
-    else:
-        for seq in sequences:
-            results.append(_evaluate_sequence(seq, config))
+    results = [_evaluate_sequence(seq, config) for seq in sequences]
 
     by_multiset: dict[tuple[str, ...], list[DesignCandidate]] = {}
     verdicts: dict[str, int] = {}

@@ -166,6 +166,16 @@ def test_analyze_rejects_groups_on_family_without_grouped_kernel(capsys, family)
     assert out == ""
 
 
+def test_analyze_and_size_name_the_bottleneck_width_fault_alike(capsys):
+    code, out, err = run(capsys, "analyze", "pw+dw+pw", "--c", "64", "--f", "62")
+    assert code == EXIT_VALIDATION
+    assert "bottleneck families require 4 | F" in err
+    assert out == ""
+    code, _, err = run(capsys, "size", "--family", "pw+dw+pw", "--width", "62")
+    assert code == EXIT_VALIDATION
+    assert "bottleneck families require 4 | F" in err
+
+
 def test_graph_rejects_groups_on_design_without_grouped_kernel(capsys):
     code, out, err = run(capsys, "graph", "dw+pw", "--groups", "2,2")
     assert code == EXIT_VALIDATION

@@ -22,6 +22,7 @@ from skdesign.cli import EXIT_OK, main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
+    "search-default-audit": ["search", "--format", "json", "--audit"],
     "search-len4-audit": ["search", "--max-len", "4", "--format", "json", "--audit"],
     "search-len4-audit-nodom": [
         "search", "--max-len", "4", "--format", "json", "--audit", "--no-domination",
