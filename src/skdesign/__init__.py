@@ -9,7 +9,6 @@ from .kernels import (
     depthwise,
     flop_count,
     group_conv,
-    out_channels,
     param_count,
     pointwise,
     pointwise_group,
@@ -32,7 +31,6 @@ __all__ = [
     "pointwise_group",
     "param_count",
     "flop_count",
-    "out_channels",
     "InfoField",
     "FieldVerdict",
     "VerdictKind",

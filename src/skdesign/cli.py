@@ -177,7 +177,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"  groups M={groups[0]}, N={groups[1]}: M*N "
             f"{'=' if ok else '!='} intermediate channels {k}"
         )
-    known = sorted(family.known_architectures(groups, input_channels=c))
+    known = sorted(family.known_architectures(groups))
     doc["known_architectures"] = known
     if known:
         lines.append(f"  coincides with: {', '.join(known)}")

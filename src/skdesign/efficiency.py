@@ -61,17 +61,18 @@ class Family(enum.Enum):
         self.bottlenecked = self.kernel_count == 3
 
     def known_architectures(
-        self,
-        groups: Optional[Sequence[Optional[int]]] = None,
-        input_channels: Optional[int] = None,
+        self, groups: Optional[Sequence[Optional[int]]] = None
     ) -> frozenset[str]:
         """Architectures an instance coincides with or specializes.
 
         The depthwise/pointwise pair is the building block of MobileNet and
-        Xception (equivalently the grouped pair at its M = C, N = 1
-        boundary).  The bottlenecked pointwise sandwich is the extreme case
-        of ResNeXt where the cardinality equals the bottleneck width.  The
-        grouped sandwich with equal group numbers is ShuffleNet's unit.
+        Xception.  The grouped pair would meet it at its M = C, N = 1
+        boundary, but `Kernel` admits neither group number there (M = C is
+        the depthwise kind, N = 1 the pointwise kind), so no grouped-pair
+        instance reports them.  The bottlenecked pointwise sandwich is the
+        extreme case of ResNeXt where the cardinality equals the bottleneck
+        width.  The grouped sandwich with equal group numbers is
+        ShuffleNet's unit.
         `groups` may hold None for the ungrouped slots of a witness.
         """
         if self is Family.DW_PW:
@@ -81,10 +82,8 @@ class Family(enum.Enum):
         g = tuple(x for x in groups if x is not None) if groups is not None else ()
         if len(g) != 2:
             return frozenset()
-        if self is Family.PWG_DW_PWG:
-            return frozenset({"ShuffleNet"}) if g[0] == g[1] else frozenset()
-        if g == (input_channels, 1):
-            return frozenset({"MobileNet", "Xception"})
+        if self is Family.PWG_DW_PWG and g[0] == g[1]:
+            return frozenset({"ShuffleNet"})
         return frozenset()
 
     @staticmethod

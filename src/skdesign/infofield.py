@@ -2,24 +2,24 @@
 
 The information field of an output activation after a sequence of layers is
 the region of the ORIGINAL input tensor it depends on, written as a triple
-(spatial_x, spatial_y, coverage) where coverage is the fraction of original
-input channels reached.  Coverage is kept as an exact rational so equality
-tests are exact.
+(spatial_x, spatial_y, channels) where channels is the number of original
+input channels reached.  It is the triple the dependency-graph oracle in
+`oracles` counts.
 
-Channel coverage is tracked under a best-case channel-permutation
+Channel reach is tracked under a best-case channel-permutation
 assumption: between layers channels may be reordered so that grouped layers
 combine disjoint dependency sets.  This reproduces the feasibility
 constraint M*N <= C for a grouped spatial kernel followed by a grouped 1x1
 kernel.  For depth > 2 the rule is an optimistic upper bound; the
-dependency-graph oracle in `oracles` verifies achievability at small scale.
+dependency-graph oracle verifies achievability at small scale.
 
-Propagation rules, with a = coverage * original_channels and C the layer's
-input channel count:
+Propagation rule, with a the channels reached, C the layer's input channel
+count and groups = 1 for the standard and pointwise kinds:
 
     depthwise              a' = a           (spatial grows, channels don't mix)
-    standard / pointwise   a' = min(original, C * a)
-    grouped (GC, PWG)      a' = min(original, (C / groups) * a)
+    every other kind       a' = min(original, (C // groups) * a)
 
+A group number divides its layer's input width, so the count stays exact.
 Spatial extents grow by k-1 per layer of spatial size k (stride 1 assumed
 throughout the calculus).
 """
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .kernels import Kind, LayerSpec, ValidationError
@@ -38,26 +37,27 @@ from .kernels import Kind, LayerSpec, ValidationError
 class InfoField:
     spatial_x: int
     spatial_y: int
-    coverage: Fraction
+    channels: int
 
     def __post_init__(self) -> None:
         if self.spatial_x < 1 or self.spatial_y < 1:
             raise ValidationError("spatial field extents must be >= 1")
-        if not 0 < self.coverage <= 1:
-            raise ValidationError(f"coverage must lie in (0, 1], got {self.coverage}")
+        if self.channels < 1:
+            raise ValidationError(f"channels reached must be >= 1, got {self.channels}")
 
     @staticmethod
-    def initial(input_channels: int) -> "InfoField":
+    def initial() -> "InfoField":
         """The field of a raw input activation: one point, one channel."""
-        return InfoField(1, 1, Fraction(1, input_channels))
+        return InfoField(1, 1, 1)
 
     @staticmethod
-    def reference(spatial: int) -> "InfoField":
-        """The field of one standard k x k convolution: (k, k, all channels)."""
-        return InfoField(spatial, spatial, Fraction(1))
+    def reference(spatial: int, channels: int) -> "InfoField":
+        """The field of one standard k x k convolution over `channels` inputs:
+        (k, k, all channels)."""
+        return InfoField(spatial, spatial, channels)
 
     def __str__(self) -> str:
-        return f"({self.spatial_x}, {self.spatial_y}, {self.coverage})"
+        return f"({self.spatial_x}, {self.spatial_y}, {self.channels})"
 
 
 class VerdictKind(enum.Enum):
@@ -89,23 +89,20 @@ class FieldVerdict:
 def propagate(field: InfoField, layer: LayerSpec, original_channels: int) -> InfoField:
     """Push a field through one layer.  Total on valid inputs."""
     k = layer.kernel.spatial
-    sx = field.spatial_x + (k - 1)
-    sy = field.spatial_y + (k - 1)
-    a = field.coverage * original_channels
-    kind = layer.kernel.kind
-    if kind is Kind.DEPTHWISE:
-        a2 = a
-    elif kind in (Kind.STANDARD, Kind.POINTWISE):
-        a2 = min(Fraction(original_channels), layer.in_channels * a)
-    else:  # GROUP, POINTWISE_GROUP
-        a2 = min(
-            Fraction(original_channels),
-            Fraction(layer.in_channels, layer.kernel.groups) * a,
+    a = field.channels
+    if layer.kernel.kind is not Kind.DEPTHWISE:
+        a = min(original_channels, layer.in_channels // layer.kernel.groups * a)
+    return InfoField(field.spatial_x + k - 1, field.spatial_y + k - 1, a)
+
+
+def _check_design(design: Sequence[LayerSpec], input_channels: int) -> None:
+    """A design is non-empty, reads `input_channels` and chains its widths."""
+    if not design:
+        raise ValidationError("empty design")
+    if design[0].in_channels != input_channels:
+        raise ValidationError(
+            f"design expects {design[0].in_channels} input channels, got {input_channels}"
         )
-    return InfoField(sx, sy, a2 / original_channels)
-
-
-def _check_chaining(design: Sequence[LayerSpec]) -> None:
     for i in range(len(design) - 1):
         if design[i].out_channels != design[i + 1].in_channels:
             raise ValidationError(
@@ -116,14 +113,8 @@ def _check_chaining(design: Sequence[LayerSpec]) -> None:
 
 def field_of(design: Sequence[LayerSpec], input_channels: int) -> InfoField:
     """Left fold of `propagate` over a kernel sequence."""
-    if not design:
-        raise ValidationError("empty design")
-    if design[0].in_channels != input_channels:
-        raise ValidationError(
-            f"design expects {design[0].in_channels} input channels, got {input_channels}"
-        )
-    _check_chaining(design)
-    field = InfoField.initial(input_channels)
+    _check_design(design, input_channels)
+    field = InfoField.initial()
     for layer in design:
         field = propagate(field, layer, input_channels)
     return field
@@ -131,22 +122,19 @@ def field_of(design: Sequence[LayerSpec], input_channels: int) -> InfoField:
 
 def trace(design: Sequence[LayerSpec], input_channels: int) -> list[InfoField]:
     """Field after each kernel, starting from the initial field."""
-    _check_chaining(design)
-    fields = [InfoField.initial(input_channels)]
+    _check_design(design, input_channels)
+    fields = [InfoField.initial()]
     for layer in design:
         fields.append(propagate(fields[-1], layer, input_channels))
     return fields
 
 
 def step(
-    field: InfoField,
-    layer: LayerSpec,
-    original_channels: int,
-    reference: InfoField,
-    last: bool = False,
+    field: InfoField, layer: LayerSpec, reference: InfoField, last: bool = False
 ) -> tuple[InfoField, Optional[VerdictKind]]:
     """One layer of the early-stop walk: the new field, and the verdict that
-    ends the walk here, if any.
+    ends the walk here, if any.  The reference carries the original input
+    width.
 
     A kernel contributes when it grows the field or changes the channel
     count (the latter exempts the thin ends of bottleneck structures).
@@ -160,7 +148,7 @@ def step(
     * VALID / INSUFFICIENT_FIELD after the last layer, by comparing the
       final field with the reference.
     """
-    new = propagate(field, layer, original_channels)
+    new = propagate(field, layer, reference.channels)
     if layer.in_channels == layer.out_channels:
         if new == field:
             return new, VerdictKind.INFERIOR_NO_GROWTH
@@ -173,9 +161,7 @@ def step(
     return new, None
 
 
-def classify(
-    design: Sequence[LayerSpec], input_channels: int, reference: InfoField
-) -> FieldVerdict:
+def classify(design: Sequence[LayerSpec], reference: InfoField) -> FieldVerdict:
     """Early-stop walk of a design against the standard-convolution field.
 
     The verdict is the first one `step` reports.  INFERIOR_NO_GROWTH
@@ -183,14 +169,12 @@ def classify(
     where the field first reached the reference, every other verdict the
     field it was reached with.
     """
-    if not design:
-        raise ValidationError("empty design")
-    _check_chaining(design)
-    field = InfoField.initial(input_channels)
+    _check_design(design, reference.channels)
+    field = InfoField.initial()
     first_full: Optional[int] = None
     last = len(design) - 1
     for i, layer in enumerate(design):
-        field, verdict = step(field, layer, input_channels, reference, last=i == last)
+        field, verdict = step(field, layer, reference, last=i == last)
         if verdict is VerdictKind.INFERIOR_NO_GROWTH:
             return FieldVerdict(verdict, at_index=i)
         if verdict is VerdictKind.INFERIOR_EARLY_FULL:

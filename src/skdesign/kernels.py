@@ -185,10 +185,3 @@ def flop_count(layer: LayerSpec, out_spatial: tuple[int, int]) -> int:
     if u < 1 or v < 1:
         raise ValidationError("output spatial size must be positive")
     return param_count(layer) * u * v
-
-
-def out_channels(layer: LayerSpec) -> int:
-    """Output channel count of a layer."""
-    if layer.kernel.kind is Kind.DEPTHWISE and layer.out_channels != layer.in_channels:
-        raise ValidationError("depthwise layers preserve the channel count")
-    return layer.out_channels

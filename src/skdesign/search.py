@@ -32,6 +32,7 @@ three rules are:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -95,7 +96,7 @@ class SearchConfig:
 
     @property
     def reference_field(self) -> InfoField:
-        return InfoField.reference(self.spatial)
+        return InfoField.reference(self.spatial, self.reference_channels)
 
 
 def sequence_name(sequence: Sequence[Kind]) -> str:
@@ -131,6 +132,12 @@ def raw_sequence_count(max_length: int) -> int:
     return sum(len(SK_ALPHABET) ** n for n in range(1, max_length + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _layer(kind: Kind, g: Optional[int], c_in: int, c_out: int, spatial: int) -> LayerSpec:
+    """One validated layer; a layer depends only on these five values."""
+    return LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
+
+
 @dataclass(frozen=True)
 class DesignCandidate:
     """A kernel sequence with concrete group numbers and channel plan."""
@@ -142,10 +149,10 @@ class DesignCandidate:
     verdict: Optional[FieldVerdict] = None
 
     def layers(self, spatial: int = 3) -> list[LayerSpec]:
-        out = []
-        for kind, g, (c_in, c_out) in zip(self.sequence, self.groups, self.channel_plan):
-            out.append(LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out))
-        return out
+        return [
+            _layer(kind, g, c_in, c_out, spatial)
+            for kind, g, (c_in, c_out) in zip(self.sequence, self.groups, self.channel_plan)
+        ]
 
     def params(self, spatial: int = 3) -> int:
         return sum(param_count(layer) for layer in self.layers(spatial))
@@ -242,11 +249,7 @@ def evaluate_candidate(
     candidate: DesignCandidate, config: SearchConfig
 ) -> DesignCandidate:
     """Classify one candidate against the reference field."""
-    verdict = classify(
-        candidate.layers(config.spatial),
-        config.reference_channels,
-        config.reference_field,
-    )
+    verdict = classify(candidate.layers(config.spatial), config.reference_field)
     return replace(candidate, verdict=verdict)
 
 
@@ -264,7 +267,6 @@ def _evaluate_sequence(
     completions: each (slot, field) pair is walked once per plan and its
     verdict counts and valid group tails are reused.
     """
-    c_ref = config.reference_channels
     reference = config.reference_field
     last = len(seq) - 1
     valid: list[DesignCandidate] = []
@@ -284,10 +286,7 @@ def _evaluate_sequence(
             suffix[i] = sizes[i] * suffix[i + 1]
         enumerated += suffix[0]
         layers_cache = [
-            {
-                g: LayerSpec(Kernel.of(kind, config.spatial, g), c_in, c_out)
-                for g in choices
-            }
+            {g: _layer(kind, g, c_in, c_out, config.spatial) for g in choices}
             for kind, (c_in, c_out), choices in zip(seq, plan, choice_sets)
         ]
         memo: dict[tuple[int, InfoField], tuple[dict[str, int], list[tuple]]] = {}
@@ -301,7 +300,7 @@ def _evaluate_sequence(
             here: dict[str, int] = {}
             tails: list[tuple] = []
             for g, layer in layers_cache[i].items():
-                new, verdict = step(fld, layer, c_ref, reference, last=i == last)
+                new, verdict = step(fld, layer, reference, last=i == last)
                 if verdict is None:
                     sub_counts, sub_tails = walk(i + 1, new)
                     for name, n in sub_counts.items():
@@ -314,7 +313,7 @@ def _evaluate_sequence(
             memo[key] = here, tails
             return here, tails
 
-        plan_counts, plan_tails = walk(0, InfoField.initial(c_ref))
+        plan_counts, plan_tails = walk(0, InfoField.initial())
         for name, n in plan_counts.items():
             counts[name] = counts.get(name, 0) + n
         valid.extend(
@@ -552,9 +551,7 @@ def run_search(config: SearchConfig) -> SearchResult:
 
 
 def identify_known(
-    family: DesignFamily,
-    groups: Optional[Sequence[int]] = None,
-    input_channels: Optional[int] = None,
+    family: DesignFamily, groups: Optional[Sequence[int]] = None
 ) -> frozenset[str]:
     """Architectures a family instance coincides with or specializes; see
     `efficiency.Family.known_architectures`.  Empty outside the four
@@ -563,4 +560,4 @@ def identify_known(
         known = Family(family.name)
     except ValueError:
         return frozenset()
-    return known.known_architectures(groups, input_channels)
+    return known.known_architectures(groups)

@@ -90,11 +90,7 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
                 for groups in itertools.product(*choice_sets):
                     layers = DesignCandidate(seq, groups, False, plan).layers()
                     calc = field_of(layers, c)
-                    want = (
-                        calc.spatial_x,
-                        calc.spatial_y,
-                        int(calc.coverage * c),
-                    )
+                    want = (calc.spatial_x, calc.spatial_y, calc.channels)
                     got = oracles.reachable_channel_triple(layers)
                     result.checked += 1
                     if got == want:

@@ -60,6 +60,7 @@ CASES = {
         "width", "--family", "pwg+dw+pwg", "--groups", "4,4", "--budget", "11300000",
     ],
     "verify-c8-len2": ["verify", "--c-max", "8", "--len-max", "2", "--format", "json"],
+    "verify-default": ["verify", "--format", "json"],
     "graph-standard": ["graph", "standard", "--channels", "4"],
     "graph-dw-pw": ["graph", "dw+pw", "--channels", "4", "--format", "json"],
     "graph-gc-pwg": ["graph", "gc+pwg", "--channels", "4", "--groups", "2,2"],

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,7 +21,7 @@ from skdesign.kernels import (
     standard,
 )
 
-REF3 = InfoField.reference(3)
+REF3 = InfoField.reference(3, 64)
 
 
 def _dw(c):
@@ -35,41 +33,54 @@ def _pw(c, f):
 
 
 def test_propagate_standard_reaches_full_field():
-    start = InfoField.initial(64)
+    start = InfoField.initial()
     out = propagate(start, LayerSpec(standard(3), 64, 64), 64)
-    assert out == InfoField(3, 3, Fraction(1))
+    assert out == InfoField(3, 3, 64)
 
 
 def test_propagate_depthwise_keeps_one_channel():
-    out = propagate(InfoField.initial(64), _dw(64), 64)
-    assert out == InfoField(3, 3, Fraction(1, 64))
+    out = propagate(InfoField.initial(), _dw(64), 64)
+    assert out == InfoField(3, 3, 1)
 
 
 def test_propagate_grouped_chain_toy():
-    # C=8: GC(4) covers a quarter, PWG(2) multiplies coverage by 4
-    f = InfoField.initial(8)
+    # C=8: GC(4) reaches 2 channels, PWG(2) multiplies the reach by 4
+    f = InfoField.initial()
     f = propagate(f, LayerSpec(group_conv(4), 8, 8), 8)
-    assert f == InfoField(3, 3, Fraction(1, 4))
+    assert f == InfoField(3, 3, 2)
     f = propagate(f, LayerSpec(pointwise_group(2), 8, 8), 8)
-    assert f == InfoField(3, 3, Fraction(1))
+    assert f == InfoField(3, 3, 8)
 
 
 def test_field_of_examples():
     c = 64
-    assert field_of([_dw(c), _pw(c, c)], c) == InfoField(3, 3, Fraction(1))
+    assert field_of([_dw(c), _pw(c, c)], c) == InfoField(3, 3, c)
     k = c // 4
     bneck = [_pw(c, k), LayerSpec(depthwise(3), k, k), _pw(k, c)]
-    assert field_of(bneck, c) == InfoField(3, 3, Fraction(1))
-    assert field_of([_dw(c)], c) == InfoField(3, 3, Fraction(1, c))
+    assert field_of(bneck, c) == InfoField(3, 3, c)
+    assert field_of([_dw(c)], c) == InfoField(3, 3, 1)
 
 
 def test_field_of_channel_mismatch_names_boundary():
     with pytest.raises(ValidationError, match="boundary 0"):
         field_of([_pw(64, 32), _pw(64, 64)], 64)
+    with pytest.raises(ValidationError, match="boundary 0"):
+        trace([_pw(64, 32), _pw(64, 64)], 64)
+    with pytest.raises(ValidationError, match="boundary 0"):
+        classify([_pw(64, 32), _pw(64, 64)], REF3)
+
+
+def test_trace_and_classify_reject_empty_and_misread_designs():
+    for check in (lambda d: field_of(d, 8), lambda d: trace(d, 8),
+                  lambda d: classify(d, InfoField.reference(3, 8))):
+        with pytest.raises(ValidationError, match="empty design"):
+            check([])
+        with pytest.raises(ValidationError, match="expects 64 input channels, got 8"):
+            check([_pw(64, 64)])
 
 
 def test_classify_pointwise_pair_no_growth():
-    v = classify([_pw(64, 64), _pw(64, 64)], 64, REF3)
+    v = classify([_pw(64, 64), _pw(64, 64)], REF3)
     assert v.kind is VerdictKind.INFERIOR_NO_GROWTH
     assert v.at_index == 1
 
@@ -80,38 +91,38 @@ def test_classify_early_full_before_depthwise():
         LayerSpec(pointwise_group(8), 64, 64),
         _dw(64),
     ]
-    v = classify(seq, 64, REF3)
+    v = classify(seq, REF3)
     assert v.kind is VerdictKind.INFERIOR_EARLY_FULL
     assert v.at_index == 1
 
 
 def test_classify_insufficient_coverage():
     seq = [LayerSpec(group_conv(4), 8, 8), LayerSpec(pointwise_group(4), 8, 8)]
-    v = classify(seq, 8, REF3)
+    v = classify(seq, InfoField.reference(3, 8))
     assert v.kind is VerdictKind.INSUFFICIENT_FIELD
-    assert v.final.coverage == Fraction(1, 2)
+    assert v.final.channels == 4
 
 
 def test_classify_bottleneck_sandwich_survives_plain_dies():
     c = 64
     k = 16
     bneck = [_pw(c, k), LayerSpec(depthwise(3), k, k), _pw(k, c)]
-    assert classify(bneck, c, REF3).is_valid
+    assert classify(bneck, REF3).is_valid
     plain = [_pw(c, c), _dw(c), _pw(c, c)]
-    v = classify(plain, c, REF3)
+    v = classify(plain, REF3)
     assert v.kind is VerdictKind.INFERIOR_NO_GROWTH
     assert v.at_index == 2
 
 
 def test_classify_spatial_overshoot():
-    v = classify([_dw(64), _dw(64)], 64, REF3)
+    v = classify([_dw(64), _dw(64)], REF3)
     assert v.kind is VerdictKind.SPATIAL_MISMATCH
 
 
 def test_classify_spatial_undershoot_is_insufficient():
-    v = classify([_pw(64, 64)], 64, REF3)
+    v = classify([_pw(64, 64)], REF3)
     assert v.kind is VerdictKind.INSUFFICIENT_FIELD
-    assert v.final == InfoField(1, 1, Fraction(1))
+    assert v.final == InfoField(1, 1, 64)
 
 
 def test_trace_lists_every_step():
@@ -119,14 +130,14 @@ def test_trace_lists_every_step():
     seq = [LayerSpec(group_conv(4), c, c), LayerSpec(pointwise_group(2), c, c)]
     steps = trace(seq, c)
     assert len(steps) == 3
-    assert steps[0] == InfoField.initial(c)
-    assert steps[-1] == InfoField(3, 3, Fraction(1))
+    assert steps[0] == InfoField.initial()
+    assert steps[-1] == InfoField(3, 3, c)
 
 
-def test_coverage_is_exact_rational():
-    f = propagate(InfoField.initial(12), LayerSpec(pointwise_group(3), 12, 12), 12)
-    assert isinstance(f.coverage, Fraction)
-    assert f.coverage == Fraction(1, 3)
+def test_channels_reached_is_exact_integer():
+    f = propagate(InfoField.initial(), LayerSpec(pointwise_group(3), 12, 12), 12)
+    assert type(f.channels) is int
+    assert f.channels == 4
 
 
 @st.composite
@@ -136,7 +147,7 @@ def _field_and_layer(draw):
     fld = InfoField(
         draw(st.integers(min_value=1, max_value=5)),
         draw(st.integers(min_value=1, max_value=5)),
-        Fraction(num, original),
+        num,
     )
     c = draw(st.sampled_from([4, 8, 12, 16, 24, 32]))
     kind = draw(st.sampled_from(list(Kind)))
@@ -161,4 +172,5 @@ def test_propagate_never_shrinks_the_field(case):
     out = propagate(fld, layer, original)
     assert out.spatial_x >= fld.spatial_x
     assert out.spatial_y >= fld.spatial_y
-    assert out.coverage >= fld.coverage
+    assert out.channels >= fld.channels
+    assert out.channels <= original

@@ -12,7 +12,6 @@ from skdesign.kernels import (
     depthwise,
     flop_count,
     group_conv,
-    out_channels,
     param_count,
     pointwise,
     pointwise_group,
@@ -76,8 +75,8 @@ def test_flop_count_depthwise_against_loop_nest():
 
 
 def test_out_channels():
-    assert out_channels(LayerSpec(pointwise(), 64, 256)) == 256
-    assert out_channels(LayerSpec(depthwise(3), 64, 64)) == 64
+    assert LayerSpec(pointwise(), 64, 256).out_channels == 256
+    assert LayerSpec(depthwise(3), 64, 64).out_channels == 64
     with pytest.raises(ValidationError):
         LayerSpec(depthwise(3), 64, 32)
 

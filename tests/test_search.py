@@ -226,10 +226,6 @@ def test_identify_known(default_result):
     assert identify_known(fams["pw+dw+pw"]) == {"ResNeXt-extreme"}
     assert identify_known(fams["dw+pw"]) == {"MobileNet", "Xception"}
     assert identify_known(fams["gc+pwg"], (2, 2)) == frozenset()
-    assert identify_known(fams["gc+pwg"], (64, 1), input_channels=64) == {
-        "MobileNet",
-        "Xception",
-    }
 
 
 def test_config_validation():
