@@ -57,9 +57,8 @@ _KIND_CHAR = {
 }
 
 
-def _kind_order(kind: Kind) -> tuple[bool, str]:
-    """Canonical-order tie break: spatial kinds before 1x1 kinds, then lexical."""
-    return (not kind.is_spatial, kind.value)
+# canonical-order tie break: spatial kinds before 1x1 kinds, then lexical
+_KIND_ORDER = {kind: (not kind.is_spatial, kind.value) for kind in Kind}
 
 
 DEFAULT_DOMINATION_GRID: tuple[tuple[int, int], ...] = (
@@ -166,42 +165,25 @@ class DesignCandidate:
         return "+".join(parts) + tag
 
 
-def _plain_plan(
-    sequence: Sequence[Kind], c: int, f: int
-) -> Optional[tuple[tuple[int, int], ...]]:
-    """Width plan with all intermediates at F; depthwise passes width through."""
-    plan = []
-    w = c
-    for kind in sequence:
-        out = w if kind is Kind.DEPTHWISE else f
-        plan.append((w, out))
-        w = out
-    if w != f:
-        return None
-    return tuple(plan)
+def _slot_widths(
+    kind: Kind, i: int, width: int, last: bool, bottleneck: bool, c: int, f: int
+) -> Optional[tuple[int, int]]:
+    """(in, out) widths of slot i of a width plan entered at `width`, or
+    None when the plan has no such slot.
 
-
-def _bottleneck_plan(
-    sequence: Sequence[Kind], c: int, f: int
-) -> Optional[tuple[tuple[int, int], ...]]:
-    """Width plan C -> K -> ... -> K -> F with K = F/4.
-
-    Needs at least one interior kernel and channel-changing end kernels,
-    so sequences shorter than three or with depthwise ends have no
-    bottleneck variant.
+    A plain plan keeps every intermediate at F (depthwise passes its width
+    through) and must end at F.  A bottleneck plan runs C -> K -> ... -> K
+    -> F with K = F/4; it needs at least one interior kernel and
+    channel-changing end kernels, so sequences shorter than three or with
+    depthwise ends have no bottleneck variant.
     """
-    if len(sequence) < 3 or f % 4:
-        return None
-    if sequence[0] is Kind.DEPTHWISE or sequence[-1] is Kind.DEPTHWISE:
+    if not bottleneck:
+        out = width if kind is Kind.DEPTHWISE else f
+        return None if last and out != f else (width, out)
+    if f % 4 or (last and i < 2) or (kind is Kind.DEPTHWISE and (i == 0 or last)):
         return None
     k = f // 4
-    if k < 1:
-        return None
-    plan = [(c, k)]
-    for _ in sequence[1:-1]:
-        plan.append((k, k))
-    plan.append((k, f))
-    return tuple(plan)
+    return (c if i == 0 else k, f if last else k)
 
 
 def _slot_choices(kind: Kind, c_in: int, c_out: int) -> tuple[Optional[int], ...]:
@@ -214,18 +196,38 @@ def _slot_choices(kind: Kind, c_in: int, c_out: int) -> tuple[Optional[int], ...
     return (None,)
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_layers(
+    kind: Kind, c_in: int, c_out: int, spatial: int
+) -> tuple[tuple[Optional[int], LayerSpec], ...]:
+    """Every group choice of a slot with its layer."""
+    return tuple(
+        (g, _layer(kind, g, c_in, c_out, spatial)) for g in _slot_choices(kind, c_in, c_out)
+    )
+
+
+def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
+    """Bottleneck flags of the width plans tried: plain, then 1:4 bottleneck."""
+    return (False, True) if config.enable_bottleneck_variants else (False,)
+
+
 def _variant_plans(
     sequence: Sequence[Kind], config: SearchConfig
 ) -> list[tuple[bool, tuple[tuple[int, int], ...]]]:
     c, f = config.reference_channels, config.reference_out_channels
+    last = len(sequence) - 1
     plans = []
-    plain = _plain_plan(sequence, c, f)
-    if plain is not None:
-        plans.append((False, plain))
-    if config.enable_bottleneck_variants:
-        bneck = _bottleneck_plan(sequence, c, f)
-        if bneck is not None:
-            plans.append((True, bneck))
+    for bottleneck in _plan_flags(config):
+        plan: list[tuple[int, int]] = []
+        width = c
+        for i, kind in enumerate(sequence):
+            widths = _slot_widths(kind, i, width, i == last, bottleneck, c, f)
+            if widths is None:
+                break
+            plan.append(widths)
+            width = widths[1]
+        else:
+            plans.append((bottleneck, tuple(plan)))
     return plans
 
 
@@ -253,80 +255,90 @@ def evaluate_candidate(
     return replace(candidate, verdict=verdict)
 
 
-def _evaluate_sequence(
-    seq: tuple[Kind, ...],
-    config: SearchConfig,
+def _evaluate_sequences(
+    sequences: Sequence[tuple[Kind, ...]], config: SearchConfig
 ) -> tuple[list[DesignCandidate], dict[str, int], int]:
-    """Fused concretize + classify with subtree pruning and prefix merging.
+    """Fused concretize + classify of a set of sequences: one forward walk
+    per width plan over the trie of their kind prefixes.
 
     Returns (valid candidates, per-verdict candidate counts, enumerated
-    total).  A prefix killed at slot i accounts for every full assignment
-    sharing that prefix, so the counts tie out exactly against the full
-    cartesian size.  `step` depends only on the incoming field and the
-    layer, so all prefixes that reach the same field at slot i share their
-    completions: each (slot, field) pair is walked once per plan and its
-    verdict counts and valid group tails are reused.
+    total), the sums of `concretize` + `evaluate_candidate` over the set.
+    A trie node keeps its live group prefixes keyed by the field they
+    reach, so `step` runs once per (node, field, group choice).  A prefix
+    killed at a non-final slot accounts for W(child) full assignments, the
+    summed completion size of the set's sequences that extend the child;
+    W is computed on the way back up, and a sequence with a slot that has
+    no group choice adds nothing to it.  At a node that ends a sequence of
+    the set, the last slot is stepped with last=True and valid prefixes
+    become witnesses.
     """
+    c, f, spatial = config.reference_channels, config.reference_out_channels, config.spatial
     reference = config.reference_field
-    last = len(seq) - 1
+    members = set(sequences)
+    nexts: dict[tuple[Kind, ...], dict[Kind, None]] = {}
+    for seq in sequences:
+        for i in range(len(seq)):
+            nexts.setdefault(seq[:i], {})[seq[i]] = None
     valid: list[DesignCandidate] = []
     counts: dict[str, int] = {}
-    enumerated = 0
 
-    for bottleneck, plan in _variant_plans(seq, config):
-        choice_sets = [
-            _slot_choices(kind, c_in, c_out)
-            for kind, (c_in, c_out) in zip(seq, plan)
-        ]
-        sizes = [len(cs) for cs in choice_sets]
-        if 0 in sizes:
-            continue
-        suffix = [1] * (len(seq) + 1)
-        for i in range(last, -1, -1):
-            suffix[i] = sizes[i] * suffix[i + 1]
-        enumerated += suffix[0]
-        layers_cache = [
-            {g: _layer(kind, g, c_in, c_out, config.spatial) for g in choices}
-            for kind, (c_in, c_out), choices in zip(seq, plan, choice_sets)
-        ]
-        memo: dict[tuple[int, InfoField], tuple[dict[str, int], list[tuple]]] = {}
+    def tally(verdict: VerdictKind, n: int) -> None:
+        if n:
+            counts[verdict.value] = counts.get(verdict.value, 0) + n
 
-        def walk(i: int, fld: InfoField) -> tuple[dict[str, int], list[tuple]]:
-            """Verdict counts and valid group tails of every completion of
-            slots i onward, entered with field `fld`."""
-            key = (i, fld)
-            if key in memo:
-                return memo[key]
-            here: dict[str, int] = {}
-            tails: list[tuple] = []
-            for g, layer in layers_cache[i].items():
-                new, verdict = step(fld, layer, reference, last=i == last)
-                if verdict is None:
-                    sub_counts, sub_tails = walk(i + 1, new)
-                    for name, n in sub_counts.items():
-                        here[name] = here.get(name, 0) + n
-                    tails.extend((g,) + tail for tail in sub_tails)
-                    continue
-                here[verdict.value] = here.get(verdict.value, 0) + suffix[i + 1]
-                if verdict is VerdictKind.VALID:
-                    tails.append((g,))
-            memo[key] = here, tails
-            return here, tails
+    def walk(
+        prefix: tuple[Kind, ...],
+        plan: tuple[tuple[int, int], ...],
+        live: dict[InfoField, list[tuple]],
+        bottleneck: bool,
+    ) -> int:
+        """Step the live group prefixes of `prefix` into each child; return
+        W(prefix)."""
+        i = len(prefix)
+        width = plan[-1][1] if plan else c
+        total = 0
+        for kind in nexts.get(prefix, ()):
+            child = prefix + (kind,)
+            widths = _slot_widths(kind, i, width, True, bottleneck, c, f)
+            if child in members and widths is not None:
+                choices = _slot_layers(kind, *widths, spatial)
+                total += len(choices)
+                for fld, groups in live.items():
+                    for g, layer in choices:
+                        _, verdict = step(fld, layer, reference, last=True)
+                        tally(verdict, len(groups))
+                        if verdict is VerdictKind.VALID:
+                            valid.extend(
+                                DesignCandidate(
+                                    sequence=child,
+                                    groups=p + (g,),
+                                    bottleneck=bottleneck,
+                                    channel_plan=plan + (widths,),
+                                    verdict=FieldVerdict(VerdictKind.VALID, final=reference),
+                                )
+                                for p in groups
+                            )
+            widths = _slot_widths(kind, i, width, False, bottleneck, c, f)
+            if child in nexts and widths is not None:
+                choices = _slot_layers(kind, *widths, spatial)
+                killed: dict[VerdictKind, int] = {}
+                after: dict[InfoField, list[tuple]] = {}
+                for fld, groups in live.items():
+                    for g, layer in choices:
+                        new, verdict = step(fld, layer, reference)
+                        if verdict is None:
+                            after.setdefault(new, []).extend(p + (g,) for p in groups)
+                        else:
+                            killed[verdict] = killed.get(verdict, 0) + len(groups)
+                sub = walk(child, plan + (widths,), after, bottleneck)
+                total += len(choices) * sub
+                for verdict, n in killed.items():
+                    tally(verdict, n * sub)
+        return total
 
-        plan_counts, plan_tails = walk(0, InfoField.initial())
-        for name, n in plan_counts.items():
-            counts[name] = counts.get(name, 0) + n
-        valid.extend(
-            DesignCandidate(
-                sequence=seq,
-                groups=groups,
-                bottleneck=bottleneck,
-                channel_plan=plan,
-                verdict=FieldVerdict(VerdictKind.VALID, final=reference),
-            )
-            for groups in plan_tails
-        )
-
+    enumerated = sum(
+        walk((), (), {InfoField.initial(): [()]}, bottleneck) for bottleneck in _plan_flags(config)
+    )
     return valid, counts, enumerated
 
 
@@ -348,7 +360,8 @@ class DesignFamily:
         return len(self.canonical_sequence)
 
     def min_params(self) -> int:
-        return min(w.params() for w in self.witnesses)
+        """Witnesses are sorted by parameter count first."""
+        return self.witnesses[0].params()
 
 
 @dataclass(frozen=True)
@@ -375,7 +388,7 @@ def _witness_sort_key(w: DesignCandidate):
     return (
         w.params(),
         w.bottleneck,
-        tuple(map(_kind_order, w.sequence)),
+        tuple(map(_KIND_ORDER.get, w.sequence)),
         tuple(g or 0 for g in w.groups),
     )
 
@@ -403,19 +416,37 @@ def _distinct_orderings(multiset: tuple[str, ...]) -> list[tuple[Kind, ...]]:
     return sorted(set(itertools.permutations(kinds)), key=lambda s: [k.value for k in s])
 
 
-def _family_optimal_params(
-    multiset: tuple[str, ...], c: int, f: int, config: SearchConfig
-) -> Optional[int]:
-    """Cheapest valid instance of a kernel multiset at channel counts (C, F)."""
-    probe = replace(config, reference_channels=c, reference_out_channels=f)
-    best: Optional[int] = None
-    for seq in _distinct_orderings(multiset):
-        validc, _, _ = _evaluate_sequence(seq, probe)
-        for cand in validc:
-            p = cand.params(config.spatial)
-            if best is None or p < best:
-                best = p
-    return best
+def _grid_optimal_params(
+    families: dict[tuple[str, ...], DesignFamily],
+    pool: Sequence[tuple[str, ...]],
+    grid: Sequence[tuple[int, int]],
+    config: SearchConfig,
+) -> dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]]:
+    """Cheapest valid instance of each pool multiset at each grid point
+    (C, F), None where it has none.
+
+    One walk per grid point covers every ordering of the pool.  At the
+    reference (C, F) the families already hold every valid instance: the
+    periodic orderings they skipped are never valid, because two spatial
+    kernels overshoot the reference and none leaves the field at 1.
+    """
+    reference = (config.reference_channels, config.reference_out_channels)
+    orderings = [seq for k in pool for seq in _distinct_orderings(k)]
+    opt: dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]] = {k: {} for k in pool}
+    for c, f in grid:
+        if (c, f) == reference:
+            best = {k: min(w.params(config.spatial) for w in families[k].witnesses) for k in pool}
+        else:
+            probe = replace(config, reference_channels=c, reference_out_channels=f)
+            best = {}
+            for cand in _evaluate_sequences(orderings, probe)[0]:
+                key = _multiset_key(cand.sequence)
+                p = cand.params(config.spatial)
+                if key not in best or p < best[key]:
+                    best[key] = p
+        for k in pool:
+            opt[k][(c, f)] = best.get(k)
+    return opt
 
 
 def _apply_domination(
@@ -453,10 +484,7 @@ def _apply_domination(
                 dropped.add(k)
 
     pool = [k for k in keys if k not in dropped]
-    opt: dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]] = {
-        k: {cfg: _family_optimal_params(k, cfg[0], cfg[1], config) for cfg in grid}
-        for k in pool
-    }
+    opt = _grid_optimal_params(families, pool, grid, config)
 
     for k in pool:
         fam = families[k]
@@ -508,19 +536,11 @@ def run_search(config: SearchConfig) -> SearchResult:
     sequences = list(enumerate_sequences(config))
     raw = raw_sequence_count(config.max_length)
 
-    results = [_evaluate_sequence(seq, config) for seq in sequences]
+    valid, verdicts, enumerated = _evaluate_sequences(sequences, config)
 
     by_multiset: dict[tuple[str, ...], list[DesignCandidate]] = {}
-    verdicts: dict[str, int] = {}
-    enumerated = 0
-    valid_total = 0
-    for validc, counts, total in results:
-        enumerated += total
-        for name, n in counts.items():
-            verdicts[name] = verdicts.get(name, 0) + n
-        for cand in validc:
-            valid_total += 1
-            by_multiset.setdefault(_multiset_key(cand.sequence), []).append(cand)
+    for cand in valid:
+        by_multiset.setdefault(_multiset_key(cand.sequence), []).append(cand)
 
     families = {
         key: _build_family(key, cands) for key, cands in by_multiset.items()
@@ -532,12 +552,12 @@ def run_search(config: SearchConfig) -> SearchResult:
         kept = [families[k] for k in sorted(families)]
         removed = []
 
-    kept.sort(key=lambda fam: (fam.length, tuple(map(_kind_order, fam.canonical_sequence))))
+    kept.sort(key=lambda fam: (fam.length, tuple(map(_KIND_ORDER.get, fam.canonical_sequence))))
     stage_counts = (
         ("sequences_raw", raw),
         ("sequences_after_composition", len(sequences)),
         ("candidates_enumerated", enumerated),
-        ("candidates_valid", valid_total),
+        ("candidates_valid", len(valid)),
         ("families", len(families)),
         ("families_after_domination", len(kept)),
     )

@@ -5,9 +5,9 @@ Each case runs `skdesign.cli.main` in process and compares its stdout with
 that must not change behaviour; a deliberate output change re-records them
 with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [name ...]
 
-and says why in CHANGES.md.
+(all cases, or only the named ones) and says why in CHANGES.md.
 """
 
 import contextlib
@@ -28,6 +28,16 @@ CASES = {
         "search", "--max-len", "4", "--format", "json", "--audit", "--no-domination",
     ],
     "search-len4-audit-table": ["search", "--max-len", "4", "--audit"],
+    "search-c3-f5-audit": [
+        "search", "--channels", "3", "--out-channels", "5", "--audit", "--format", "json",
+    ],
+    "search-c16-f32-audit": [
+        "search", "--channels", "16", "--out-channels", "32", "--audit", "--format", "json",
+    ],
+    "search-c4-len4-audit-nodom": [
+        "search", "--channels", "4", "--max-len", "4", "--no-domination", "--audit",
+        "--format", "json",
+    ],
     "search-len3-alpha": [
         "search", "--max-len", "3", "--no-bottleneck", "--channels", "32", "--alpha", "2",
         "--format", "json",
@@ -86,9 +96,13 @@ def test_cli_output_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        code, out = _run(argv)
+    for name in names:
+        code, out = _run(CASES[name])
         if code != EXIT_OK:
             sys.exit(f"{name}: exit {code}")
         (GOLDEN / f"{name}.txt").write_text(out)

@@ -1,6 +1,7 @@
+import itertools
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -19,7 +20,9 @@ from skdesign.search import (
     run_search,
     sequence_chars,
     sequence_name,
-    _evaluate_sequence,
+    _distinct_orderings,
+    _evaluate_sequences,
+    _grid_optimal_params,
 )
 
 GC, DW, PW, PWG = Kind.GROUP, Kind.DEPTHWISE, Kind.POINTWISE, Kind.POINTWISE_GROUP
@@ -33,8 +36,6 @@ def default_result():
 
 
 def _all_sequences(max_len):
-    import itertools
-
     for n in range(1, max_len + 1):
         yield from itertools.product(SK_ALPHABET, repeat=n)
 
@@ -97,6 +98,20 @@ def test_concretize_depthwise_pair_single_candidate():
     assert v.kind is VerdictKind.SPATIAL_MISMATCH
 
 
+def _naive(sequences, cfg):
+    """Valid (sequence, groups, bottleneck) set, per-verdict counts and
+    enumerated total of `concretize` + `evaluate_candidate`."""
+    valid = set()
+    counts: dict[str, int] = {}
+    for seq in sequences:
+        for cand in concretize(seq, cfg):
+            verdict = evaluate_candidate(cand, cfg).verdict
+            counts[verdict.kind.value] = counts.get(verdict.kind.value, 0) + 1
+            if verdict.is_valid:
+                valid.add((cand.sequence, cand.groups, cand.bottleneck))
+    return valid, counts, sum(counts.values())
+
+
 def test_fused_evaluation_matches_naive_path():
     # full per-verdict counts, not only the valid sets; at (8, 16) the plain
     # plans change width as well as the bottleneck plans; at (64, 64) many
@@ -115,24 +130,37 @@ def test_fused_evaluation_matches_naive_path():
     for c, f, sequences in cases:
         cfg = SearchConfig(reference_channels=c, reference_out_channels=f)
         for seq in sequences:
-            valid, counts, enumerated = _evaluate_sequence(seq, cfg)
-            valid_fast = {(cand.groups, cand.bottleneck) for cand in valid}
-            valid_naive = set()
-            counts_naive: dict[str, int] = {}
-            for cand in concretize(seq, cfg):
-                verdict = evaluate_candidate(cand, cfg).verdict
-                counts_naive[verdict.kind.value] = counts_naive.get(verdict.kind.value, 0) + 1
-                if verdict.is_valid:
-                    valid_naive.add((cand.groups, cand.bottleneck))
+            valid, counts, enumerated = _evaluate_sequences([seq], cfg)
+            valid_fast = {(cand.sequence, cand.groups, cand.bottleneck) for cand in valid}
+            valid_naive, counts_naive, enumerated_naive = _naive([seq], cfg)
             assert valid_fast == valid_naive, (c, f, seq)
             assert counts == counts_naive, (c, f, seq)
-            assert enumerated == sum(counts_naive.values()), (c, f, seq)
+            assert enumerated == enumerated_naive, (c, f, seq)
+
+
+def test_set_walk_matches_naive_sum():
+    # one walk over the trie of every sequence up to length 4: verdicts at
+    # shared prefixes must be weighted by the summed completions of exactly
+    # the sequences that extend them; (4, 4) has empty bottleneck slots
+    # (K = 1 takes no group number).  Without the periodic sequences, some
+    # prefixes (pw+pw) are not themselves in the set.
+    every = list(_all_sequences(4))
+    aperiodic = list(enumerate_sequences(SearchConfig(max_length=4)))
+    for (c, f), sequences in itertools.product([(8, 8), (8, 16), (4, 4)], [every, aperiodic]):
+        cfg = SearchConfig(reference_channels=c, reference_out_channels=f)
+        valid, counts, enumerated = _evaluate_sequences(sequences, cfg)
+        valid_fast = [(cand.sequence, cand.groups, cand.bottleneck) for cand in valid]
+        valid_naive, counts_naive, enumerated_naive = _naive(sequences, cfg)
+        assert len(valid_fast) == len(set(valid_fast))
+        assert set(valid_fast) == valid_naive, (c, f)
+        assert counts == counts_naive, (c, f)
+        assert enumerated == enumerated_naive, (c, f)
 
 
 def test_fused_counts_tie_out():
     cfg = SearchConfig(reference_channels=16, reference_out_channels=16)
     for seq in [(GC, PWG), (PWG, DW, PWG), (PW, PW, PW), (GC, PWG, PWG)]:
-        valid, counts, enumerated = _evaluate_sequence(seq, cfg)
+        valid, counts, enumerated = _evaluate_sequences([seq], cfg)
         assert sum(counts.values()) == enumerated
         assert counts.get("valid", 0) == len(valid)
 
@@ -162,6 +190,13 @@ def test_search_audit_counts_are_frozen_and_monotone(default_result):
     assert counts["families"] >= counts["families_after_domination"]
     # verdict attribution covers every enumerated candidate exactly
     assert sum(n for _, n in result.verdict_counts) == counts["candidates_enumerated"]
+    assert dict(result.verdict_counts) == {
+        "valid": 9602,
+        "inferior-no-growth": 2_740_571,
+        "inferior-early-full": 1_039_348,
+        "insufficient-field": 1235,
+        "spatial-mismatch": 1_732_986,
+    }
 
 
 def test_search_without_domination_keeps_four_with_valid_audits():
@@ -210,9 +245,31 @@ def test_max_len_two_keeps_only_pairs():
     assert result.family_names() == ("dw+pw", "gc+pwg")
 
 
+def test_grid_optimal_params_match_brute_force():
+    # the cheapest valid instance of each multiset at each grid point,
+    # against a minimum over `concretize` of all its orderings; the grid
+    # holds the reference (64, 64), which is read from the families
+    cfg = SearchConfig(max_length=4)
+    result = run_search(replace(cfg, enable_domination_filter=False))
+    families = {fam.multiset: fam for fam in result.families}
+    grid = cfg.domination_grid
+    assert (cfg.reference_channels, cfg.reference_out_channels) in grid
+    opt = _grid_optimal_params(families, sorted(families), grid, cfg)
+    for key, fam in families.items():
+        for c, f in grid:
+            probe = replace(cfg, reference_channels=c, reference_out_channels=f)
+            brute = [
+                cand.params()
+                for seq in _distinct_orderings(key)
+                for cand in concretize(seq, probe)
+                if evaluate_candidate(cand, probe).verdict.is_valid
+            ]
+            assert opt[key][(c, f)] == (min(brute) if brute else None), (fam.name, c, f)
+
+
 def test_gc_pwg_dw_never_survives_with_all_kernels_contributing():
     cfg = SearchConfig()
-    valid, counts, _ = _evaluate_sequence((GC, PWG, DW), cfg)
+    valid, counts, _ = _evaluate_sequences([(GC, PWG, DW)], cfg)
     assert valid == []
     assert counts.get("valid", 0) == 0
     assert counts.get("inferior-early-full", 0) > 0
