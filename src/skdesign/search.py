@@ -264,7 +264,8 @@ def _evaluate_sequences(
     Returns (valid candidates, per-verdict candidate counts, enumerated
     total), the sums of `concretize` + `evaluate_candidate` over the set.
     A trie node keeps its live group prefixes keyed by the field they
-    reach, so `step` runs once per (node, field, group choice).  A prefix
+    reach, so `step` runs at most twice per (node, field, group choice):
+    once as a sequence's last slot and once as an interior slot.  A prefix
     killed at a non-final slot accounts for W(child) full assignments, the
     summed completion size of the set's sequences that extend the child;
     W is computed on the way back up, and a sequence with a slot that has
@@ -274,6 +275,9 @@ def _evaluate_sequences(
     """
     c, f, spatial = config.reference_channels, config.reference_out_channels, config.spatial
     reference = config.reference_field
+    # witnesses share one verdict and, per trie node, one channel plan:
+    # a walk holds thousands of them at once
+    valid_verdict = FieldVerdict(VerdictKind.VALID, final=reference)
     members = set(sequences)
     nexts: dict[tuple[Kind, ...], dict[Kind, None]] = {}
     for seq in sequences:
@@ -303,6 +307,7 @@ def _evaluate_sequences(
             if child in members and widths is not None:
                 choices = _slot_layers(kind, *widths, spatial)
                 total += len(choices)
+                channel_plan = plan + (widths,)
                 for fld, groups in live.items():
                     for g, layer in choices:
                         _, verdict = step(fld, layer, reference, last=True)
@@ -313,8 +318,8 @@ def _evaluate_sequences(
                                     sequence=child,
                                     groups=p + (g,),
                                     bottleneck=bottleneck,
-                                    channel_plan=plan + (widths,),
-                                    verdict=FieldVerdict(VerdictKind.VALID, final=reference),
+                                    channel_plan=channel_plan,
+                                    verdict=valid_verdict,
                                 )
                                 for p in groups
                             )
@@ -417,33 +422,23 @@ def _distinct_orderings(multiset: tuple[str, ...]) -> list[tuple[Kind, ...]]:
 
 
 def _grid_optimal_params(
-    families: dict[tuple[str, ...], DesignFamily],
     pool: Sequence[tuple[str, ...]],
     grid: Sequence[tuple[int, int]],
     config: SearchConfig,
 ) -> dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]]:
     """Cheapest valid instance of each pool multiset at each grid point
-    (C, F), None where it has none.
-
-    One walk per grid point covers every ordering of the pool.  At the
-    reference (C, F) the families already hold every valid instance: the
-    periodic orderings they skipped are never valid, because two spatial
-    kernels overshoot the reference and none leaves the field at 1.
-    """
-    reference = (config.reference_channels, config.reference_out_channels)
+    (C, F), None where it has none; one walk per grid point covers every
+    ordering of the pool."""
     orderings = [seq for k in pool for seq in _distinct_orderings(k)]
     opt: dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]] = {k: {} for k in pool}
     for c, f in grid:
-        if (c, f) == reference:
-            best = {k: min(w.params(config.spatial) for w in families[k].witnesses) for k in pool}
-        else:
-            probe = replace(config, reference_channels=c, reference_out_channels=f)
-            best = {}
-            for cand in _evaluate_sequences(orderings, probe)[0]:
-                key = _multiset_key(cand.sequence)
-                p = cand.params(config.spatial)
-                if key not in best or p < best[key]:
-                    best[key] = p
+        probe = replace(config, reference_channels=c, reference_out_channels=f)
+        best: dict[tuple[str, ...], int] = {}
+        for cand in _evaluate_sequences(orderings, probe)[0]:
+            key = _multiset_key(cand.sequence)
+            p = cand.params(config.spatial)
+            if key not in best or p < best[key]:
+                best[key] = p
         for k in pool:
             opt[k][(c, f)] = best.get(k)
     return opt
@@ -484,7 +479,7 @@ def _apply_domination(
                 dropped.add(k)
 
     pool = [k for k in keys if k not in dropped]
-    opt = _grid_optimal_params(families, pool, grid, config)
+    opt = _grid_optimal_params(pool, grid, config)
 
     for k in pool:
         fam = families[k]

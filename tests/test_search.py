@@ -248,13 +248,13 @@ def test_max_len_two_keeps_only_pairs():
 def test_grid_optimal_params_match_brute_force():
     # the cheapest valid instance of each multiset at each grid point,
     # against a minimum over `concretize` of all its orderings; the grid
-    # holds the reference (64, 64), which is read from the families
+    # holds the reference (64, 64)
     cfg = SearchConfig(max_length=4)
     result = run_search(replace(cfg, enable_domination_filter=False))
     families = {fam.multiset: fam for fam in result.families}
     grid = cfg.domination_grid
     assert (cfg.reference_channels, cfg.reference_out_channels) in grid
-    opt = _grid_optimal_params(families, sorted(families), grid, cfg)
+    opt = _grid_optimal_params(sorted(families), grid, cfg)
     for key, fam in families.items():
         for c, f in grid:
             probe = replace(cfg, reference_channels=c, reference_out_channels=f)
