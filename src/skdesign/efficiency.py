@@ -38,7 +38,6 @@ from .kernels import (
     param_count,
     pointwise,
     pointwise_group,
-    standard,
 )
 
 
@@ -325,7 +324,3 @@ def theorem1_condition(c: int, m: int, n: int) -> bool:
     if m < 1 or n < 1:
         raise ValidationError("group numbers must be >= 1")
     return m * n == c
-
-
-def _standard_params(c: int, f: int, spatial: int = 3) -> int:
-    return param_count(LayerSpec(standard(spatial), c, f))

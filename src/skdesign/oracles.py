@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence
 
 from .kernels import Kind, LayerSpec, TensorShape, ValidationError
 
@@ -235,7 +235,6 @@ def _subsets_of_size(n: int, size: int) -> tuple[int, ...]:
 class GridMinResult:
     minimizers: tuple[tuple[int, int], ...]
     value: int
-    evaluated: int
 
 
 def _divisors(n: int) -> list[int]:
@@ -286,37 +285,22 @@ def feasible_pairs(
     return pairs
 
 
-Objective = Union[str, Callable[[int, int, int, int], int]]
+def divisor_grid_min(objective: str, c: int, f: int, constraint: str = "le") -> GridMinResult:
+    """Exhaustive minimum of a family's exact integer parameter count over
+    its feasible group pairs.
 
-
-def divisor_grid_min(
-    objective: Objective,
-    c: int,
-    f: int,
-    constraint: str = "le",
-    pairs: Iterable[tuple[int, int]] | None = None,
-) -> GridMinResult:
-    """Exhaustive minimum of an integer parameter formula over group pairs.
-
-    `objective` is a family name ("gc+pwg" or "pwg+dw+pwg") or a callable
-    (C, F, M, N) -> exact integer count.  Returns every minimizer.
+    `objective` is the family name, "gc+pwg" or "pwg+dw+pwg".  Returns every
+    minimizer.
     """
     if max(c, f) > MAX_GRID_CHANNELS:
         raise ValidationError(f"grid capped at {MAX_GRID_CHANNELS} channels")
-    if isinstance(objective, str):
-        if objective not in ("gc+pwg", "pwg+dw+pwg"):
-            raise ValidationError(f"unknown objective {objective!r}")
-        fn = gc_pwg_params if objective == "gc+pwg" else pwg_dw_pwg_params
-        if pairs is None:
-            pairs = feasible_pairs(objective, c, f, constraint)
-    else:
-        fn = objective
-        if pairs is None:
-            raise ValidationError("callable objectives need an explicit pair set")
-    pairs = list(pairs)
+    if objective not in ("gc+pwg", "pwg+dw+pwg"):
+        raise ValidationError(f"unknown objective {objective!r}")
+    fn = gc_pwg_params if objective == "gc+pwg" else pwg_dw_pwg_params
+    pairs = feasible_pairs(objective, c, f, constraint)
     if not pairs:
         raise ValidationError(f"no feasible (M, N) pairs for C={c}, F={f}")
     values = [(fn(c, f, m, n), (m, n)) for m, n in pairs]
     best = min(v for v, _ in values)
     mins = tuple(sorted(pair for v, pair in values if v == best))
-    return GridMinResult(minimizers=mins, value=best, evaluated=len(pairs))
+    return GridMinResult(minimizers=mins, value=best)

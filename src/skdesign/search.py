@@ -35,11 +35,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .efficiency import Family
-from .infofield import FieldVerdict, InfoField, VerdictKind, classify, step
+from .infofield import InfoField, VerdictKind, step
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 
 SK_ALPHABET: tuple[Kind, ...] = (
@@ -48,14 +47,6 @@ SK_ALPHABET: tuple[Kind, ...] = (
     Kind.POINTWISE,
     Kind.POINTWISE_GROUP,
 )
-
-_KIND_CHAR = {
-    Kind.GROUP: "g",
-    Kind.DEPTHWISE: "d",
-    Kind.POINTWISE: "p",
-    Kind.POINTWISE_GROUP: "q",
-}
-
 
 # canonical-order tie break: spatial kinds before 1x1 kinds, then lexical
 _KIND_ORDER = {kind: (not kind.is_spatial, kind.value) for kind in Kind}
@@ -90,10 +81,6 @@ class SearchConfig:
             raise ValidationError("spatial size must be >= 2 for a meaningful field")
 
     @property
-    def alpha(self) -> Fraction:
-        return Fraction(self.reference_out_channels, self.reference_channels)
-
-    @property
     def reference_field(self) -> InfoField:
         return InfoField.reference(self.spatial, self.reference_channels)
 
@@ -112,11 +99,6 @@ def is_repeated(sequence: Sequence[Kind]) -> bool:
         if n % d == 0 and seq == seq[:d] * (n // d):
             return True
     return False
-
-
-def sequence_chars(sequence: Sequence[Kind]) -> str:
-    """One-character-per-kernel encoding, used by the regex cross-check."""
-    return "".join(_KIND_CHAR[k] for k in sequence)
 
 
 def enumerate_sequences(config: SearchConfig) -> Iterator[tuple[Kind, ...]]:
@@ -139,22 +121,20 @@ def _layer(kind: Kind, g: Optional[int], c_in: int, c_out: int, spatial: int) ->
 
 @dataclass(frozen=True)
 class DesignCandidate:
-    """A kernel sequence with concrete group numbers and channel plan."""
+    """A kernel sequence with concrete group numbers and channel plan, and
+    its parameter count at the search's spatial size."""
 
     sequence: tuple[Kind, ...]
     groups: tuple[Optional[int], ...]
     bottleneck: bool
     channel_plan: tuple[tuple[int, int], ...]
-    verdict: Optional[FieldVerdict] = None
+    params: int
 
-    def layers(self, spatial: int = 3) -> list[LayerSpec]:
+    def layers(self, spatial: int) -> list[LayerSpec]:
         return [
             _layer(kind, g, c_in, c_out, spatial)
             for kind, g, (c_in, c_out) in zip(self.sequence, self.groups, self.channel_plan)
         ]
-
-    def params(self, spatial: int = 3) -> int:
-        return sum(param_count(layer) for layer in self.layers(spatial))
 
     def describe(self) -> str:
         parts = [
@@ -199,11 +179,11 @@ def _slot_choices(kind: Kind, c_in: int, c_out: int) -> tuple[Optional[int], ...
 @functools.lru_cache(maxsize=None)
 def _slot_layers(
     kind: Kind, c_in: int, c_out: int, spatial: int
-) -> tuple[tuple[Optional[int], LayerSpec], ...]:
-    """Every group choice of a slot with its layer."""
-    return tuple(
-        (g, _layer(kind, g, c_in, c_out, spatial)) for g in _slot_choices(kind, c_in, c_out)
-    )
+) -> tuple[tuple[Optional[int], LayerSpec, int], ...]:
+    """Every group choice of a slot with its layer and that layer's
+    parameter count: the search prices kernels here and nowhere else."""
+    layers = [(g, _layer(kind, g, c_in, c_out, spatial)) for g in _slot_choices(kind, c_in, c_out)]
+    return tuple((g, layer, param_count(layer)) for g, layer in layers)
 
 
 def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
@@ -211,79 +191,38 @@ def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
     return (False, True) if config.enable_bottleneck_variants else (False,)
 
 
-def _variant_plans(
-    sequence: Sequence[Kind], config: SearchConfig
-) -> list[tuple[bool, tuple[tuple[int, int], ...]]]:
-    c, f = config.reference_channels, config.reference_out_channels
-    last = len(sequence) - 1
-    plans = []
-    for bottleneck in _plan_flags(config):
-        plan: list[tuple[int, int]] = []
-        width = c
-        for i, kind in enumerate(sequence):
-            widths = _slot_widths(kind, i, width, i == last, bottleneck, c, f)
-            if widths is None:
-                break
-            plan.append(widths)
-            width = widths[1]
-        else:
-            plans.append((bottleneck, tuple(plan)))
-    return plans
-
-
-def concretize(
-    sequence: Sequence[Kind], config: SearchConfig
-) -> Iterator[DesignCandidate]:
-    """Every legal group assignment of a sequence, plain then bottleneck."""
-    seq = tuple(sequence)
-    for bottleneck, plan in _variant_plans(seq, config):
-        choice_sets = [
-            _slot_choices(kind, c_in, c_out)
-            for kind, (c_in, c_out) in zip(seq, plan)
-        ]
-        for combo in itertools.product(*choice_sets):
-            yield DesignCandidate(
-                sequence=seq, groups=combo, bottleneck=bottleneck, channel_plan=plan
-            )
-
-
-def evaluate_candidate(
-    candidate: DesignCandidate, config: SearchConfig
-) -> DesignCandidate:
-    """Classify one candidate against the reference field."""
-    verdict = classify(candidate.layers(config.spatial), config.reference_field)
-    return replace(candidate, verdict=verdict)
+def _multiset_key(sequence: Sequence[Kind]) -> tuple[str, ...]:
+    return tuple(sorted(k.value for k in sequence))
 
 
 def _evaluate_sequences(
     sequences: Sequence[tuple[Kind, ...]], config: SearchConfig
-) -> tuple[list[DesignCandidate], dict[str, int], int]:
-    """Fused concretize + classify of a set of sequences: one forward walk
-    per width plan over the trie of their kind prefixes.
+) -> tuple[dict[tuple[str, ...], list[DesignCandidate]], dict[str, int], int]:
+    """Every group assignment of every width plan of a set of sequences,
+    classified against the reference field: one forward walk per width plan
+    over the trie of their kind prefixes.
 
-    Returns (valid candidates, per-verdict candidate counts, enumerated
-    total), the sums of `concretize` + `evaluate_candidate` over the set.
-    A trie node keeps its live group prefixes keyed by the field they
-    reach, so `step` runs at most twice per (node, field, group choice):
-    once as a sequence's last slot and once as an interior slot.  A prefix
-    killed at a non-final slot accounts for W(child) full assignments, the
-    summed completion size of the set's sequences that extend the child;
-    W is computed on the way back up, and a sequence with a slot that has
-    no group choice adds nothing to it.  At a node that ends a sequence of
-    the set, the last slot is stepped with last=True and valid prefixes
-    become witnesses.
+    Returns (valid candidates keyed by kernel multiset, per-verdict
+    candidate counts, enumerated total), the same sums as classifying each
+    assignment alone.  A trie node keeps its live group prefixes, each with
+    its running parameter count, keyed by the field they reach, so `step`
+    runs at most twice per (node, field, group choice): once as a
+    sequence's last slot and once as an interior slot.  A prefix killed at
+    a non-final slot accounts for W(child) full assignments, the summed
+    completion size of the set's sequences that extend the child; W is
+    computed on the way back up, and a sequence with a slot that has no
+    group choice adds nothing to it.  At a node that ends a sequence of the
+    set, the last slot is stepped with last=True and valid prefixes become
+    witnesses, priced as they are built.
     """
     c, f, spatial = config.reference_channels, config.reference_out_channels, config.spatial
     reference = config.reference_field
-    # witnesses share one verdict and, per trie node, one channel plan:
-    # a walk holds thousands of them at once
-    valid_verdict = FieldVerdict(VerdictKind.VALID, final=reference)
     members = set(sequences)
     nexts: dict[tuple[Kind, ...], dict[Kind, None]] = {}
     for seq in sequences:
         for i in range(len(seq)):
             nexts.setdefault(seq[:i], {})[seq[i]] = None
-    valid: list[DesignCandidate] = []
+    valid: dict[tuple[str, ...], list[DesignCandidate]] = {}
     counts: dict[str, int] = {}
 
     def tally(verdict: VerdictKind, n: int) -> None:
@@ -293,11 +232,11 @@ def _evaluate_sequences(
     def walk(
         prefix: tuple[Kind, ...],
         plan: tuple[tuple[int, int], ...],
-        live: dict[InfoField, list[tuple]],
+        live: dict[InfoField, list[tuple[tuple, int]]],
         bottleneck: bool,
     ) -> int:
-        """Step the live group prefixes of `prefix` into each child; return
-        W(prefix)."""
+        """Step the live (group prefix, cost) pairs of `prefix` into each
+        child; return W(prefix)."""
         i = len(prefix)
         width = plan[-1][1] if plan else c
         total = 0
@@ -307,34 +246,35 @@ def _evaluate_sequences(
             if child in members and widths is not None:
                 choices = _slot_layers(kind, *widths, spatial)
                 total += len(choices)
+                # witnesses share, per trie node, one channel plan: a walk
+                # holds thousands of them at once
                 channel_plan = plan + (widths,)
-                for fld, groups in live.items():
-                    for g, layer in choices:
+                key = _multiset_key(child)
+                for fld, prefixes in live.items():
+                    for g, layer, price in choices:
                         _, verdict = step(fld, layer, reference, last=True)
-                        tally(verdict, len(groups))
+                        tally(verdict, len(prefixes))
                         if verdict is VerdictKind.VALID:
-                            valid.extend(
+                            valid.setdefault(key, []).extend(
                                 DesignCandidate(
-                                    sequence=child,
-                                    groups=p + (g,),
-                                    bottleneck=bottleneck,
-                                    channel_plan=channel_plan,
-                                    verdict=valid_verdict,
+                                    child, p + (g,), bottleneck, channel_plan, cost + price
                                 )
-                                for p in groups
+                                for p, cost in prefixes
                             )
             widths = _slot_widths(kind, i, width, False, bottleneck, c, f)
             if child in nexts and widths is not None:
                 choices = _slot_layers(kind, *widths, spatial)
                 killed: dict[VerdictKind, int] = {}
-                after: dict[InfoField, list[tuple]] = {}
-                for fld, groups in live.items():
-                    for g, layer in choices:
+                after: dict[InfoField, list[tuple[tuple, int]]] = {}
+                for fld, prefixes in live.items():
+                    for g, layer, price in choices:
                         new, verdict = step(fld, layer, reference)
                         if verdict is None:
-                            after.setdefault(new, []).extend(p + (g,) for p in groups)
+                            after.setdefault(new, []).extend(
+                                (p + (g,), cost + price) for p, cost in prefixes
+                            )
                         else:
-                            killed[verdict] = killed.get(verdict, 0) + len(groups)
+                            killed[verdict] = killed.get(verdict, 0) + len(prefixes)
                 sub = walk(child, plan + (widths,), after, bottleneck)
                 total += len(choices) * sub
                 for verdict, n in killed.items():
@@ -342,8 +282,12 @@ def _evaluate_sequences(
         return total
 
     enumerated = sum(
-        walk((), (), {InfoField.initial(): [()]}, bottleneck) for bottleneck in _plan_flags(config)
+        walk((), (), {InfoField.initial(): [((), 0)]}, bottleneck)
+        for bottleneck in _plan_flags(config)
     )
+    # `walk` reaches itself through its closure; without this the cycle
+    # keeps the walk's prefixes and witnesses alive until a cyclic GC pass
+    del walk
     return valid, counts, enumerated
 
 
@@ -366,7 +310,7 @@ class DesignFamily:
 
     def min_params(self) -> int:
         """Witnesses are sorted by parameter count first."""
-        return self.witnesses[0].params()
+        return self.witnesses[0].params
 
 
 @dataclass(frozen=True)
@@ -391,7 +335,7 @@ class SearchResult:
 
 def _witness_sort_key(w: DesignCandidate):
     return (
-        w.params(),
+        w.params,
         w.bottleneck,
         tuple(map(_KIND_ORDER.get, w.sequence)),
         tuple(g or 0 for g in w.groups),
@@ -401,19 +345,12 @@ def _witness_sort_key(w: DesignCandidate):
 def _build_family(multiset: tuple[str, ...], witnesses: list[DesignCandidate]) -> DesignFamily:
     witnesses_sorted = tuple(sorted(witnesses, key=_witness_sort_key))
     best = witnesses_sorted[0]
-    flag = best.bottleneck
-    pool = [w for w in witnesses_sorted if w.bottleneck == flag]
-    canonical = pool[0].sequence
     return DesignFamily(
-        canonical_sequence=canonical,
-        bottleneck=flag,
+        canonical_sequence=best.sequence,
+        bottleneck=best.bottleneck,
         multiset=multiset,
         witnesses=witnesses_sorted,
     )
-
-
-def _multiset_key(sequence: Sequence[Kind]) -> tuple[str, ...]:
-    return tuple(sorted(k.value for k in sequence))
 
 
 def _distinct_orderings(multiset: tuple[str, ...]) -> list[tuple[Kind, ...]]:
@@ -433,12 +370,10 @@ def _grid_optimal_params(
     opt: dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]] = {k: {} for k in pool}
     for c, f in grid:
         probe = replace(config, reference_channels=c, reference_out_channels=f)
-        best: dict[tuple[str, ...], int] = {}
-        for cand in _evaluate_sequences(orderings, probe)[0]:
-            key = _multiset_key(cand.sequence)
-            p = cand.params(config.spatial)
-            if key not in best or p < best[key]:
-                best[key] = p
+        best = {
+            k: min(w.params for w in witnesses)
+            for k, witnesses in _evaluate_sequences(orderings, probe)[0].items()
+        }
         for k in pool:
             opt[k][(c, f)] = best.get(k)
     return opt
@@ -532,14 +467,7 @@ def run_search(config: SearchConfig) -> SearchResult:
     raw = raw_sequence_count(config.max_length)
 
     valid, verdicts, enumerated = _evaluate_sequences(sequences, config)
-
-    by_multiset: dict[tuple[str, ...], list[DesignCandidate]] = {}
-    for cand in valid:
-        by_multiset.setdefault(_multiset_key(cand.sequence), []).append(cand)
-
-    families = {
-        key: _build_family(key, cands) for key, cands in by_multiset.items()
-    }
+    families = {key: _build_family(key, cands) for key, cands in valid.items()}
 
     if config.enable_domination_filter:
         kept, removed = _apply_domination(families, config)
@@ -552,7 +480,7 @@ def run_search(config: SearchConfig) -> SearchResult:
         ("sequences_raw", raw),
         ("sequences_after_composition", len(sequences)),
         ("candidates_enumerated", enumerated),
-        ("candidates_valid", len(valid)),
+        ("candidates_valid", sum(map(len, valid.values()))),
         ("families", len(families)),
         ("families_after_domination", len(kept)),
     )

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from . import oracles
 from .infofield import field_of
 from .kernels import ValidationError
-from .search import SK_ALPHABET, DesignCandidate, _slot_choices, sequence_name
+from .search import SK_ALPHABET, _slot_layers, sequence_name
 
 # both suites start at this channel count
 MIN_CHANNELS = 4
 INFOFIELD_CHANNELS = (MIN_CHANNELS, 8, 12, 16)
+INFOFIELD_SPATIAL = 3
 
 
 @dataclass
@@ -85,10 +86,9 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
     for c in channels:
         for length in range(1, len_max + 1):
             for seq in itertools.product(SK_ALPHABET, repeat=length):
-                choice_sets = [_slot_choices(kind, c, c) for kind in seq]
-                plan = ((c, c),) * length
-                for groups in itertools.product(*choice_sets):
-                    layers = DesignCandidate(seq, groups, False, plan).layers()
+                slots = [_slot_layers(kind, c, c, INFOFIELD_SPATIAL) for kind in seq]
+                for choice in itertools.product(*slots):
+                    layers = [layer for _, layer, _ in choice]
                     calc = field_of(layers, c)
                     want = (calc.spatial_x, calc.spatial_y, calc.channels)
                     got = oracles.reachable_channel_triple(layers)
@@ -100,8 +100,9 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
                         if (got[0], got[1], best) == want:
                             continue
                         got = (got[0], got[1], best)
+                    groups = tuple(g or 1 for g, _, _ in choice)
                     result.counterexamples.append(
-                        f"C={c}, {sequence_name(seq)} groups={tuple(g or 1 for g in groups)}: "
+                        f"C={c}, {sequence_name(seq)} groups={groups}: "
                         f"calculus {want}, graph {got}"
                     )
     return result

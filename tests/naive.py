@@ -1,0 +1,74 @@
+"""The naive search path, kept as the tests' independent reference.
+
+`concretize` lists every group assignment of one sequence under each width
+plan, priced layer by layer, and `evaluate_candidate` classifies one
+candidate alone with `infofield.classify`.  The fused walk in
+`skdesign.search` must give the same candidates, prices and verdict counts.
+"""
+
+import itertools
+from dataclasses import replace
+from typing import Iterator, Sequence
+
+from skdesign.infofield import FieldVerdict, classify
+from skdesign.kernels import Kind, param_count
+from skdesign.search import (
+    DesignCandidate,
+    SearchConfig,
+    _plan_flags,
+    _slot_choices,
+    _slot_widths,
+)
+
+_KIND_CHAR = {
+    Kind.GROUP: "g",
+    Kind.DEPTHWISE: "d",
+    Kind.POINTWISE: "p",
+    Kind.POINTWISE_GROUP: "q",
+}
+
+
+def sequence_chars(sequence: Sequence[Kind]) -> str:
+    """One-character-per-kernel encoding, used by the regex cross-check."""
+    return "".join(_KIND_CHAR[k] for k in sequence)
+
+
+def _variant_plans(
+    sequence: Sequence[Kind], config: SearchConfig
+) -> list[tuple[bool, tuple[tuple[int, int], ...]]]:
+    c, f = config.reference_channels, config.reference_out_channels
+    last = len(sequence) - 1
+    plans = []
+    for bottleneck in _plan_flags(config):
+        plan: list[tuple[int, int]] = []
+        width = c
+        for i, kind in enumerate(sequence):
+            widths = _slot_widths(kind, i, width, i == last, bottleneck, c, f)
+            if widths is None:
+                break
+            plan.append(widths)
+            width = widths[1]
+        else:
+            plans.append((bottleneck, tuple(plan)))
+    return plans
+
+
+def concretize(
+    sequence: Sequence[Kind], config: SearchConfig
+) -> Iterator[DesignCandidate]:
+    """Every legal group assignment of a sequence, plain then bottleneck."""
+    seq = tuple(sequence)
+    for bottleneck, plan in _variant_plans(seq, config):
+        choice_sets = [
+            _slot_choices(kind, c_in, c_out)
+            for kind, (c_in, c_out) in zip(seq, plan)
+        ]
+        for combo in itertools.product(*choice_sets):
+            cand = DesignCandidate(seq, combo, bottleneck, plan, params=0)
+            params = sum(param_count(layer) for layer in cand.layers(config.spatial))
+            yield replace(cand, params=params)
+
+
+def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> FieldVerdict:
+    """Classify one candidate against the reference field."""
+    return classify(candidate.layers(config.spatial), config.reference_field)

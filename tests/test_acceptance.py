@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from naive import evaluate_candidate, sequence_chars
 from skdesign.efficiency import (
     Family,
     family_params,
@@ -25,10 +26,8 @@ from skdesign.oracles import feasible_pairs
 from skdesign.search import (
     SK_ALPHABET,
     SearchConfig,
-    evaluate_candidate,
     is_repeated,
     run_search,
-    sequence_chars,
 )
 from skdesign.sizer import (
     BlockSpec,
@@ -67,7 +66,7 @@ def test_criterion_1_search_reproduces_the_four_families():
     assert extras, "expected extra survivors with the filter off"
     for fam in unfiltered.families:
         for w in fam.witnesses:
-            verdict = evaluate_candidate(w, unfiltered.config).verdict
+            verdict = evaluate_candidate(w, unfiltered.config)
             assert verdict.is_valid, (fam.name, w.describe())
     _report(
         1,

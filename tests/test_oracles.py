@@ -115,11 +115,9 @@ def test_grid_min_bottleneck_family():
     assert res.value == pwg_dw_pwg_params(64, 64, 4, 4) == 656
 
 
-def test_grid_min_callable_objective():
-    pairs = [(m, n) for m in (2, 4) for n in (2, 4)]
-    res = divisor_grid_min(lambda c, f, m, n: m + n, 8, 8, pairs=pairs)
-    assert res.minimizers == ((2, 2),)
-    assert res.value == 4
+def test_grid_min_rejects_unknown_objective():
+    with pytest.raises(ValidationError):
+        divisor_grid_min("dw+pw", 8, 8)  # no group pair to minimize over
 
 
 def test_grid_min_empty_feasible_set():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import re
@@ -5,24 +6,23 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from naive import concretize, evaluate_candidate, sequence_chars
 from skdesign.infofield import VerdictKind
-from skdesign.kernels import Kind, ValidationError
+from skdesign.kernels import Kind, ValidationError, param_count
 from skdesign.search import (
     SK_ALPHABET,
     DesignCandidate,
     SearchConfig,
-    concretize,
     enumerate_sequences,
-    evaluate_candidate,
     identify_known,
     is_repeated,
     raw_sequence_count,
     run_search,
-    sequence_chars,
     sequence_name,
     _distinct_orderings,
     _evaluate_sequences,
     _grid_optimal_params,
+    _multiset_key,
 )
 
 GC, DW, PW, PWG = Kind.GROUP, Kind.DEPTHWISE, Kind.POINTWISE, Kind.POINTWISE_GROUP
@@ -94,22 +94,31 @@ def test_concretize_depthwise_pair_single_candidate():
     cfg = SearchConfig()
     cands = list(concretize((DW, DW), cfg))
     assert len(cands) == 1
-    v = evaluate_candidate(cands[0], cfg).verdict
+    v = evaluate_candidate(cands[0], cfg)
     assert v.kind is VerdictKind.SPATIAL_MISMATCH
 
 
 def _naive(sequences, cfg):
-    """Valid (sequence, groups, bottleneck) set, per-verdict counts and
-    enumerated total of `concretize` + `evaluate_candidate`."""
+    """Valid (sequence, groups, bottleneck, params) set, per-verdict counts
+    and enumerated total of `concretize` + `evaluate_candidate`."""
     valid = set()
     counts: dict[str, int] = {}
     for seq in sequences:
         for cand in concretize(seq, cfg):
-            verdict = evaluate_candidate(cand, cfg).verdict
+            verdict = evaluate_candidate(cand, cfg)
             counts[verdict.kind.value] = counts.get(verdict.kind.value, 0) + 1
             if verdict.is_valid:
-                valid.add((cand.sequence, cand.groups, cand.bottleneck))
+                valid.add((cand.sequence, cand.groups, cand.bottleneck, cand.params))
     return valid, counts, sum(counts.values())
+
+
+def _fast(valid):
+    """The walk's witnesses as `_naive` tuples; each is keyed by its own
+    kernel multiset."""
+    for key, witnesses in valid.items():
+        for w in witnesses:
+            assert _multiset_key(w.sequence) == key
+            yield (w.sequence, w.groups, w.bottleneck, w.params)
 
 
 def test_fused_evaluation_matches_naive_path():
@@ -131,7 +140,7 @@ def test_fused_evaluation_matches_naive_path():
         cfg = SearchConfig(reference_channels=c, reference_out_channels=f)
         for seq in sequences:
             valid, counts, enumerated = _evaluate_sequences([seq], cfg)
-            valid_fast = {(cand.sequence, cand.groups, cand.bottleneck) for cand in valid}
+            valid_fast = set(_fast(valid))
             valid_naive, counts_naive, enumerated_naive = _naive([seq], cfg)
             assert valid_fast == valid_naive, (c, f, seq)
             assert counts == counts_naive, (c, f, seq)
@@ -149,7 +158,7 @@ def test_set_walk_matches_naive_sum():
     for (c, f), sequences in itertools.product([(8, 8), (8, 16), (4, 4)], [every, aperiodic]):
         cfg = SearchConfig(reference_channels=c, reference_out_channels=f)
         valid, counts, enumerated = _evaluate_sequences(sequences, cfg)
-        valid_fast = [(cand.sequence, cand.groups, cand.bottleneck) for cand in valid]
+        valid_fast = list(_fast(valid))
         valid_naive, counts_naive, enumerated_naive = _naive(sequences, cfg)
         assert len(valid_fast) == len(set(valid_fast))
         assert set(valid_fast) == valid_naive, (c, f)
@@ -162,7 +171,7 @@ def test_fused_counts_tie_out():
     for seq in [(GC, PWG), (PWG, DW, PWG), (PW, PW, PW), (GC, PWG, PWG)]:
         valid, counts, enumerated = _evaluate_sequences([seq], cfg)
         assert sum(counts.values()) == enumerated
-        assert counts.get("valid", 0) == len(valid)
+        assert counts.get("valid", 0) == sum(map(len, valid.values()))
 
 
 def test_default_search_finds_the_four_families(default_result):
@@ -206,8 +215,41 @@ def test_search_without_domination_keeps_four_with_valid_audits():
     cfg = result.config
     for fam in result.families:
         for w in fam.witnesses:
-            v = evaluate_candidate(w, cfg).verdict
+            v = evaluate_candidate(w, cfg)
             assert v.is_valid, (fam.name, w.describe(), v)
+            assert w.params == sum(param_count(l) for l in w.layers(cfg.spatial)), w.describe()
+
+
+def test_witnesses_are_priced_at_the_search_spatial_size():
+    # dw+pw at (64, 64): 5x5 depthwise 25 * 64 plus pointwise 64 * 64;
+    # its 3x3 count would be 4,672
+    result = run_search(SearchConfig(max_length=3, spatial=5, enable_domination_filter=False))
+    fams = {f.name: f for f in result.families}
+    assert fams["dw+pw"].min_params() == 25 * 64 + 64 * 64 == 5696
+    for fam in result.families:
+        assert [w.params for w in fam.witnesses] == sorted(
+            sum(param_count(l) for l in w.layers(5)) for w in fam.witnesses
+        ), fam.name
+
+
+def test_walk_state_is_freed_without_a_cyclic_gc_pass():
+    # the walk's prefixes and witnesses must go with its result, by
+    # reference counting alone
+    def alive():
+        return sum(isinstance(o, DesignCandidate) for o in gc.get_objects())
+
+    cfg = SearchConfig(reference_channels=8, reference_out_channels=8)
+    sequences = list(enumerate_sequences(replace(cfg, max_length=4)))
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        result = _evaluate_sequences(sequences, cfg)
+        assert alive() > before
+        del result
+        assert alive() == before
+    finally:
+        gc.enable()
 
 
 def test_families_differing_only_in_groups_collapse(default_result):
@@ -259,10 +301,10 @@ def test_grid_optimal_params_match_brute_force():
         for c, f in grid:
             probe = replace(cfg, reference_channels=c, reference_out_channels=f)
             brute = [
-                cand.params()
+                cand.params
                 for seq in _distinct_orderings(key)
                 for cand in concretize(seq, probe)
-                if evaluate_candidate(cand, probe).verdict.is_valid
+                if evaluate_candidate(cand, probe).is_valid
             ]
             assert opt[key][(c, f)] == (min(brute) if brute else None), (fam.name, c, f)
 
@@ -270,7 +312,7 @@ def test_grid_optimal_params_match_brute_force():
 def test_gc_pwg_dw_never_survives_with_all_kernels_contributing():
     cfg = SearchConfig()
     valid, counts, _ = _evaluate_sequences([(GC, PWG, DW)], cfg)
-    assert valid == []
+    assert valid == {}
     assert counts.get("valid", 0) == 0
     assert counts.get("inferior-early-full", 0) > 0
 
