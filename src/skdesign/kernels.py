@@ -34,6 +34,10 @@ class Kind(enum.Enum):
     POINTWISE = "pw"
     POINTWISE_GROUP = "pwg"
 
+    # members are singletons compared by identity, so identity hashing is
+    # exact and keeps Python code out of every Kernel/LayerSpec hash
+    __hash__ = object.__hash__
+
     @property
     def is_spatial(self) -> bool:
         """True for kinds whose spatial extent may exceed 1x1."""

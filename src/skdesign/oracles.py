@@ -85,25 +85,23 @@ def _check_caps(design: Sequence[LayerSpec]) -> None:
             )
 
 
-def _backward_channel_sets(
-    design: Sequence[LayerSpec], start: frozenset[int], permutations: Sequence[Sequence[int]]
-) -> frozenset[int]:
-    """Original channels reachable backward from `start` output channels.
+@lru_cache(maxsize=None)
+def _read_masks(layer: LayerSpec, shuffle: int) -> tuple[int, ...]:
+    """For each output channel, the bitmask of channels it reads, named as
+    they were before the interleave shuffle with `shuffle` groups that
+    feeds the layer (1 for no shuffle)."""
+    perm = interleave(layer.in_channels, shuffle)
+    return tuple(sum(1 << perm[c] for c in reads) for reads in _input_groups(layer))
 
-    permutations[i] is the shuffle applied to the input tensor of layer i
-    (permutations[0] is unused and identity by convention).
-    """
-    current = start
-    for i in range(len(design) - 1, -1, -1):
-        reads = _input_groups(design[i])
-        inputs = set()
-        for ch in current:
-            inputs.update(reads[ch])
-        if i > 0:
-            perm = permutations[i]
-            inputs = {perm[j] for j in inputs}
-        current = frozenset(inputs)
-    return current
+
+def _reached(read_masks: tuple[int, ...], outputs: int) -> int:
+    """Bitmask of the channels read by the output channels set in `outputs`."""
+    inputs = 0
+    while outputs:
+        low = outputs & -outputs
+        inputs |= read_masks[low.bit_length() - 1]
+        outputs ^= low
+    return inputs
 
 
 def _interleave_permutations(design: Sequence[LayerSpec]) -> list[tuple[int, ...]]:
@@ -173,10 +171,14 @@ def reachable_channel_triple(design: Sequence[LayerSpec]) -> tuple[int, int, int
     if not design:
         raise ValidationError("empty design")
     _check_caps(design)
-    perms = _interleave_permutations(design)
-    channels = _backward_channel_sets(design, frozenset([0]), perms)
+    # backward from output channel 0: each layer maps the set of output
+    # channels reached to the set of original channels they read
+    mask = 1
+    for i in range(len(design) - 1, -1, -1):
+        shuffle = _shuffle_group(design[i - 1]) if i else 1
+        mask = _reached(_read_masks(design[i], shuffle), mask)
     extent = 1 + sum(layer.kernel.spatial - 1 for layer in design)
-    return (extent, extent, len(channels))
+    return (extent, extent, mask.bit_count())
 
 
 def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:
@@ -194,27 +196,14 @@ def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:
             raise ValidationError(
                 f"full permutation search capped at {FULL_PERMUTATION_LIMIT} channels"
             )
-    reads_per_layer = [_input_groups(layer) for layer in design]
 
     @lru_cache(maxsize=None)
     def best(layer_idx: int, mask: int) -> int:
-        if layer_idx < 0:
-            return bin(mask).count("1")
-        reads = reads_per_layer[layer_idx]
-        inputs = 0
-        ch = mask
-        pos = 0
-        while ch:
-            if ch & 1:
-                for c in reads[pos]:
-                    inputs |= 1 << c
-            ch >>= 1
-            pos += 1
+        size = _reached(_read_masks(design[layer_idx], 1), mask).bit_count()
         if layer_idx == 0:
-            return bin(inputs).count("1")
+            return size
         # free permutation before this layer: any equal-size subset of the
         # previous layer's outputs is reachable
-        size = bin(inputs).count("1")
         n = design[layer_idx - 1].out_channels
         result = 0
         for subset in _subsets_of_size(n, size):

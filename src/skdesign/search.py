@@ -113,12 +113,6 @@ def raw_sequence_count(max_length: int) -> int:
     return sum(len(SK_ALPHABET) ** n for n in range(1, max_length + 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _layer(kind: Kind, g: Optional[int], c_in: int, c_out: int, spatial: int) -> LayerSpec:
-    """One validated layer; a layer depends only on these five values."""
-    return LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
-
-
 @dataclass(frozen=True)
 class DesignCandidate:
     """A kernel sequence with concrete group numbers and channel plan, and
@@ -129,12 +123,6 @@ class DesignCandidate:
     bottleneck: bool
     channel_plan: tuple[tuple[int, int], ...]
     params: int
-
-    def layers(self, spatial: int) -> list[LayerSpec]:
-        return [
-            _layer(kind, g, c_in, c_out, spatial)
-            for kind, g, (c_in, c_out) in zip(self.sequence, self.groups, self.channel_plan)
-        ]
 
     def describe(self) -> str:
         parts = [
@@ -182,7 +170,10 @@ def _slot_layers(
 ) -> tuple[tuple[Optional[int], LayerSpec, int], ...]:
     """Every group choice of a slot with its layer and that layer's
     parameter count: the search prices kernels here and nowhere else."""
-    layers = [(g, _layer(kind, g, c_in, c_out, spatial)) for g in _slot_choices(kind, c_in, c_out)]
+    layers = [
+        (g, LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out))
+        for g in _slot_choices(kind, c_in, c_out)
+    ]
     return tuple((g, layer, param_count(layer)) for g, layer in layers)
 
 

@@ -6,12 +6,13 @@ candidate alone with `infofield.classify`.  The fused walk in
 `skdesign.search` must give the same candidates, prices and verdict counts.
 """
 
+import functools
 import itertools
 from dataclasses import replace
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from skdesign.infofield import FieldVerdict, classify
-from skdesign.kernels import Kind, param_count
+from skdesign.kernels import Kernel, Kind, LayerSpec, param_count
 from skdesign.search import (
     DesignCandidate,
     SearchConfig,
@@ -53,6 +54,19 @@ def _variant_plans(
     return plans
 
 
+@functools.lru_cache(maxsize=None)
+def _layer(kind: Kind, g: Optional[int], c_in: int, c_out: int, spatial: int) -> LayerSpec:
+    return LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
+
+
+def candidate_layers(cand: DesignCandidate, spatial: int) -> list[LayerSpec]:
+    """A candidate's layers at `spatial`, built directly from its fields."""
+    return [
+        _layer(kind, g, c_in, c_out, spatial)
+        for kind, g, (c_in, c_out) in zip(cand.sequence, cand.groups, cand.channel_plan)
+    ]
+
+
 def concretize(
     sequence: Sequence[Kind], config: SearchConfig
 ) -> Iterator[DesignCandidate]:
@@ -65,10 +79,10 @@ def concretize(
         ]
         for combo in itertools.product(*choice_sets):
             cand = DesignCandidate(seq, combo, bottleneck, plan, params=0)
-            params = sum(param_count(layer) for layer in cand.layers(config.spatial))
+            params = sum(param_count(layer) for layer in candidate_layers(cand, config.spatial))
             yield replace(cand, params=params)
 
 
 def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> FieldVerdict:
     """Classify one candidate against the reference field."""
-    return classify(candidate.layers(config.spatial), config.reference_field)
+    return classify(candidate_layers(candidate, config.spatial), config.reference_field)

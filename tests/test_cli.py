@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +194,24 @@ def test_verify_rejects_c_max_below_the_first_case(capsys, c_max):
         assert code == EXIT_VALIDATION
         assert "C = 4" in err
         assert "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--max-len", "3", "--format", "json"],
+        ["verify", "--c-max", "8", "--len-max", "2", "--format", "json"],
+    ],
+)
+def test_json_output_does_not_depend_on_the_hash_seed(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "skdesign.cli", *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])

@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
 from skdesign.kernels import (
+    Kernel,
     Kind,
     LayerSpec,
     TensorShape,
@@ -74,14 +77,66 @@ def test_factored_oracle_matches_node_level_walk():
                     layers = []
                     for kind, g in zip(seq, groups):
                         k = 1 if kind in (Kind.POINTWISE, Kind.POINTWISE_GROUP) else 3
-                        from skdesign.kernels import Kernel
-
                         layers.append(LayerSpec(Kernel(kind, spatial=k, groups=g), c, c))
                     assert reachable_channel_triple(layers) == graph_information_field(
                         layers, shape
                     )
                     checked += 1
     assert checked > 200
+
+
+def _legal_layers(kind, c_in, c_out):
+    """Every layer of `kind` that LayerSpec accepts at these widths."""
+    groups = range(2, c_in + 1) if kind.is_grouped else (None,)
+    for g in groups:
+        try:
+            yield LayerSpec(Kernel.of(kind, 3, g), c_in, c_out)
+        except ValidationError:
+            pass
+
+
+def test_factored_oracle_matches_node_level_walk_across_widths():
+    widths = (4, 8, 12, 16)
+    checked = 0
+    for length in (1, 2):
+        for plan in itertools.product(widths, repeat=length + 1):
+            for seq in itertools.product(Kind, repeat=length):
+                slots = [
+                    list(_legal_layers(kind, c_in, c_out))
+                    for kind, c_in, c_out in zip(seq, plan, plan[1:])
+                ]
+                for layers in itertools.product(*slots):
+                    assert reachable_channel_triple(layers) == graph_information_field(
+                        layers, TensorShape(plan[0], 9, 9)
+                    ), [str(layer) for layer in layers]
+                    checked += 1
+    assert checked > 1000
+    # the shuffle after pwg(3) at width 8 does not tile, so it is the identity
+    des = [LayerSpec(pointwise_group(3), 12, 8), LayerSpec(group_conv(2), 8, 8)]
+    assert interleave(8, 3) == tuple(range(8))
+    assert reachable_channel_triple(des) == graph_information_field(
+        des, TensorShape(12, 9, 9)
+    ) == (3, 3, 8)
+    des = [
+        LayerSpec(pointwise_group(4), 16, 8),
+        LayerSpec(depthwise(3), 8, 8),
+        LayerSpec(pointwise_group(2), 8, 12),
+        LayerSpec(group_conv(3), 12, 12),
+    ]
+    assert reachable_channel_triple(des) == graph_information_field(des, TensorShape(16, 9, 9))
+
+
+def test_oracle_imports_nothing_it_checks():
+    source = Path(__file__).parent.parent / "src" / "skdesign" / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "kernels" in imported
+    assert not imported & {"infofield", "search", "efficiency"}
 
 
 def test_best_permutation_never_below_interleave():

@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from naive import concretize, evaluate_candidate, sequence_chars
+from naive import candidate_layers, concretize, evaluate_candidate, sequence_chars
 from skdesign.infofield import VerdictKind
 from skdesign.kernels import Kind, ValidationError, param_count
 from skdesign.search import (
@@ -217,7 +217,7 @@ def test_search_without_domination_keeps_four_with_valid_audits():
         for w in fam.witnesses:
             v = evaluate_candidate(w, cfg)
             assert v.is_valid, (fam.name, w.describe(), v)
-            assert w.params == sum(param_count(l) for l in w.layers(cfg.spatial)), w.describe()
+            assert w.params == sum(param_count(l) for l in candidate_layers(w, cfg.spatial)), w.describe()
 
 
 def test_witnesses_are_priced_at_the_search_spatial_size():
@@ -228,7 +228,7 @@ def test_witnesses_are_priced_at_the_search_spatial_size():
     assert fams["dw+pw"].min_params() == 25 * 64 + 64 * 64 == 5696
     for fam in result.families:
         assert [w.params for w in fam.witnesses] == sorted(
-            sum(param_count(l) for l in w.layers(5)) for w in fam.witnesses
+            sum(param_count(l) for l in candidate_layers(w, 5)) for w in fam.witnesses
         ), fam.name
 
 
