@@ -272,11 +272,7 @@ def _min_params_at_width(family: Family, c: int, alpha: Fraction) -> Optional[in
     if f < 1:
         return None
     try:
-        if family is Family.DW_PW:
-            return family_params(family, c, f)
-        if family is Family.PW_DW_PW:
-            if f % 4:
-                return None
+        if not family.has_group_freedom:
             return family_params(family, c, f)
         grid = oracles.divisor_grid_min(family.value, c, f, constraint="le")
         return grid.value

@@ -61,7 +61,7 @@ class Kernel:
     def of(cls, kind: Kind, spatial: int = 3, groups: Optional[int] = None) -> "Kernel":
         """A kernel of `kind`: 1x1 kinds ignore `spatial`, and groups=None means
         no group number."""
-        return cls(kind, spatial if kind.is_spatial else 1, groups or 1)
+        return cls(kind, spatial if kind.is_spatial else 1, 1 if groups is None else groups)
 
     def __post_init__(self) -> None:
         if not self.kind.is_spatial:

@@ -70,7 +70,6 @@ class SearchConfig:
     spatial: int = 3
     enable_bottleneck_variants: bool = True
     enable_domination_filter: bool = True
-    domination_grid: tuple[tuple[int, int], ...] = DEFAULT_DOMINATION_GRID
 
     def __post_init__(self) -> None:
         if self.max_length < 1:
@@ -154,27 +153,21 @@ def _slot_widths(
     return (c if i == 0 else k, f if last else k)
 
 
-def _slot_choices(kind: Kind, c_in: int, c_out: int) -> tuple[Optional[int], ...]:
-    if kind is Kind.GROUP:
-        return tuple(
-            d for d in range(2, c_in) if c_in % d == 0 and c_out % d == 0
-        )
-    if kind is Kind.POINTWISE_GROUP:
-        return tuple(d for d in range(2, c_in + 1) if c_in % d == 0)
-    return (None,)
-
-
 @functools.lru_cache(maxsize=None)
 def _slot_layers(
     kind: Kind, c_in: int, c_out: int, spatial: int
 ) -> tuple[tuple[Optional[int], LayerSpec, int], ...]:
-    """Every group choice of a slot with its layer and that layer's
-    parameter count: the search prices kernels here and nowhere else."""
-    layers = [
-        (g, LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out))
-        for g in _slot_choices(kind, c_in, c_out)
-    ]
-    return tuple((g, layer, param_count(layer)) for g, layer in layers)
+    """Every group choice of a slot that `LayerSpec` accepts, with its layer
+    and that layer's parameter count: the search prices kernels here and
+    nowhere else."""
+    slots = []
+    for g in range(2, c_in + 1) if kind.is_grouped else (None,):
+        try:
+            layer = LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
+        except ValidationError:
+            continue
+        slots.append((g, layer, param_count(layer)))
+    return tuple(slots)
 
 
 def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
@@ -373,7 +366,7 @@ def _grid_optimal_params(
 def _apply_domination(
     families: dict[tuple[str, ...], DesignFamily], config: SearchConfig
 ) -> tuple[list[DesignFamily], list[RemovedFamily]]:
-    grid = list(config.domination_grid)
+    grid = list(DEFAULT_DOMINATION_GRID)
     ref_cfg = (config.reference_channels, config.reference_out_channels)
     if ref_cfg not in grid:
         grid.append(ref_cfg)

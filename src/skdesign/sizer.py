@@ -17,11 +17,12 @@ convention set alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .efficiency import Family, UnderBudgetError, layers_for
 from .kernels import (
+    Kernel,
     LayerSpec,
     ValidationError,
     flop_count,
@@ -63,6 +64,11 @@ class BlockSpec:
                 raise ValidationError(f"{self.kind} blocks need group numbers (M, N)")
             if not family.has_group_freedom and self.groups is not None:
                 raise ValidationError(f"{self.kind} blocks carry no group numbers")
+            # a group number no kernel accepts would leave no feasible width
+            # for `solve_width` to find
+            grouped = [kind for kind in family.kinds if kind.is_grouped]
+            for kind, g in zip(grouped, self.groups or ()):
+                Kernel.of(kind, groups=g)
         elif self.groups is not None:
             raise ValidationError("standard blocks carry no group numbers")
 
@@ -206,27 +212,6 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     )
 
 
-def _smallest_feasible_width(
-    block: BlockSpec, blocks_per_stage: int, conventions: Conventions
-) -> Optional[int]:
-    # group divisibility repeats at every multiple of the smallest feasible
-    # width because stage widths scale linearly with w
-    for w in range(1, 4097):
-        try:
-            model_params(
-                NetworkLayout(
-                    width=w,
-                    blocks_per_stage=blocks_per_stage,
-                    conventions=conventions,
-                ),
-                block,
-            )
-            return w
-        except ValidationError:
-            continue
-    return None
-
-
 def solve_width(
     budget: int,
     block: BlockSpec,
@@ -235,38 +220,41 @@ def solve_width(
 ) -> SizingReport:
     """Largest feasible width whose model total fits the parameter budget.
 
-    Monotone binary search over multiples of the smallest feasible width,
-    with exact counting at every probe.
+    Every width is a candidate, and `model_params` alone decides which are
+    feasible.  Totals grow with width across feasible widths, so the widths
+    that fit are a prefix of the feasible ones.  The search doubles its
+    probe until one does not fit, then bisects; it is exact because each
+    probe stands for the nearest feasible width at or below it.  No width
+    above the budget fits, since the stem alone holds 27 parameters per
+    channel, so the search ends.
     """
     if budget < 1:
         raise UnderBudgetError("budget must be a positive parameter count")
-    q = _smallest_feasible_width(block, blocks_per_stage, conventions)
-    if q is None:
-        raise ValidationError(f"no feasible width for block {block.describe()}")
-
-    def report(mult: int) -> SizingReport:
-        return model_params(
-            NetworkLayout(
-                width=q * mult,
-                blocks_per_stage=blocks_per_stage,
-                conventions=conventions,
-            ),
-            block,
-        )
-
-    base = report(1)
-    if base.total_params > budget:
-        raise UnderBudgetError(
-            f"budget {budget} is below the smallest feasible model "
-            f"({base.total_params} parameters at width {q})"
-        )
-    lo, hi = 1, 2
-    while report(hi).total_params <= budget:
-        lo, hi = hi, hi * 2
+    # checked once here, so a probe's ValidationError means only that the
+    # block does not fit its width
+    layout = NetworkLayout(1, blocks_per_stage, conventions=conventions)
+    # every probe at or below lo stands for `best` (None: no feasible width
+    # yet) and fits; no probe at or above hi fits, and `over` is the
+    # feasible width at hi once one was found
+    lo, hi = 0, budget + 1
+    best: Optional[SizingReport] = None
+    over: Optional[SizingReport] = None
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if report(mid).total_params <= budget:
-            lo = mid
+        mid = min(2 * lo + 1, (lo + hi) // 2)
+        report = None
+        for w in range(mid, lo, -1):
+            try:
+                report = model_params(replace(layout, width=w), block)
+                break
+            except ValidationError:
+                continue
+        if report is None or report.total_params <= budget:
+            lo, best = mid, report or best
         else:
-            hi = mid
-    return report(lo)
+            hi, over = report.width, report
+    if best is None:
+        smallest = f" ({over.total_params} parameters at width {over.width})" if over else ""
+        raise UnderBudgetError(
+            f"budget {budget} is below the smallest feasible model{smallest}"
+        )
+    return best

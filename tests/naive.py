@@ -17,7 +17,7 @@ from skdesign.search import (
     DesignCandidate,
     SearchConfig,
     _plan_flags,
-    _slot_choices,
+    _slot_layers,
     _slot_widths,
 )
 
@@ -74,7 +74,7 @@ def concretize(
     seq = tuple(sequence)
     for bottleneck, plan in _variant_plans(seq, config):
         choice_sets = [
-            _slot_choices(kind, c_in, c_out)
+            [g for g, _, _ in _slot_layers(kind, c_in, c_out, config.spatial)]
             for kind, (c_in, c_out) in zip(seq, plan)
         ]
         for combo in itertools.product(*choice_sets):

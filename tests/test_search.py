@@ -9,7 +9,9 @@ import pytest
 from naive import candidate_layers, concretize, evaluate_candidate, sequence_chars
 from skdesign.infofield import VerdictKind
 from skdesign.kernels import Kind, ValidationError, param_count
+from skdesign.oracles import feasible_pairs
 from skdesign.search import (
+    DEFAULT_DOMINATION_GRID,
     SK_ALPHABET,
     DesignCandidate,
     SearchConfig,
@@ -23,6 +25,7 @@ from skdesign.search import (
     _evaluate_sequences,
     _grid_optimal_params,
     _multiset_key,
+    _slot_layers,
 )
 
 GC, DW, PW, PWG = Kind.GROUP, Kind.DEPTHWISE, Kind.POINTWISE, Kind.POINTWISE_GROUP
@@ -294,7 +297,7 @@ def test_grid_optimal_params_match_brute_force():
     cfg = SearchConfig(max_length=4)
     result = run_search(replace(cfg, enable_domination_filter=False))
     families = {fam.multiset: fam for fam in result.families}
-    grid = cfg.domination_grid
+    grid = DEFAULT_DOMINATION_GRID
     assert (cfg.reference_channels, cfg.reference_out_channels) in grid
     opt = _grid_optimal_params(sorted(families), grid, cfg)
     for key, fam in families.items():
@@ -307,6 +310,26 @@ def test_grid_optimal_params_match_brute_force():
                 if evaluate_candidate(cand, probe).is_valid
             ]
             assert opt[key][(c, f)] == (min(brute) if brute else None), (fam.name, c, f)
+
+
+def test_slot_group_numbers_match_the_oracle_pairs():
+    # `LayerSpec` decides the search's group numbers, and `feasible_pairs`
+    # keeps its own divisor rule as the independent check: the two must
+    # agree on every feasible pair of both grouped families
+    def groups(kind, c_in, c_out):
+        return [g for g, _, _ in _slot_layers(kind, c_in, c_out, 3)]
+
+    def pairs(ms, ns, bound):
+        return [(m, n) for m in ms for n in ns if m * n <= bound]
+
+    for c in range(4, 65):
+        for f in (c, 2 * c):
+            got = pairs(groups(GC, c, c), groups(PWG, c, f), c)
+            assert got == feasible_pairs("gc+pwg", c, f, "le"), (c, f)
+            if f % 4 == 0:
+                k = f // 4
+                got = pairs(groups(PWG, c, k), groups(PWG, k, f), k)
+                assert got == feasible_pairs("pwg+dw+pwg", c, f, "le"), (c, f)
 
 
 def test_gc_pwg_dw_never_survives_with_all_kernels_contributing():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skdesign.efficiency import UnderBudgetError
 from skdesign.kernels import ValidationError
@@ -106,9 +107,64 @@ def test_solve_width_monotone_and_roundtrip():
     assert recovered.width >= small.width
 
 
+# every block kind; the gc+pwg pairs have feasible widths that are not all
+# multiples of the smallest one (4 | w from 8 up at (4, 2))
+SCAN_BLOCKS = (
+    BlockSpec("standard"),
+    BlockSpec("dw+pw"),
+    BlockSpec("pw+dw+pw"),
+    BlockSpec("gc+pwg", (4, 2)),
+    BlockSpec("gc+pwg", (8, 2)),
+    BlockSpec("gc+pwg", (2, 2)),
+    BlockSpec("pwg+dw+pwg", (4, 4)),
+    BlockSpec("pwg+dw+pwg", (2, 8)),
+)
+
+
+def _scan_width(budget, block, blocks, conventions):
+    """Widest feasible width within budget, trying every width whose head
+    alone (8 * width * 1000 classes) fits."""
+    best = None
+    for w in range(1, budget // 8000 + 1):
+        try:
+            report = model_params(NetworkLayout(w, blocks, conventions=conventions), block)
+        except ValidationError:
+            continue
+        if report.total_params <= budget:
+            best = report
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block=st.sampled_from(SCAN_BLOCKS),
+    blocks=st.integers(1, 4),
+    conventions=st.builds(Conventions, st.booleans(), st.booleans(), st.booleans()),
+    # log-uniform from 1e5 to 3e7
+    budget=st.integers(0, 1000).map(lambda i: int(1e5 * 300 ** (i / 1000))),
+)
+def test_solve_width_matches_width_scan(block, blocks, conventions, budget):
+    want = _scan_width(budget, block, blocks, conventions)
+    if want is None:
+        with pytest.raises(UnderBudgetError):
+            solve_width(budget, block, blocks, conventions)
+    else:
+        assert solve_width(budget, block, blocks, conventions) == want
+
+
+def test_solve_width_finds_widths_off_the_smallest_width_lattice():
+    # 84 fits, but it is not a multiple of 8, the smallest feasible width
+    report = solve_width(3_000_000, BlockSpec("gc+pwg", (4, 2)), 2, NOPROJ)
+    assert report.width == 84
+    assert report.total_params <= 3_000_000
+
+
 def test_solve_width_under_budget():
     with pytest.raises(UnderBudgetError):
         solve_width(1000, BlockSpec("standard"))
+    # a layout fault is not mistaken for widths that do not fit
+    with pytest.raises(ValidationError, match="blocks_per_stage must be >= 1"):
+        solve_width(10**6, BlockSpec("standard"), blocks_per_stage=0)
 
 
 def test_solve_width_ordering_at_published_budget():
@@ -128,6 +184,11 @@ def test_block_spec_validation():
         BlockSpec("standard", (2, 2))
     with pytest.raises(ValidationError):
         BlockSpec("no-such-family")
+    # a group number no kernel accepts leaves no feasible width
+    with pytest.raises(ValidationError, match="gc group number must be >= 2, got 1"):
+        BlockSpec("gc+pwg", (1, 2))
+    with pytest.raises(ValidationError, match="pwg group number must be >= 2, got 0"):
+        BlockSpec("pwg+dw+pwg", (2, 0))
 
 
 def test_model_params_family_block_width_one_hand_summed():
