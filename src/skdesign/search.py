@@ -189,15 +189,15 @@ def _evaluate_sequences(
     Returns (valid candidates keyed by kernel multiset, per-verdict
     candidate counts, enumerated total), the same sums as classifying each
     assignment alone.  A trie node keeps its live group prefixes, each with
-    its running parameter count, keyed by the field they reach, so `step`
-    runs at most twice per (node, field, group choice): once as a
-    sequence's last slot and once as an interior slot.  A prefix killed at
-    a non-final slot accounts for W(child) full assignments, the summed
-    completion size of the set's sequences that extend the child; W is
-    computed on the way back up, and a sequence with a slot that has no
-    group choice adds nothing to it.  At a node that ends a sequence of the
-    set, the last slot is stepped with last=True and valid prefixes become
-    witnesses, priced as they are built.
+    its running parameter count, keyed by the field they reach, and each
+    child is stepped in one loop, twice at most: as a sequence's last slot
+    when it ends a sequence of the set, and as an interior slot when it has
+    children.  So `step` runs at most twice per (node, field, group
+    choice).  A verdict at a non-final slot accounts for W(child) full
+    assignments, the summed completion size of the set's sequences that
+    extend the child; W is computed on the way back up, and a sequence
+    with a slot that has no group choice adds nothing to it.  Valid last
+    slots become witnesses, priced as they are built.
     """
     c, f, spatial = config.reference_channels, config.reference_out_channels, config.spatial
     reference = config.reference_field
@@ -208,10 +208,6 @@ def _evaluate_sequences(
             nexts.setdefault(seq[:i], {})[seq[i]] = None
     valid: dict[tuple[str, ...], list[DesignCandidate]] = {}
     counts: dict[str, int] = {}
-
-    def tally(verdict: VerdictKind, n: int) -> None:
-        if n:
-            counts[verdict.value] = counts.get(verdict.value, 0) + n
 
     def walk(
         prefix: tuple[Kind, ...],
@@ -226,18 +222,26 @@ def _evaluate_sequences(
         total = 0
         for kind in nexts.get(prefix, ()):
             child = prefix + (kind,)
-            widths = _slot_widths(kind, i, width, True, bottleneck, c, f)
-            if child in members and widths is not None:
+            key = _multiset_key(child)
+            for last in (True, False):
+                widths = _slot_widths(kind, i, width, last, bottleneck, c, f)
+                if widths is None or child not in (members if last else nexts):
+                    continue
                 choices = _slot_layers(kind, *widths, spatial)
-                total += len(choices)
                 # witnesses share, per trie node, one channel plan: a walk
                 # holds thousands of them at once
                 channel_plan = plan + (widths,)
-                key = _multiset_key(child)
+                killed: dict[VerdictKind, int] = {}
+                after: dict[InfoField, list[tuple[tuple, int]]] = {}
                 for fld, prefixes in live.items():
                     for g, layer, price in choices:
-                        _, verdict = step(fld, layer, reference, last=True)
-                        tally(verdict, len(prefixes))
+                        new, verdict = step(fld, layer, reference, last)
+                        if verdict is None:
+                            after.setdefault(new, []).extend(
+                                (p + (g,), cost + price) for p, cost in prefixes
+                            )
+                            continue
+                        killed[verdict] = killed.get(verdict, 0) + len(prefixes)
                         if verdict is VerdictKind.VALID:
                             valid.setdefault(key, []).extend(
                                 DesignCandidate(
@@ -245,24 +249,11 @@ def _evaluate_sequences(
                                 )
                                 for p, cost in prefixes
                             )
-            widths = _slot_widths(kind, i, width, False, bottleneck, c, f)
-            if child in nexts and widths is not None:
-                choices = _slot_layers(kind, *widths, spatial)
-                killed: dict[VerdictKind, int] = {}
-                after: dict[InfoField, list[tuple[tuple, int]]] = {}
-                for fld, prefixes in live.items():
-                    for g, layer, price in choices:
-                        new, verdict = step(fld, layer, reference)
-                        if verdict is None:
-                            after.setdefault(new, []).extend(
-                                (p + (g,), cost + price) for p, cost in prefixes
-                            )
-                        else:
-                            killed[verdict] = killed.get(verdict, 0) + len(prefixes)
-                sub = walk(child, plan + (widths,), after, bottleneck)
+                sub = 1 if last else walk(child, channel_plan, after, bottleneck)
                 total += len(choices) * sub
-                for verdict, n in killed.items():
-                    tally(verdict, n * sub)
+                if sub:
+                    for verdict, n in killed.items():
+                        counts[verdict.value] = counts.get(verdict.value, 0) + n * sub
         return total
 
     enumerated = sum(
@@ -279,10 +270,16 @@ def _evaluate_sequences(
 class DesignFamily:
     """Survivors identical up to ordering, group numbers and bottleneck use."""
 
-    canonical_sequence: tuple[Kind, ...]
-    bottleneck: bool
     multiset: tuple[str, ...]
-    witnesses: tuple[DesignCandidate, ...]
+    witnesses: tuple[DesignCandidate, ...]  # sorted by `_witness_sort_key`
+
+    @property
+    def canonical_sequence(self) -> tuple[Kind, ...]:
+        return self.witnesses[0].sequence
+
+    @property
+    def bottleneck(self) -> bool:
+        return self.witnesses[0].bottleneck
 
     @property
     def name(self) -> str:
@@ -293,7 +290,6 @@ class DesignFamily:
         return len(self.canonical_sequence)
 
     def min_params(self) -> int:
-        """Witnesses are sorted by parameter count first."""
         return self.witnesses[0].params
 
 
@@ -326,17 +322,6 @@ def _witness_sort_key(w: DesignCandidate):
     )
 
 
-def _build_family(multiset: tuple[str, ...], witnesses: list[DesignCandidate]) -> DesignFamily:
-    witnesses_sorted = tuple(sorted(witnesses, key=_witness_sort_key))
-    best = witnesses_sorted[0]
-    return DesignFamily(
-        canonical_sequence=best.sequence,
-        bottleneck=best.bottleneck,
-        multiset=multiset,
-        witnesses=witnesses_sorted,
-    )
-
-
 def _distinct_orderings(multiset: tuple[str, ...]) -> list[tuple[Kind, ...]]:
     kinds = [Kind(v) for v in multiset]
     return sorted(set(itertools.permutations(kinds)), key=lambda s: [k.value for k in s])
@@ -354,12 +339,9 @@ def _grid_optimal_params(
     opt: dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]] = {k: {} for k in pool}
     for c, f in grid:
         probe = replace(config, reference_channels=c, reference_out_channels=f)
-        best = {
-            k: min(w.params for w in witnesses)
-            for k, witnesses in _evaluate_sequences(orderings, probe)[0].items()
-        }
+        valid = _evaluate_sequences(orderings, probe)[0]
         for k in pool:
-            opt[k][(c, f)] = best.get(k)
+            opt[k][(c, f)] = min((w.params for w in valid.get(k, ())), default=None)
     return opt
 
 
@@ -388,7 +370,7 @@ def _apply_domination(
                     for v in k
                 )
             )
-            if target in families and target != k:
+            if target in families:
                 removed.append(
                     RemovedFamily(
                         families[k].name, k, "boundary-fold",
@@ -451,7 +433,10 @@ def run_search(config: SearchConfig) -> SearchResult:
     raw = raw_sequence_count(config.max_length)
 
     valid, verdicts, enumerated = _evaluate_sequences(sequences, config)
-    families = {key: _build_family(key, cands) for key, cands in valid.items()}
+    families = {
+        key: DesignFamily(key, tuple(sorted(cands, key=_witness_sort_key)))
+        for key, cands in valid.items()
+    }
 
     if config.enable_domination_filter:
         kept, removed = _apply_domination(families, config)
