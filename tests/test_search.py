@@ -7,6 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from naive import candidate_layers, concretize, evaluate_candidate, sequence_chars
+from skdesign import search
 from skdesign.infofield import VerdictKind
 from skdesign.kernels import Kind, ValidationError, param_count
 from skdesign.oracles import feasible_pairs
@@ -233,6 +234,32 @@ def test_witnesses_are_priced_at_the_search_spatial_size():
         assert [w.params for w in fam.witnesses] == sorted(
             sum(param_count(l) for l in candidate_layers(w, 5)) for w in fam.witnesses
         ), fam.name
+
+
+def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
+    # one `step` per (trie node, field, group choice) as a last slot and one
+    # as an interior slot: the default search without domination makes
+    # 6,298 calls, against the 5,523,742 assignments it classifies
+    calls = 0
+    real_step = search.step
+
+    def counting_step(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(search, "step", counting_step)
+    result = run_search(SearchConfig(enable_domination_filter=False))
+    assert calls == 6298
+    assert dict(result.stage_counts)["candidates_enumerated"] == 5523742
+
+
+def test_family_min_params_is_the_cheapest_witness(default_result):
+    nodom = run_search(SearchConfig(max_length=4, enable_domination_filter=False))
+    for fam in default_result.families + nodom.families:
+        assert fam.min_params() == min(w.params for w in fam.witnesses), fam.name
+        assert fam.canonical_sequence == fam.witnesses[0].sequence
+        assert fam.bottleneck == fam.witnesses[0].bottleneck
 
 
 def test_walk_state_is_freed_without_a_cyclic_gc_pass():
