@@ -8,6 +8,7 @@ import pytest
 
 from naive import candidate_layers, concretize, evaluate_candidate, sequence_chars
 from skdesign import search
+from skdesign.efficiency import Family, optimal_group_numbers
 from skdesign.infofield import VerdictKind
 from skdesign.kernels import Kind, ValidationError, param_count
 from skdesign.oracles import feasible_pairs
@@ -260,6 +261,24 @@ def test_family_min_params_is_the_cheapest_witness(default_result):
         assert fam.min_params() == min(w.params for w in fam.witnesses), fam.name
         assert fam.canonical_sequence == fam.witnesses[0].sequence
         assert fam.bottleneck == fam.witnesses[0].bottleneck
+
+
+def test_search_prices_gc_pwg_as_the_closed_form_does():
+    # the plain plan keeps the grouped spatial kernel at C and moves to F
+    # at the 1x1 kernel, as `efficiency.layers_for` builds the family; at a
+    # prime C neither has a legal pair of group numbers
+    for c in range(4, 33):
+        for f in (c, 2 * c, 3 * c):
+            cfg = SearchConfig(
+                max_length=2, reference_channels=c, reference_out_channels=f,
+                enable_domination_filter=False,
+            )
+            fams = {fam.name: fam.min_params() for fam in run_search(cfg).families}
+            try:
+                want = optimal_group_numbers(Family.GC_PWG, c, f).discrete_params
+            except ValidationError:
+                want = None
+            assert fams.get("gc+pwg") == want, (c, f)
 
 
 def test_walk_state_is_freed_without_a_cyclic_gc_pass():
