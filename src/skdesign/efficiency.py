@@ -99,7 +99,7 @@ class UnderBudgetError(ValidationError):
 
 
 def layers_for(
-    family: Family, c: int, f: int, groups: Optional[tuple[int, int]] = None, spatial: int = 3
+    family: Family, c: int, f: int, groups: Optional[tuple[int, int]] = None
 ) -> list[LayerSpec]:
     """Concrete layer stack of a family at channel counts (C, F).
 
@@ -113,11 +113,11 @@ def layers_for(
     elif groups is not None:
         raise ValidationError(f"{family.value} carries no group numbers")
     if family is Family.DW_PW:
-        return [LayerSpec(depthwise(spatial), c, c), LayerSpec(pointwise(), c, f)]
+        return [LayerSpec(depthwise(), c, c), LayerSpec(pointwise(), c, f)]
     if family is Family.GC_PWG:
         # channel count unchanged after the grouped spatial kernel
         return [
-            LayerSpec(group_conv(m, spatial), c, c),
+            LayerSpec(group_conv(m), c, c),
             LayerSpec(pointwise_group(n), c, f),
         ]
     if f % 4:
@@ -126,12 +126,12 @@ def layers_for(
     if family is Family.PW_DW_PW:
         return [
             LayerSpec(pointwise(), c, k),
-            LayerSpec(depthwise(spatial), k, k),
+            LayerSpec(depthwise(), k, k),
             LayerSpec(pointwise(), k, f),
         ]
     return [
         LayerSpec(pointwise_group(m), c, k),
-        LayerSpec(depthwise(spatial), k, k),
+        LayerSpec(depthwise(), k, k),
         LayerSpec(pointwise_group(n), k, f),
     ]
 
@@ -194,36 +194,20 @@ def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
     """Continuous optimum and exact discrete divisor-grid minimizers."""
     if not family.has_group_freedom:
         raise ValidationError(f"{family.value} has no group numbers to optimize")
+    if family.bottlenecked and f % 4:
+        raise ValidationError(f"bottleneck families require 4 | F, got F={f}")
+    grid = oracles.divisor_grid_min(family.value, c, f, constraint="le")
     if family is Family.GC_PWG:
-        n_cont = math.sqrt(f) / 3.0
-        m_cont = c / n_cont if n_cont else float("inf")
-        grid = oracles.divisor_grid_min("gc+pwg", c, f, constraint="le")
+        n = math.sqrt(f) / 3.0
+        continuous, condition = (c / n, n), "M*N = C and N = sqrt(F)/3"
         # 9CN + CF/N at the M*N = C boundary, minimized at N = sqrt(F)/3
         bound = 6.0 * c * math.sqrt(f)
-        return GroupOptimum(
-            family=family,
-            continuous=(m_cont, n_cont),
-            continuous_condition="M*N = C and N = sqrt(F)/3",
-            discrete=grid.minimizers,
-            discrete_params=grid.value,
-            continuous_bound_params=bound,
-        )
-    if f % 4:
-        raise ValidationError(f"bottleneck families require 4 | F, got F={f}")
-    k = f // 4
-    m_cont = math.sqrt(c) / 2.0
-    n_cont = k / m_cont if m_cont else float("inf")
-    grid = oracles.divisor_grid_min("pwg+dw+pwg", c, f, constraint="le")
-    # K*(C/M + 4M + 9) at the K = M*N boundary, minimized at M = sqrt(C)/2
-    bound = k * (4.0 * math.sqrt(c) + 9.0)
-    return GroupOptimum(
-        family=family,
-        continuous=(m_cont, n_cont),
-        continuous_condition="M*N = K and M = sqrt(C)/2",
-        discrete=grid.minimizers,
-        discrete_params=grid.value,
-        continuous_bound_params=bound,
-    )
+    else:
+        k, m = f // 4, math.sqrt(c) / 2.0
+        continuous, condition = (m, k / m), "M*N = K and M = sqrt(C)/2"
+        # K*(C/M + 4M + 9) at the K = M*N boundary, minimized at M = sqrt(C)/2
+        bound = k * (4.0 * math.sqrt(c) + 9.0)
+    return GroupOptimum(family, continuous, condition, grid.minimizers, grid.value, bound)
 
 
 @dataclass(frozen=True)

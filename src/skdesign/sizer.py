@@ -33,6 +33,7 @@ from .kernels import (
 STAGE_COUNT = 4
 STAGE_RESOLUTIONS = (56, 28, 14, 7)
 STEM_RESOLUTION = 112
+NUM_CLASSES = 1000
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,6 @@ class BlockSpec:
 class NetworkLayout:
     width: int
     blocks_per_stage: int = 8
-    num_classes: int = 1000
     conventions: Conventions = Conventions()
 
     def __post_init__(self) -> None:
@@ -192,10 +192,10 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
         stage_params.append(total)
 
     head_width = layout.stage_width(STAGE_COUNT - 1)
-    head = head_width * layout.num_classes
+    head = head_width * NUM_CLASSES
     if conv.include_bias:
-        head += layout.num_classes
-    macs += head_width * layout.num_classes
+        head += NUM_CLASSES
+    macs += head_width * NUM_CLASSES
 
     total_params = stem + sum(stage_params) + projections + head
     return SizingReport(
