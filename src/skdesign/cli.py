@@ -346,8 +346,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="skdesign", description=__doc__)
     parser.add_argument("--version", action="version", version=f"skdesign {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("table", "json"), default="table")
+    block = argparse.ArgumentParser(add_help=False)
+    block.add_argument("--family", required=True)
+    block.add_argument("--blocks", type=_positive_int, default=8)
+    block.add_argument("--groups", type=_groups_arg, default=None)
+    block.add_argument("--include-bn", action="store_true")
+    block.add_argument("--include-bias", action="store_true")
+    block.add_argument("--no-projections", action="store_true")
 
-    p = sub.add_parser("search", help="run the pruning pipeline")
+    p = sub.add_parser("search", parents=[fmt], help="run the pruning pipeline")
     p.add_argument("--max-len", type=_positive_int, default=6)
     p.add_argument("--channels", type=_positive_int, default=64)
     p.add_argument("--out-channels", type=_positive_int, default=None)
@@ -356,52 +365,38 @@ def build_parser() -> _Parser:
     p.add_argument("--no-bottleneck", action="store_true")
     p.add_argument("--no-domination", action="store_true")
     p.add_argument("--audit", action="store_true")
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("analyze", help="closed-form efficiency of one family")
+    p = sub.add_parser("analyze", parents=[fmt], help="closed-form efficiency of one family")
     p.add_argument("family")
     p.add_argument("--c", type=_positive_int, required=True)
     p.add_argument("--f", type=_positive_int, required=True)
     p.add_argument("--groups", type=_groups_arg, default=None)
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("size", help="whole-model parameter/MAC accounting")
-    p.add_argument("--family", required=True)
+    p = sub.add_parser(
+        "size", parents=[fmt, block], help="whole-model parameter/MAC accounting"
+    )
     p.add_argument("--width", type=_positive_int, required=True)
-    p.add_argument("--blocks", type=_positive_int, default=8)
-    p.add_argument("--groups", type=_groups_arg, default=None)
-    p.add_argument("--include-bn", action="store_true")
-    p.add_argument("--include-bias", action="store_true")
-    p.add_argument("--no-projections", action="store_true")
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_size)
 
-    p = sub.add_parser("width", help="largest width under a parameter budget")
-    p.add_argument("--family", required=True)
+    p = sub.add_parser(
+        "width", parents=[fmt, block], help="largest width under a parameter budget"
+    )
     p.add_argument("--budget", type=_positive_int, required=True)
-    p.add_argument("--blocks", type=_positive_int, default=8)
-    p.add_argument("--groups", type=_groups_arg, default=None)
-    p.add_argument("--include-bn", action="store_true")
-    p.add_argument("--include-bias", action="store_true")
-    p.add_argument("--no-projections", action="store_true")
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_width)
 
-    p = sub.add_parser("verify", help="run the brute-force oracle suites")
+    p = sub.add_parser("verify", parents=[fmt], help="run the brute-force oracle suites")
     p.add_argument("--theorem1", action="store_true")
     p.add_argument("--infofield", action="store_true")
     p.add_argument("--c-max", type=_positive_int, default=64)
     p.add_argument("--len-max", type=_positive_int, default=4)
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("graph", help="emit a DOT connectivity drawing")
+    p = sub.add_parser("graph", parents=[fmt], help="emit a DOT connectivity drawing")
     p.add_argument("design")
     p.add_argument("--channels", type=_positive_int, default=4)
     p.add_argument("--groups", type=_groups_arg, default=None)
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_graph)
 
     return parser
