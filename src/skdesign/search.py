@@ -345,7 +345,8 @@ def _grid_optimal_params(
         probe = replace(config, reference_channels=c, reference_out_channels=f)
         valid = _evaluate_sequences(orderings, probe)[0]
         for k in pool:
-            opt[k][(c, f)] = min((w.params for w in valid.get(k, ())), default=None)
+            # pop: this point's witnesses go before the next point's walk
+            opt[k][(c, f)] = min((w.params for w in valid.pop(k, ())), default=None)
     return opt
 
 
