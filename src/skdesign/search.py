@@ -138,15 +138,12 @@ def _slot_widths(
     """(in, out) widths of slot i of a width plan entered at `width`, or
     None when the plan has no such slot.
 
-    A plain plan changes width only at 1x1 kernels, which map to F; spatial
-    kernels keep their input width, and the plan must end at F.  This is
-    the plan of every block `efficiency.layers_for` builds (a spatial
-    kernel at C, then 1x1 kernels to F), of the closed forms 9C^2/M + CF/N
-    and of the sizer's whole-model counts, so the search prices a family
-    as they do.  A bottleneck plan runs C -> K -> ... -> K -> F with
-    K = F/4; it needs at least one interior kernel and channel-changing end
-    kernels, so sequences shorter than three or with depthwise ends have
-    no bottleneck variant.
+    A plain plan changes width only at 1x1 kernels, which map to F, and
+    must end at F: the plan of `efficiency.layers_for`, its closed forms
+    and the sizer, so the search prices a family as they do.  A bottleneck
+    plan runs C -> K -> ... -> K -> F with K = F/4; it needs at least one
+    interior kernel and channel-changing end kernels, so sequences shorter
+    than three or with depthwise ends have no bottleneck variant.
     """
     if not bottleneck:
         out = width if kind.is_spatial else f
