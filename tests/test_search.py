@@ -259,8 +259,6 @@ def test_family_min_params_is_the_cheapest_witness(default_result):
     nodom = run_search(SearchConfig(max_length=4, enable_domination_filter=False))
     for fam in default_result.families + nodom.families:
         assert fam.min_params() == min(w.params for w in fam.witnesses), fam.name
-        assert fam.canonical_sequence == fam.witnesses[0].sequence
-        assert fam.bottleneck == fam.witnesses[0].bottleneck
 
 
 def test_search_prices_gc_pwg_as_the_closed_form_does():
