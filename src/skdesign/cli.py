@@ -67,18 +67,15 @@ def _emit(doc: dict[str, Any], lines: list[str], fmt: str) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    out_channels = args.out_channels
-    if out_channels is None:
-        if args.alpha is not None:
-            scaled = Fraction(args.alpha) * args.channels
-            if scaled.denominator != 1 or scaled < 1:
-                raise ValidationError(
-                    f"alpha {args.alpha} does not yield a whole output width "
-                    f"at {args.channels} channels"
-                )
-            out_channels = int(scaled)
-        else:
-            out_channels = args.channels
+    out_channels = args.out_channels or args.channels
+    if args.alpha is not None:
+        scaled = Fraction(args.alpha) * args.channels
+        if scaled.denominator != 1 or scaled < 1:
+            raise ValidationError(
+                f"alpha {args.alpha} does not yield a whole output width "
+                f"at {args.channels} channels"
+            )
+        out_channels = int(scaled)
     config = search.SearchConfig(
         max_length=args.max_len,
         reference_channels=args.channels,
@@ -359,9 +356,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", parents=[fmt], help="run the pruning pipeline")
     p.add_argument("--max-len", type=_positive_int, default=6)
     p.add_argument("--channels", type=_positive_int, default=64)
-    p.add_argument("--out-channels", type=_positive_int, default=None)
-    p.add_argument("--alpha", type=Fraction, default=None,
-                   help="output/input width ratio, used when --out-channels is absent")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--out-channels", type=_positive_int, default=None)
+    out.add_argument("--alpha", type=Fraction, default=None, help="output/input width ratio")
     p.add_argument("--no-bottleneck", action="store_true")
     p.add_argument("--no-domination", action="store_true")
     p.add_argument("--audit", action="store_true")

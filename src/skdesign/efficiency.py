@@ -29,16 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import oracles
-from .kernels import (
-    Kind,
-    LayerSpec,
-    ValidationError,
-    depthwise,
-    group_conv,
-    param_count,
-    pointwise,
-    pointwise_group,
-)
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 
 
 class Family(enum.Enum):
@@ -98,42 +89,56 @@ class UnderBudgetError(ValidationError):
     """The parameter budget is below the smallest legal design."""
 
 
+def slot_widths(
+    kind: Kind, i: int, width: int, last: bool, bottleneck: bool, c: int, f: int
+) -> Optional[tuple[int, int]]:
+    """(in, out) widths of slot i of a width plan entered at `width`, or
+    None when the plan has no such slot.
+
+    A plain plan changes width only at 1x1 kernels, which map to F, and
+    must end at F.  A bottleneck plan runs C -> K -> ... -> K -> F with
+    K = F/4; it needs at least one interior kernel and channel-changing end
+    kernels, so sequences shorter than three or with depthwise ends have no
+    bottleneck variant.  The search walk and `layers_for` both plan here,
+    so the search prices a family as the closed forms and the sizer do.
+    """
+    if not bottleneck:
+        out = width if kind.is_spatial else f
+        return None if last and out != f else (width, out)
+    if f % 4 or (last and i < 2) or (kind is Kind.DEPTHWISE and (i == 0 or last)):
+        return None
+    k = f // 4
+    return (c if i == 0 else k, f if last else k)
+
+
+def _check_bottleneck_width(family: Family, f: int) -> None:
+    if family.bottlenecked and f % 4:
+        raise ValidationError(f"bottleneck families require 4 | F, got F={f}")
+
+
 def layers_for(
     family: Family, c: int, f: int, groups: Optional[tuple[int, int]] = None
 ) -> list[LayerSpec]:
     """Concrete layer stack of a family at channel counts (C, F).
 
-    Grouped families require groups=(M, N).  Bottleneck families use
-    K = F/4 and require 4 | F.
+    Grouped families require groups=(M, N), handed to the grouped slots in
+    order.  Bottleneck families use K = F/4 and require 4 | F.
     """
     if family.has_group_freedom:
         if groups is None:
             raise ValidationError(f"{family.value} needs group numbers (M, N)")
-        m, n = groups
     elif groups is not None:
         raise ValidationError(f"{family.value} carries no group numbers")
-    if family is Family.DW_PW:
-        return [LayerSpec(depthwise(), c, c), LayerSpec(pointwise(), c, f)]
-    if family is Family.GC_PWG:
-        # channel count unchanged after the grouped spatial kernel
-        return [
-            LayerSpec(group_conv(m), c, c),
-            LayerSpec(pointwise_group(n), c, f),
-        ]
-    if f % 4:
-        raise ValidationError(f"bottleneck families require 4 | F, got F={f}")
-    k = f // 4
-    if family is Family.PW_DW_PW:
-        return [
-            LayerSpec(pointwise(), c, k),
-            LayerSpec(depthwise(), k, k),
-            LayerSpec(pointwise(), k, f),
-        ]
-    return [
-        LayerSpec(pointwise_group(m), c, k),
-        LayerSpec(depthwise(), k, k),
-        LayerSpec(pointwise_group(n), k, f),
-    ]
+    _check_bottleneck_width(family, f)
+    pending = iter(groups or ())
+    layers = []
+    width, end = c, family.kernel_count - 1
+    for i, kind in enumerate(family.kinds):
+        # never None: each family has every slot of its plan once 4 | F holds
+        c_in, width = slot_widths(kind, i, width, i == end, family.bottlenecked, c, f)
+        g = next(pending) if kind.is_grouped else None
+        layers.append(LayerSpec(Kernel.of(kind, 3, g), c_in, width))
+    return layers
 
 
 def family_params(
@@ -194,8 +199,7 @@ def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
     """Continuous optimum and exact discrete divisor-grid minimizers."""
     if not family.has_group_freedom:
         raise ValidationError(f"{family.value} has no group numbers to optimize")
-    if family.bottlenecked and f % 4:
-        raise ValidationError(f"bottleneck families require 4 | F, got F={f}")
+    _check_bottleneck_width(family, f)
     grid = oracles.divisor_grid_min(family.value, c, f, constraint="le")
     if family is Family.GC_PWG:
         n = math.sqrt(f) / 3.0

@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .efficiency import Family
+from .efficiency import Family, slot_widths
 from .infofield import InfoField, VerdictKind, step
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 
@@ -132,28 +132,6 @@ class DesignCandidate:
         return "+".join(parts) + tag
 
 
-def _slot_widths(
-    kind: Kind, i: int, width: int, last: bool, bottleneck: bool, c: int, f: int
-) -> Optional[tuple[int, int]]:
-    """(in, out) widths of slot i of a width plan entered at `width`, or
-    None when the plan has no such slot.
-
-    A plain plan changes width only at 1x1 kernels, which map to F, and
-    must end at F: the plan of `efficiency.layers_for`, its closed forms
-    and the sizer, so the search prices a family as they do.  A bottleneck
-    plan runs C -> K -> ... -> K -> F with K = F/4; it needs at least one
-    interior kernel and channel-changing end kernels, so sequences shorter
-    than three or with depthwise ends have no bottleneck variant.
-    """
-    if not bottleneck:
-        out = width if kind.is_spatial else f
-        return None if last and out != f else (width, out)
-    if f % 4 or (last and i < 2) or (kind is Kind.DEPTHWISE and (i == 0 or last)):
-        return None
-    k = f // 4
-    return (c if i == 0 else k, f if last else k)
-
-
 @functools.lru_cache(maxsize=None)
 def _slot_layers(
     kind: Kind, c_in: int, c_out: int, spatial: int
@@ -225,7 +203,7 @@ def _evaluate_sequences(
             child = prefix + (kind,)
             key = _multiset_key(child)
             for last in (True, False):
-                widths = _slot_widths(kind, i, width, last, bottleneck, c, f)
+                widths = slot_widths(kind, i, width, last, bottleneck, c, f)
                 if widths is None or child not in (members if last else nexts):
                     continue
                 choices = _slot_layers(kind, *widths, spatial)

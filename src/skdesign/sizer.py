@@ -174,17 +174,20 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
         res_out = STAGE_RESOLUTIONS[s]
         res_in = STAGE_RESOLUTIONS[s - 1] if s else res_out
         total = 0
-        for b in range(layout.blocks_per_stage):
-            c = width_in if b == 0 else width_out
-            r_in = res_in if b == 0 else res_out
+        # the first block enters at the previous stage's width and
+        # resolution; its B - 1 followers are identical, so each is built once
+        runs = ((1, width_in, res_in), (layout.blocks_per_stage - 1, width_out, res_out))
+        for b, (count, c, r_in) in enumerate(runs):
+            if not count:
+                continue
             try:
                 layers = block.layers(c, width_out)
             except ValidationError as err:
                 raise ValidationError(
                     f"stage {s + 1}, block {b + 1}: {err}"
                 ) from err
-            total += _block_params(layers, conv)
-            macs += _block_macs(layers, r_in, res_out)
+            total += count * _block_params(layers, conv)
+            macs += count * _block_macs(layers, r_in, res_out)
         if s and conv.include_projections:
             proj = LayerSpec(standard(1), width_in, width_out)
             projections += _layer_params(proj, conv)

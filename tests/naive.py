@@ -4,6 +4,9 @@
 plan, priced layer by layer, and `evaluate_candidate` classifies one
 candidate alone with `infofield.classify`.  The fused walk in
 `skdesign.search` must give the same candidates, prices and verdict counts.
+The width plans are written out whole here and the group numbers found
+by trying `LayerSpec`, so a fault in the search's own plans or slot
+choices shows.
 """
 
 import functools
@@ -12,14 +15,8 @@ from dataclasses import replace
 from typing import Iterator, Optional, Sequence
 
 from skdesign.infofield import FieldVerdict, classify
-from skdesign.kernels import Kernel, Kind, LayerSpec, param_count
-from skdesign.search import (
-    DesignCandidate,
-    SearchConfig,
-    _plan_flags,
-    _slot_layers,
-    _slot_widths,
-)
+from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
+from skdesign.search import DesignCandidate, SearchConfig
 
 _KIND_CHAR = {
     Kind.GROUP: "g",
@@ -37,21 +34,47 @@ def sequence_chars(sequence: Sequence[Kind]) -> str:
 def _variant_plans(
     sequence: Sequence[Kind], config: SearchConfig
 ) -> list[tuple[bool, tuple[tuple[int, int], ...]]]:
+    """The whole width plans of a sequence, plain then bottleneck.
+
+    Plain: C up to the first 1x1 kernel, which maps C -> F, then F after
+    it; with no 1x1 kernel the width never changes, so only at C = F.
+    Bottleneck (K = F/4, 4 | F): (C, K), (K, K)..., (K, F), for three or
+    more kernels with no depthwise end.
+    """
     c, f = config.reference_channels, config.reference_out_channels
-    last = len(sequence) - 1
+    n = len(sequence)
     plans = []
-    for bottleneck in _plan_flags(config):
-        plan: list[tuple[int, int]] = []
-        width = c
-        for i, kind in enumerate(sequence):
-            widths = _slot_widths(kind, i, width, i == last, bottleneck, c, f)
-            if widths is None:
-                break
-            plan.append(widths)
-            width = widths[1]
-        else:
-            plans.append((bottleneck, tuple(plan)))
+    first_1x1 = next((i for i, kind in enumerate(sequence) if not kind.is_spatial), None)
+    if first_1x1 is not None:
+        plain = [(c, c)] * first_1x1 + [(c, f)] + [(f, f)] * (n - first_1x1 - 1)
+        plans.append((False, tuple(plain)))
+    elif c == f:
+        plans.append((False, ((c, c),) * n))
+    ends = (sequence[0], sequence[-1])
+    if (
+        config.enable_bottleneck_variants
+        and n >= 3
+        and f % 4 == 0
+        and Kind.DEPTHWISE not in ends
+    ):
+        k = f // 4
+        plans.append((True, ((c, k),) + ((k, k),) * (n - 2) + ((k, f),)))
     return plans
+
+
+@functools.lru_cache(maxsize=None)
+def _group_numbers(
+    kind: Kind, c_in: int, c_out: int, spatial: int
+) -> tuple[Optional[int], ...]:
+    """The group numbers (None for an ungrouped kind) `LayerSpec` accepts."""
+    accepted = []
+    for g in range(2, c_in + 1) if kind.is_grouped else (None,):
+        try:
+            LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
+        except ValidationError:
+            continue
+        accepted.append(g)
+    return tuple(accepted)
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,7 +97,7 @@ def concretize(
     seq = tuple(sequence)
     for bottleneck, plan in _variant_plans(seq, config):
         choice_sets = [
-            [g for g, _, _ in _slot_layers(kind, c_in, c_out, config.spatial)]
+            _group_numbers(kind, c_in, c_out, config.spatial)
             for kind, (c_in, c_out) in zip(seq, plan)
         ]
         for combo in itertools.product(*choice_sets):

@@ -151,6 +151,15 @@ def test_search_alpha_rejects_fractional_width(capsys):
     assert "alpha" in err
 
 
+def test_search_out_channels_and_alpha_together_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "search", "--max-len", "2", "--out-channels", "8", "--alpha", "2",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_graph_json_carries_the_same_dot(capsys):
     code, table, _ = run(capsys, "graph", "gc+pwg", "--channels", "4", "--groups", "2,2")
     assert code == EXIT_OK
