@@ -1,19 +1,6 @@
 """Training-free design-space search for sparse convolution kernel compositions."""
 
-from .kernels import (
-    Kernel,
-    Kind,
-    LayerSpec,
-    TensorShape,
-    ValidationError,
-    depthwise,
-    flop_count,
-    group_conv,
-    param_count,
-    pointwise,
-    pointwise_group,
-    standard,
-)
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 from .infofield import FieldVerdict, InfoField, VerdictKind, classify, field_of, propagate
 
 __version__ = "0.1.0"
@@ -22,13 +9,7 @@ __all__ = [
     "Kernel",
     "Kind",
     "LayerSpec",
-    "TensorShape",
     "ValidationError",
-    "standard",
-    "group_conv",
-    "depthwise",
-    "pointwise",
-    "pointwise_group",
     "param_count",
     "flop_count",
     "InfoField",

@@ -18,7 +18,7 @@ from typing import Any, Optional
 from . import __version__, efficiency, search, sizer
 from .efficiency import Family
 from .kernels import Kernel, Kind, LayerSpec, ValidationError
-from .oracles import _input_groups, _shuffle_group, interleave
+from .oracles import _read_masks, _shuffle_group
 
 SCHEMA_VERSION = 1
 
@@ -50,6 +50,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _ratio_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a ratio such as 1/2, got {text}") from None
+
+
 def _groups_arg(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -69,7 +76,7 @@ def _emit(doc: dict[str, Any], lines: list[str], fmt: str) -> None:
 def _cmd_search(args: argparse.Namespace) -> int:
     out_channels = args.out_channels or args.channels
     if args.alpha is not None:
-        scaled = Fraction(args.alpha) * args.channels
+        scaled = args.alpha * args.channels
         if scaled.denominator != 1 or scaled < 1:
             raise ValidationError(
                 f"alpha {args.alpha} does not yield a whole output width "
@@ -303,8 +310,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def render_dot(layers, name: str = "design") -> str:
     """DOT drawing of channel connectivity at one spatial slice.
 
-    One node per (layer, channel); edges from each output channel to the
-    input channels it reads, through the interleave shuffle.  Edges of
+    One node per (layer, channel); edges into each output channel from the
+    input channels it reads through the interleave shuffle, in ascending
+    input channel, as the graph oracle's read masks give them.  Edges of
     spatial kernels are green (they also carry spatial context), 1x1 edges
     are blue.
     """
@@ -327,14 +335,11 @@ def render_dot(layers, name: str = "design") -> str:
     out.append("  }")
     for li, layer in enumerate(layers):
         color = "green" if layer.kernel.spatial > 1 else "blue"
-        reads = _input_groups(layer)
-        if li > 0:
-            perm = interleave(layer.in_channels, _shuffle_group(layers[li - 1]))
-        else:
-            perm = tuple(range(layer.in_channels))
-        for ch, ins in enumerate(reads):
-            for src in ins:
-                out.append(f"  t{li}_c{perm[src]} -> t{li + 1}_c{ch} [color={color}];")
+        shuffle = _shuffle_group(layers[li - 1]) if li else 1
+        for ch, mask in enumerate(_read_masks(layer, shuffle)):
+            for src in range(mask.bit_length()):
+                if mask >> src & 1:
+                    out.append(f"  t{li}_c{src} -> t{li + 1}_c{ch} [color={color}];")
     out.append("}")
     return "\n".join(out)
 
@@ -358,7 +363,7 @@ def build_parser() -> _Parser:
     p.add_argument("--channels", type=_positive_int, default=64)
     out = p.add_mutually_exclusive_group()
     out.add_argument("--out-channels", type=_positive_int, default=None)
-    out.add_argument("--alpha", type=Fraction, default=None, help="output/input width ratio")
+    out.add_argument("--alpha", type=_ratio_arg, default=None, help="output/input width ratio")
     p.add_argument("--no-bottleneck", action="store_true")
     p.add_argument("--no-domination", action="store_true")
     p.add_argument("--audit", action="store_true")

@@ -120,15 +120,6 @@ def field_of(design: Sequence[LayerSpec], input_channels: int) -> InfoField:
     return field
 
 
-def trace(design: Sequence[LayerSpec], input_channels: int) -> list[InfoField]:
-    """Field after each kernel, starting from the initial field."""
-    _check_design(design, input_channels)
-    fields = [InfoField.initial()]
-    for layer in design:
-        fields.append(propagate(fields[-1], layer, input_channels))
-    return fields
-
-
 def step(
     field: InfoField, layer: LayerSpec, reference: InfoField, last: bool = False
 ) -> tuple[InfoField, Optional[VerdictKind]]:

@@ -89,26 +89,6 @@ class Kernel:
         return self.kind.value
 
 
-def standard(spatial: int = 3) -> Kernel:
-    return Kernel(Kind.STANDARD, spatial=spatial)
-
-
-def group_conv(groups: int, spatial: int = 3) -> Kernel:
-    return Kernel(Kind.GROUP, spatial=spatial, groups=groups)
-
-
-def depthwise(spatial: int = 3) -> Kernel:
-    return Kernel(Kind.DEPTHWISE, spatial=spatial)
-
-
-def pointwise() -> Kernel:
-    return Kernel(Kind.POINTWISE, spatial=1)
-
-
-def pointwise_group(groups: int) -> Kernel:
-    return Kernel(Kind.POINTWISE_GROUP, spatial=1, groups=groups)
-
-
 @dataclass(frozen=True)
 class LayerSpec:
     """A kernel applied at concrete input/output channel counts."""
@@ -148,19 +128,6 @@ class LayerSpec:
 
     def __str__(self) -> str:
         return f"{self.kernel}[{self.in_channels}->{self.out_channels}]"
-
-
-@dataclass(frozen=True)
-class TensorShape:
-    """Channels x height x width of a feature tensor."""
-
-    channels: int
-    height: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if min(self.channels, self.height, self.width) < 1:
-            raise ValidationError("tensor dimensions must be positive")
 
 
 def param_count(layer: LayerSpec) -> int:

@@ -3,16 +3,18 @@
 Two oracles live here and deliberately share no machinery with the modules
 they check:
 
-* a dependency-graph information-field oracle that wires up every
-  activation of a small network literally, inserts interleave channel
-  shuffles between layers, and measures the set of input activations one
-  central output activation can reach;
+* a factored dependency-graph information-field oracle that inserts
+  interleave channel shuffles between layers and counts the original input
+  channels one output channel can reach, by ORing one cached input bitmask
+  per output channel backward layer by layer;
 
 * an exhaustive divisor-grid optimizer that evaluates exact integer
   parameter counts at every feasible group-number pair and returns all
   minimizers.
 
-Both are desk-scale by construction and refuse oversized inputs.
+Both are desk-scale by construction and refuse oversized inputs.  The
+literal node-level walk that wires up every activation and cross-checks the
+factored graph oracle lives in the tests (`tests/naive.py`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .kernels import Kind, LayerSpec, TensorShape, ValidationError
+from .kernels import Kind, LayerSpec, ValidationError
 
 MAX_ORACLE_CHANNELS = 16
 MAX_ORACLE_SPATIAL = 9
@@ -69,10 +71,6 @@ def _shuffle_group(layer: LayerSpec) -> int:
     return layer.kernel.groups
 
 
-def _window(k: int) -> range:
-    return range(-(k // 2), k - k // 2)
-
-
 def _check_caps(design: Sequence[LayerSpec]) -> None:
     for layer in design:
         if max(layer.in_channels, layer.out_channels) > MAX_ORACLE_CHANNELS:
@@ -104,64 +102,8 @@ def _reached(read_masks: tuple[int, ...], outputs: int) -> int:
     return inputs
 
 
-def _interleave_permutations(design: Sequence[LayerSpec]) -> list[tuple[int, ...]]:
-    perms: list[tuple[int, ...]] = [tuple(range(design[0].in_channels))]
-    for i in range(1, len(design)):
-        perms.append(interleave(design[i].in_channels, _shuffle_group(design[i - 1])))
-    return perms
-
-
-def graph_information_field(
-    design: Sequence[LayerSpec], input_shape: TensorShape
-) -> tuple[int, int, int]:
-    """Literal reachability on the activation dependency graph.
-
-    Builds the node set (channel, x, y) layer by layer with interleave
-    shuffles between layers, walks backward from one central output
-    activation, and returns the bounding-box spatial extents and the number
-    of distinct original channels reached.  The input spatial size must
-    cover the full field so no window is clipped at a border.
-    """
-    if not design:
-        raise ValidationError("empty design")
-    _check_caps(design)
-    if design[0].in_channels != input_shape.channels:
-        raise ValidationError("input shape does not match the first layer")
-    if max(input_shape.height, input_shape.width) > MAX_ORACLE_SPATIAL:
-        raise ValidationError(f"oracle caps exceeded: spatial > {MAX_ORACLE_SPATIAL}")
-    extent = 1 + sum(layer.kernel.spatial - 1 for layer in design)
-    if input_shape.height < extent or input_shape.width < extent:
-        raise ValidationError(
-            f"input spatial size {input_shape.height}x{input_shape.width} smaller "
-            f"than the total field extent {extent}"
-        )
-    perms = _interleave_permutations(design)
-    # central output activation of channel 0; coordinates are absolute
-    cx = input_shape.height // 2
-    cy = input_shape.width // 2
-    nodes: set[tuple[int, int, int]] = {(0, cx, cy)}
-    for i in range(len(design) - 1, -1, -1):
-        layer = design[i]
-        reads = _input_groups(layer)
-        win = _window(layer.kernel.spatial)
-        prev: set[tuple[int, int, int]] = set()
-        for ch, x, y in nodes:
-            for c in reads[ch]:
-                for dx in win:
-                    for dy in win:
-                        prev.add((c, x + dx, y + dy))
-        if i > 0:
-            perm = perms[i]
-            prev = {(perm[c], x, y) for c, x, y in prev}
-        nodes = prev
-    xs = [x for _, x, _ in nodes]
-    ys = [y for _, _, y in nodes]
-    channels = {c for c, _, _ in nodes}
-    return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1, len(channels))
-
-
 def reachable_channel_triple(design: Sequence[LayerSpec]) -> tuple[int, int, int]:
-    """Factored form of the graph oracle.
+    """Factored form of the node-level graph walk.
 
     For stride-1 layers with uniform windows the reachable node set is
     always a product of one channel set and one spatial box, so channels

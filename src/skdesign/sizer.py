@@ -21,14 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .efficiency import Family, UnderBudgetError, layers_for
-from .kernels import (
-    Kernel,
-    LayerSpec,
-    ValidationError,
-    flop_count,
-    param_count,
-    standard,
-)
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 
 STAGE_COUNT = 4
 STAGE_RESOLUTIONS = (56, 28, 14, 7)
@@ -81,7 +74,7 @@ class BlockSpec:
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
         if self.kind == "standard":
-            return [LayerSpec(standard(3), c, f)]
+            return [LayerSpec(Kernel.of(Kind.STANDARD), c, f)]
         return layers_for(Family.parse(self.kind), c, f, self.groups)
 
     def describe(self) -> str:
@@ -162,7 +155,7 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     """Exact whole-model parameter and MAC totals under the layout."""
     conv = layout.conventions
     w = layout.width
-    stem_layer = LayerSpec(standard(3), 3, w)
+    stem_layer = LayerSpec(Kernel.of(Kind.STANDARD), 3, w)
     stem = _layer_params(stem_layer, conv)
     macs = flop_count(stem_layer, (STEM_RESOLUTION, STEM_RESOLUTION))
 
@@ -189,7 +182,7 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
             total += count * _block_params(layers, conv)
             macs += count * _block_macs(layers, r_in, res_out)
         if s and conv.include_projections:
-            proj = LayerSpec(standard(1), width_in, width_out)
+            proj = LayerSpec(Kernel.of(Kind.STANDARD, 1), width_in, width_out)
             projections += _layer_params(proj, conv)
             macs += flop_count(proj, (res_out, res_out))
         stage_params.append(total)

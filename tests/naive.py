@@ -1,21 +1,37 @@
-"""The naive search path, kept as the tests' independent reference.
+"""Naive reference code, kept in the tests as independent cross-checks.
 
-`concretize` lists every group assignment of one sequence under each width
-plan, priced layer by layer, and `evaluate_candidate` classifies one
-candidate alone with `infofield.classify`.  The fused walk in
-`skdesign.search` must give the same candidates, prices and verdict counts.
-The width plans are written out whole here and the group numbers found
-by trying `LayerSpec`, so a fault in the search's own plans or slot
-choices shows.
+The naive search path: `concretize` lists every group assignment of one
+sequence under each width plan, priced layer by layer, and
+`evaluate_candidate` classifies one candidate alone with
+`infofield.classify`.  The fused walk in `skdesign.search` must give the
+same candidates, prices and verdict counts.  The width plans are written
+out whole here and the group numbers found by trying `LayerSpec`, so a
+fault in the search's own plans or slot choices shows.
+
+The literal graph oracle: `graph_information_field` wires up every
+activation (channel, x, y) of a small network and walks backward from one
+central output activation.  `oracles.reachable_channel_triple`, the
+factored bitmask form that `src/` keeps, must agree with it.
+
+Test helpers that `src/` does not need: `trace` (the field after each
+kernel), `TensorShape`, and one kernel constructor per kind beside
+`Kernel.of`.
 """
 
 import functools
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from skdesign.infofield import FieldVerdict, classify
+from skdesign.infofield import FieldVerdict, InfoField, _check_design, classify, propagate
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
+from skdesign.oracles import (
+    MAX_ORACLE_SPATIAL,
+    _check_caps,
+    _input_groups,
+    _shuffle_group,
+    interleave,
+)
 from skdesign.search import DesignCandidate, SearchConfig
 
 _KIND_CHAR = {
@@ -109,3 +125,105 @@ def concretize(
 def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> FieldVerdict:
     """Classify one candidate against the reference field."""
     return classify(candidate_layers(candidate, config.spatial), config.reference_field)
+
+
+def standard(spatial: int = 3) -> Kernel:
+    return Kernel(Kind.STANDARD, spatial=spatial)
+
+
+def group_conv(groups: int, spatial: int = 3) -> Kernel:
+    return Kernel(Kind.GROUP, spatial=spatial, groups=groups)
+
+
+def depthwise(spatial: int = 3) -> Kernel:
+    return Kernel(Kind.DEPTHWISE, spatial=spatial)
+
+
+def pointwise() -> Kernel:
+    return Kernel(Kind.POINTWISE, spatial=1)
+
+
+def pointwise_group(groups: int) -> Kernel:
+    return Kernel(Kind.POINTWISE_GROUP, spatial=1, groups=groups)
+
+
+@dataclass(frozen=True)
+class TensorShape:
+    """Channels x height x width of a feature tensor."""
+
+    channels: int
+    height: int
+    width: int
+
+    def __post_init__(self) -> None:
+        if min(self.channels, self.height, self.width) < 1:
+            raise ValidationError("tensor dimensions must be positive")
+
+
+def trace(design: Sequence[LayerSpec], input_channels: int) -> list[InfoField]:
+    """Field after each kernel, starting from the initial field."""
+    _check_design(design, input_channels)
+    fields = [InfoField.initial()]
+    for layer in design:
+        fields.append(propagate(fields[-1], layer, input_channels))
+    return fields
+
+
+def _window(k: int) -> range:
+    return range(-(k // 2), k - k // 2)
+
+
+def _interleave_permutations(design: Sequence[LayerSpec]) -> list[tuple[int, ...]]:
+    perms: list[tuple[int, ...]] = [tuple(range(design[0].in_channels))]
+    for i in range(1, len(design)):
+        perms.append(interleave(design[i].in_channels, _shuffle_group(design[i - 1])))
+    return perms
+
+
+def graph_information_field(
+    design: Sequence[LayerSpec], input_shape: TensorShape
+) -> tuple[int, int, int]:
+    """Literal reachability on the activation dependency graph.
+
+    Builds the node set (channel, x, y) layer by layer with interleave
+    shuffles between layers, walks backward from one central output
+    activation, and returns the bounding-box spatial extents and the number
+    of distinct original channels reached.  The input spatial size must
+    cover the full field so no window is clipped at a border.
+    """
+    if not design:
+        raise ValidationError("empty design")
+    _check_caps(design)
+    if design[0].in_channels != input_shape.channels:
+        raise ValidationError("input shape does not match the first layer")
+    if max(input_shape.height, input_shape.width) > MAX_ORACLE_SPATIAL:
+        raise ValidationError(f"oracle caps exceeded: spatial > {MAX_ORACLE_SPATIAL}")
+    extent = 1 + sum(layer.kernel.spatial - 1 for layer in design)
+    if input_shape.height < extent or input_shape.width < extent:
+        raise ValidationError(
+            f"input spatial size {input_shape.height}x{input_shape.width} smaller "
+            f"than the total field extent {extent}"
+        )
+    perms = _interleave_permutations(design)
+    # central output activation of channel 0; coordinates are absolute
+    cx = input_shape.height // 2
+    cy = input_shape.width // 2
+    nodes: set[tuple[int, int, int]] = {(0, cx, cy)}
+    for i in range(len(design) - 1, -1, -1):
+        layer = design[i]
+        reads = _input_groups(layer)
+        win = _window(layer.kernel.spatial)
+        prev: set[tuple[int, int, int]] = set()
+        for ch, x, y in nodes:
+            for c in reads[ch]:
+                for dx in win:
+                    for dy in win:
+                        prev.add((c, x + dx, y + dy))
+        if i > 0:
+            perm = perms[i]
+            prev = {(perm[c], x, y) for c, x, y in prev}
+        nodes = prev
+    xs = [x for _, x, _ in nodes]
+    ys = [y for _, _, y in nodes]
+    channels = {c for c, _, _ in nodes}
+    return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1, len(channels))

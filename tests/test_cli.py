@@ -1,12 +1,20 @@
+import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from skdesign.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, EXIT_VALIDATION, main
+from naive import _group_numbers
+from skdesign.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, EXIT_VALIDATION, main, render_dot
+from skdesign.kernels import Kernel, Kind, LayerSpec
+from skdesign.oracles import _input_groups, _shuffle_group, interleave
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -158,6 +166,53 @@ def test_search_out_channels_and_alpha_together_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("alpha", ["1/0", "two"])
+def test_search_alpha_that_is_no_ratio_is_a_usage_error(capsys, alpha):
+    code, out, err = run(capsys, "search", "--max-len", "2", "--alpha", alpha)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--alpha" in err
+
+
+def test_graph_edges_are_the_reads_through_the_interleave():
+    for c in (4, 8, 12):
+        legal = [
+            LayerSpec(Kernel.of(kind, groups=g), c, c)
+            for kind in Kind
+            for g in _group_numbers(kind, c, c, 3)
+        ]
+        for n in (1, 2):
+            for design in itertools.product(legal, repeat=n):
+                expected = set()
+                for li, layer in enumerate(design):
+                    if li:
+                        perm = interleave(layer.in_channels, _shuffle_group(design[li - 1]))
+                    else:
+                        perm = tuple(range(layer.in_channels))
+                    for ch, reads in enumerate(_input_groups(layer)):
+                        expected.update((li, perm[src], ch) for src in reads)
+                edges = re.findall(r"t(\d+)_c(\d+) -> t\d+_c(\d+)", render_dot(list(design)))
+                assert {tuple(map(int, e)) for e in edges} == expected, design
+
+
+def _readme_commands():
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        line.split("|", 1)[0].strip()
+        for line in block.splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_line_examples_exit_zero(capsys, command):
+    argv = shlex.split(command)
+    assert argv[0] == "skdesign"
+    code, _, err = run(capsys, *argv[1:])
+    assert code == EXIT_OK, err
 
 
 def test_graph_json_carries_the_same_dot(capsys):

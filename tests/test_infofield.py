@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from naive import depthwise, group_conv, pointwise, pointwise_group, standard, trace
 from skdesign.infofield import (
     FieldVerdict,
     InfoField,
@@ -8,18 +9,8 @@ from skdesign.infofield import (
     classify,
     field_of,
     propagate,
-    trace,
 )
-from skdesign.kernels import (
-    Kind,
-    LayerSpec,
-    ValidationError,
-    depthwise,
-    group_conv,
-    pointwise,
-    pointwise_group,
-    standard,
-)
+from skdesign.kernels import Kind, LayerSpec, ValidationError
 
 REF3 = InfoField.reference(3, 64)
 

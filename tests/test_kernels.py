@@ -3,20 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from skdesign.kernels import (
-    Kernel,
-    Kind,
-    LayerSpec,
-    TensorShape,
-    ValidationError,
-    depthwise,
-    flop_count,
-    group_conv,
-    param_count,
-    pointwise,
-    pointwise_group,
-    standard,
-)
+from naive import TensorShape, depthwise, group_conv, pointwise, pointwise_group, standard
+from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 
 
 def _kernel_unchecked(kind: Kind, spatial: int, groups: int) -> Kernel:

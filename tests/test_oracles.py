@@ -4,24 +4,21 @@ from pathlib import Path
 
 import pytest
 
-from skdesign.kernels import (
-    Kernel,
-    Kind,
-    LayerSpec,
+from naive import (
     TensorShape,
-    ValidationError,
     depthwise,
+    graph_information_field,
     group_conv,
     pointwise,
     pointwise_group,
     standard,
 )
+from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.oracles import (
     best_permutation_channel_count,
     divisor_grid_min,
     feasible_pairs,
     gc_pwg_params,
-    graph_information_field,
     interleave,
     pwg_dw_pwg_params,
     reachable_channel_triple,
