@@ -18,7 +18,7 @@ from typing import Any, Optional
 from . import __version__, efficiency, search, sizer
 from .efficiency import Family
 from .kernels import Kernel, Kind, LayerSpec, ValidationError
-from .oracles import _read_masks, _shuffle_group
+from .oracles import _read_masks, shuffle_group
 
 SCHEMA_VERSION = 1
 
@@ -44,9 +44,12 @@ def _fmt_fraction(x: Fraction) -> str:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
@@ -58,10 +61,13 @@ def _ratio_arg(text: str) -> Fraction:
 
 
 def _groups_arg(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two group numbers, e.g. 4,4")
-    return int(parts[0]), int(parts[1])
+    try:
+        m, n = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two group numbers such as 4,4, got {text}"
+        ) from None
+    return m, n
 
 
 def _emit(doc: dict[str, Any], lines: list[str], fmt: str) -> None:
@@ -335,7 +341,7 @@ def render_dot(layers, name: str = "design") -> str:
     out.append("  }")
     for li, layer in enumerate(layers):
         color = "green" if layer.kernel.spatial > 1 else "blue"
-        shuffle = _shuffle_group(layers[li - 1]) if li else 1
+        shuffle = shuffle_group(layers[li - 1]) if li else 1
         for ch, mask in enumerate(_read_masks(layer, shuffle)):
             for src in range(mask.bit_length()):
                 if mask >> src & 1:

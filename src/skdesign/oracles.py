@@ -5,8 +5,8 @@ they check:
 
 * a factored dependency-graph information-field oracle that inserts
   interleave channel shuffles between layers and counts the original input
-  channels one output channel can reach, by ORing one cached input bitmask
-  per output channel backward layer by layer;
+  channels one output channel can reach, by carrying forward, layer by
+  layer, the bitmask of original channels each channel reaches;
 
 * an exhaustive divisor-grid optimizer that evaluates exact integer
   parameter counts at every feasible group-number pair and returns all
@@ -64,14 +64,14 @@ def _input_groups(layer: LayerSpec) -> list[list[int]]:
     return out
 
 
-def _shuffle_group(layer: LayerSpec) -> int:
+def shuffle_group(layer: LayerSpec) -> int:
     """Group count used for the interleave shuffle after a layer."""
     if layer.kernel.kind is Kind.DEPTHWISE:
         return layer.out_channels
     return layer.kernel.groups
 
 
-def _check_caps(design: Sequence[LayerSpec]) -> None:
+def check_caps(design: Sequence[LayerSpec]) -> None:
     for layer in design:
         if max(layer.in_channels, layer.out_channels) > MAX_ORACLE_CHANNELS:
             raise ValidationError(
@@ -92,14 +92,31 @@ def _read_masks(layer: LayerSpec, shuffle: int) -> tuple[int, ...]:
     return tuple(sum(1 << perm[c] for c in reads) for reads in _input_groups(layer))
 
 
-def _reached(read_masks: tuple[int, ...], outputs: int) -> int:
-    """Bitmask of the channels read by the output channels set in `outputs`."""
+def _reached(masks: tuple[int, ...], channels: int) -> int:
+    """OR of `masks[i]` over the channels i set in `channels`: the channels
+    read by a set of output channels, or the originals a set reaches."""
     inputs = 0
-    while outputs:
-        low = outputs & -outputs
-        inputs |= read_masks[low.bit_length() - 1]
-        outputs ^= low
+    while channels:
+        low = channels & -channels
+        inputs |= masks[low.bit_length() - 1]
+        channels ^= low
     return inputs
+
+
+def reach_step(reach: tuple[int, ...], layer: LayerSpec, shuffle: int) -> tuple[int, ...]:
+    """For each output channel of `layer`, the bitmask of original channels
+    it reaches, given `reach` for the layer before and the interleave with
+    `shuffle` groups between them.  Each distinct read mask is resolved once."""
+    masks = _read_masks(layer, shuffle)
+    resolved = {m: _reached(reach, m) for m in set(masks)}
+    # from a list: tuple() of a generator resizes its result, and CPython
+    # keeps each freed resized tuple on a free list, 0.4 MB over one sweep
+    return tuple([resolved[m] for m in masks])
+
+
+def reach_first(reach: tuple[int, ...], layer: LayerSpec, shuffle: int) -> int:
+    """Output channel 0 of `reach_step`: all a design's last layer needs."""
+    return _reached(reach, _read_masks(layer, shuffle)[0])
 
 
 def reachable_channel_triple(design: Sequence[LayerSpec]) -> tuple[int, int, int]:
@@ -112,15 +129,12 @@ def reachable_channel_triple(design: Sequence[LayerSpec]) -> tuple[int, int, int
     """
     if not design:
         raise ValidationError("empty design")
-    _check_caps(design)
-    # backward from output channel 0: each layer maps the set of output
-    # channels reached to the set of original channels they read
-    mask = 1
-    for i in range(len(design) - 1, -1, -1):
-        shuffle = _shuffle_group(design[i - 1]) if i else 1
-        mask = _reached(_read_masks(design[i], shuffle), mask)
+    check_caps(design)
+    reach, shuffle = tuple(1 << j for j in range(design[0].in_channels)), 1
+    for layer in design[:-1]:
+        reach, shuffle = reach_step(reach, layer, shuffle), shuffle_group(layer)
     extent = 1 + sum(layer.kernel.spatial - 1 for layer in design)
-    return (extent, extent, mask.bit_count())
+    return (extent, extent, reach_first(reach, design[-1], shuffle).bit_count())
 
 
 def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:

@@ -15,11 +15,10 @@ Two suites:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from . import oracles
-from .infofield import field_of
+from .infofield import InfoField, propagate
 from .kernels import ValidationError
 from .search import SK_ALPHABET, _slot_layers, sequence_name
 
@@ -42,8 +41,6 @@ class VerifyResult:
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         head = f"{self.name}: {status} ({self.checked} cases)"
-        if self.passed:
-            return head
         return head + "".join(f"\n  counterexample: {c}" for c in self.counterexamples)
 
     def as_doc(self) -> dict:
@@ -79,30 +76,43 @@ def verify_theorem1(c_max: int = 64) -> VerifyResult:
 
 
 def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
-    """Calculus triple vs dependency-graph triple, all sequences and groups."""
+    """Calculus triple vs dependency-graph triple, all sequences and groups:
+    one depth-first walk per channel count extends each design's prefix by
+    one `propagate` on the calculus side and one `reach_step` on the oracle's."""
     _check_c_max(c_max)
     result = VerifyResult("infofield")
-    channels = [c for c in INFOFIELD_CHANNELS if c <= c_max]
-    for c in channels:
-        for length in range(1, len_max + 1):
-            for seq in itertools.product(SK_ALPHABET, repeat=length):
-                slots = [_slot_layers(kind, c, c, INFOFIELD_SPATIAL) for kind in seq]
-                for choice in itertools.product(*slots):
-                    layers = [layer for _, layer, _ in choice]
-                    calc = field_of(layers, c)
-                    want = (calc.spatial_x, calc.spatial_y, calc.channels)
-                    got = oracles.reachable_channel_triple(layers)
-                    result.checked += 1
-                    if got == want:
-                        continue
-                    if c <= oracles.FULL_PERMUTATION_LIMIT:
-                        best = oracles.best_permutation_channel_count(layers)
-                        if (got[0], got[1], best) == want:
-                            continue
-                        got = (got[0], got[1], best)
-                    groups = tuple(g or 1 for g, _, _ in choice)
-                    result.counterexamples.append(
-                        f"C={c}, {sequence_name(seq)} groups={groups}: "
-                        f"calculus {want}, graph {got}"
-                    )
+    for c in (c for c in INFOFIELD_CHANNELS if c <= c_max):
+        # (kind index, choice index, group, layer, shuffle after the layer)
+        slots = [
+            (k, i, g or 1, layer, oracles.shuffle_group(layer))
+            for k, kind in enumerate(SK_ALPHABET)
+            for i, (g, layer, _) in enumerate(_slot_layers(kind, c, c, INFOFIELD_SPATIAL))
+        ]
+        oracles.check_caps([slot[3] for slot in slots])
+        found = []
+        reach = tuple(1 << j for j in range(c))
+        stack = [((), InfoField.initial(), 1, reach, 1)] if len_max else []
+        while stack:
+            prefix, calc, extent, reach, shuffle = stack.pop()
+            for slot in slots:
+                layer = slot[3]
+                new = propagate(calc, layer, c)
+                grown = extent + layer.kernel.spatial - 1
+                want = (new.spatial_x, new.spatial_y, new.channels)
+                got = (grown, grown, oracles.reach_first(reach, layer, shuffle).bit_count())
+                design = prefix + (slot,)
+                if got != want and c <= oracles.FULL_PERMUTATION_LIMIT:
+                    layers = [s[3] for s in design]
+                    got = (grown, grown, oracles.best_permutation_channel_count(layers))
+                if got != want:
+                    # sorted as itertools.product lists them: by length, kinds, choices
+                    ks, choices, groups, _, _ = zip(*design)
+                    seq = sequence_name([SK_ALPHABET[k] for k in ks])
+                    text = f"C={c}, {seq} groups={groups}: calculus {want}, graph {got}"
+                    found.append(((len(design), ks, choices), text))
+                if len(design) < len_max:
+                    reach_next = oracles.reach_step(reach, layer, shuffle)
+                    stack.append((design, new, grown, reach_next, slot[4]))
+            result.checked += len(slots)
+        result.counterexamples += [text for _, text in sorted(found)]
     return result

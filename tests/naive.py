@@ -13,6 +13,11 @@ activation (channel, x, y) of a small network and walks backward from one
 central output activation.  `oracles.reachable_channel_triple`, the
 factored bitmask form that `src/` keeps, must agree with it.
 
+The per-design infofield sweep: `verify_infofield_per_design` builds every
+design of the sweep from scratch with `field_of` and
+`reachable_channel_triple`; the prefix-sharing walk of
+`verify.verify_infofield` must give the same result document.
+
 Test helpers that `src/` does not need: `trace` (the field after each
 kernel), `TensorShape`, and one kernel constructor per kind beside
 `Kernel.of`.
@@ -23,16 +28,27 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from skdesign.infofield import FieldVerdict, InfoField, _check_design, classify, propagate
+from skdesign.infofield import (
+    FieldVerdict,
+    InfoField,
+    _check_design,
+    classify,
+    field_of,
+    propagate,
+)
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 from skdesign.oracles import (
+    FULL_PERMUTATION_LIMIT,
     MAX_ORACLE_SPATIAL,
-    _check_caps,
     _input_groups,
-    _shuffle_group,
+    best_permutation_channel_count,
+    check_caps,
     interleave,
+    reachable_channel_triple,
+    shuffle_group,
 )
-from skdesign.search import DesignCandidate, SearchConfig
+from skdesign.search import SK_ALPHABET, DesignCandidate, SearchConfig, _slot_layers, sequence_name
+from skdesign.verify import INFOFIELD_CHANNELS, INFOFIELD_SPATIAL, VerifyResult, _check_c_max
 
 _KIND_CHAR = {
     Kind.GROUP: "g",
@@ -176,7 +192,7 @@ def _window(k: int) -> range:
 def _interleave_permutations(design: Sequence[LayerSpec]) -> list[tuple[int, ...]]:
     perms: list[tuple[int, ...]] = [tuple(range(design[0].in_channels))]
     for i in range(1, len(design)):
-        perms.append(interleave(design[i].in_channels, _shuffle_group(design[i - 1])))
+        perms.append(interleave(design[i].in_channels, shuffle_group(design[i - 1])))
     return perms
 
 
@@ -193,7 +209,7 @@ def graph_information_field(
     """
     if not design:
         raise ValidationError("empty design")
-    _check_caps(design)
+    check_caps(design)
     if design[0].in_channels != input_shape.channels:
         raise ValidationError("input shape does not match the first layer")
     if max(input_shape.height, input_shape.width) > MAX_ORACLE_SPATIAL:
@@ -227,3 +243,34 @@ def graph_information_field(
     ys = [y for _, _, y in nodes]
     channels = {c for c, _, _ in nodes}
     return (max(xs) - min(xs) + 1, max(ys) - min(ys) + 1, len(channels))
+
+
+def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResult:
+    """The infofield sweep with every design built from scratch, in
+    `itertools.product` order."""
+    _check_c_max(c_max)
+    result = VerifyResult("infofield")
+    channels = [c for c in INFOFIELD_CHANNELS if c <= c_max]
+    for c in channels:
+        for length in range(1, len_max + 1):
+            for seq in itertools.product(SK_ALPHABET, repeat=length):
+                slots = [_slot_layers(kind, c, c, INFOFIELD_SPATIAL) for kind in seq]
+                for choice in itertools.product(*slots):
+                    layers = [layer for _, layer, _ in choice]
+                    calc = field_of(layers, c)
+                    want = (calc.spatial_x, calc.spatial_y, calc.channels)
+                    got = reachable_channel_triple(layers)
+                    result.checked += 1
+                    if got == want:
+                        continue
+                    if c <= FULL_PERMUTATION_LIMIT:
+                        best = best_permutation_channel_count(layers)
+                        if (got[0], got[1], best) == want:
+                            continue
+                        got = (got[0], got[1], best)
+                    groups = tuple(g or 1 for g, _, _ in choice)
+                    result.counterexamples.append(
+                        f"C={c}, {sequence_name(seq)} groups={groups}: "
+                        f"calculus {want}, graph {got}"
+                    )
+    return result

@@ -12,7 +12,7 @@ import pytest
 from naive import _group_numbers
 from skdesign.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, EXIT_VALIDATION, main, render_dot
 from skdesign.kernels import Kernel, Kind, LayerSpec
-from skdesign.oracles import _input_groups, _shuffle_group, interleave
+from skdesign.oracles import _input_groups, interleave, shuffle_group
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -122,6 +122,24 @@ def test_verify_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["search", "--channels", "x"], "--channels", "x"),
+        (["search", "--max-len", "0"], "--max-len", "0"),
+        (["analyze", "gc+pwg", "--c", "36", "--f", "36", "--groups", "a,b"], "--groups", "a,b"),
+        (["analyze", "gc+pwg", "--c", "36", "--f", "36", "--groups", "4,4,4"], "--groups", "4,4,4"),
+    ],
+)
+def test_malformed_numbers_are_usage_errors_that_name_the_flag(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {flag}: expected" in err
+    assert f"got {value}" in err
+    assert "_positive_int" not in err and "_groups_arg" not in err
+
+
 def test_graph_emits_colored_dot(capsys):
     code, out, _ = run(capsys, "graph", "dw+pw", "--channels", "4")
     assert code == EXIT_OK
@@ -188,7 +206,7 @@ def test_graph_edges_are_the_reads_through_the_interleave():
                 expected = set()
                 for li, layer in enumerate(design):
                     if li:
-                        perm = interleave(layer.in_channels, _shuffle_group(design[li - 1]))
+                        perm = interleave(layer.in_channels, shuffle_group(design[li - 1]))
                     else:
                         perm = tuple(range(layer.in_channels))
                     for ch, reads in enumerate(_input_groups(layer)):

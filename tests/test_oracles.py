@@ -15,13 +15,18 @@ from naive import (
 )
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.oracles import (
+    _reached,
+    _read_masks,
     best_permutation_channel_count,
     divisor_grid_min,
     feasible_pairs,
     gc_pwg_params,
     interleave,
     pwg_dw_pwg_params,
+    reach_first,
+    reach_step,
     reachable_channel_triple,
+    shuffle_group,
 )
 
 SHAPE8 = TensorShape(8, 9, 9)
@@ -92,21 +97,26 @@ def _legal_layers(kind, c_in, c_out):
             pass
 
 
-def test_factored_oracle_matches_node_level_walk_across_widths():
-    widths = (4, 8, 12, 16)
-    checked = 0
-    for length in (1, 2):
+def _legal_designs(widths=(4, 8, 12, 16), max_length=2):
+    """Every design of every kind up to `max_length` layers whose widths
+    come from `widths`, width changes included."""
+    for length in range(1, max_length + 1):
         for plan in itertools.product(widths, repeat=length + 1):
             for seq in itertools.product(Kind, repeat=length):
                 slots = [
                     list(_legal_layers(kind, c_in, c_out))
                     for kind, c_in, c_out in zip(seq, plan, plan[1:])
                 ]
-                for layers in itertools.product(*slots):
-                    assert reachable_channel_triple(layers) == graph_information_field(
-                        layers, TensorShape(plan[0], 9, 9)
-                    ), [str(layer) for layer in layers]
-                    checked += 1
+                yield from itertools.product(*slots)
+
+
+def test_factored_oracle_matches_node_level_walk_across_widths():
+    checked = 0
+    for layers in _legal_designs():
+        assert reachable_channel_triple(layers) == graph_information_field(
+            layers, TensorShape(layers[0].in_channels, 9, 9)
+        ), [str(layer) for layer in layers]
+        checked += 1
     assert checked > 1000
     # the shuffle after pwg(3) at width 8 does not tile, so it is the identity
     des = [LayerSpec(pointwise_group(3), 12, 8), LayerSpec(group_conv(2), 8, 8)]
@@ -121,6 +131,30 @@ def test_factored_oracle_matches_node_level_walk_across_widths():
         LayerSpec(group_conv(3), 12, 12),
     ]
     assert reachable_channel_triple(des) == graph_information_field(des, TensorShape(16, 9, 9))
+
+
+def _backward_reach(design, outputs):
+    """The original channels a set of the last layer's output channels
+    reaches, walked backward through each layer's read masks."""
+    for i in range(len(design) - 1, -1, -1):
+        shuffle = shuffle_group(design[i - 1]) if i else 1
+        outputs = _reached(_read_masks(design[i], shuffle), outputs)
+    return outputs
+
+
+def test_reach_step_matches_a_backward_walk_on_every_output_channel():
+    checked = 0
+    for layers in _legal_designs():
+        reach, shuffle = tuple(1 << j for j in range(layers[0].in_channels)), 1
+        for layer in layers:
+            before, before_shuffle = reach, shuffle
+            reach, shuffle = reach_step(reach, layer, shuffle), shuffle_group(layer)
+        assert reach == tuple(
+            _backward_reach(layers, 1 << j) for j in range(layers[-1].out_channels)
+        ), [str(layer) for layer in layers]
+        assert reach_first(before, layers[-1], before_shuffle) == reach[0]
+        checked += 1
+    assert checked > 1000
 
 
 def test_oracle_imports_nothing_it_checks():
