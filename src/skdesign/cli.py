@@ -13,12 +13,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from . import __version__, efficiency, search, sizer
+from . import __version__, efficiency, search
 from .efficiency import Family
 from .kernels import Kernel, Kind, LayerSpec, ValidationError
 from .oracles import _read_masks, shuffle_group
+
+if TYPE_CHECKING:  # search and verify do not load the sizer
+    from . import sizer
 
 SCHEMA_VERSION = 1
 
@@ -196,10 +199,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _block_from_args(args: argparse.Namespace) -> sizer.BlockSpec:
+    from . import sizer
+
     return sizer.BlockSpec(args.family, args.groups)
 
 
 def _conventions_from_args(args: argparse.Namespace) -> sizer.Conventions:
+    from . import sizer
+
     return sizer.Conventions(
         include_projections=not args.no_projections,
         include_batchnorm=args.include_bn,
@@ -233,6 +240,8 @@ def _report_lines(report: sizer.SizingReport) -> list[str]:
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
+    from . import sizer
+
     layout = sizer.NetworkLayout(
         width=args.width,
         blocks_per_stage=args.blocks,
@@ -244,6 +253,8 @@ def _cmd_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_width(args: argparse.Namespace) -> int:
+    from . import sizer
+
     report = sizer.solve_width(
         args.budget,
         _block_from_args(args),

@@ -152,6 +152,7 @@ def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:
             raise ValidationError(
                 f"full permutation search capped at {FULL_PERMUTATION_LIMIT} channels"
             )
+    everything = design[0].in_channels
 
     @lru_cache(maxsize=None)
     def best(layer_idx: int, mask: int) -> int:
@@ -164,6 +165,8 @@ def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:
         result = 0
         for subset in _subsets_of_size(n, size):
             result = max(result, best(layer_idx - 1, subset))
+            if result == everything:  # no subset reaches more
+                break
         return result
 
     return best(len(design) - 1, 1)

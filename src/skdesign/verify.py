@@ -76,9 +76,15 @@ def verify_theorem1(c_max: int = 64) -> VerifyResult:
 
 
 def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
-    """Calculus triple vs dependency-graph triple, all sequences and groups:
-    one depth-first walk per channel count extends each design's prefix by
-    one `propagate` on the calculus side and one `reach_step` on the oracle's."""
+    """Calculus triple vs dependency-graph triple, all sequences and groups.
+
+    A design's verdict and those of its extensions depend only on the state
+    its prefix reaches: the calculus field, the oracle's extent and reach,
+    and the shuffle after the last layer.  So one level loop per channel
+    count checks each distinct (state, slot) pair of each depth once, with
+    one `propagate`, one `reach_first` and, below the last depth, one
+    `reach_step`; a disagreement is expanded to every design whose prefix
+    reaches that state."""
     _check_c_max(c_max)
     result = VerifyResult("infofield")
     for c in (c for c in INFOFIELD_CHANNELS if c <= c_max):
@@ -89,30 +95,56 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
             for i, (g, layer, _) in enumerate(_slot_layers(kind, c, c, INFOFIELD_SPATIAL))
         ]
         oracles.check_caps([slot[3] for slot in slots])
+        result.checked += sum(len(slots) ** n for n in range(1, len_max + 1))
+        # levels[d] maps each state reached by d layers to the
+        # (state at d - 1, slot) edges into it
+        levels = [{(InfoField.initial(), 1, tuple(1 << j for j in range(c)), 1): []}]
+        failing = []
+        for depth in range(1, len_max + 1):
+            below = {}
+            for state in levels[-1]:
+                calc, extent, reach, shuffle = state
+                for slot in slots:
+                    layer = slot[3]
+                    new = propagate(calc, layer, c)
+                    grown = extent + layer.kernel.spatial - 1
+                    want = (new.spatial_x, new.spatial_y, new.channels)
+                    got = (grown, grown, oracles.reach_first(reach, layer, shuffle).bit_count())
+                    if got != want:
+                        failing.append((depth - 1, state, slot, want, got))
+                    if depth < len_max:
+                        key = (new, grown, oracles.reach_step(reach, layer, shuffle), slot[4])
+                        below.setdefault(key, []).append((state, slot))
+            levels.append(below)
         found = []
-        reach = tuple(1 << j for j in range(c))
-        stack = [((), InfoField.initial(), 1, reach, 1)] if len_max else []
-        while stack:
-            prefix, calc, extent, reach, shuffle = stack.pop()
-            for slot in slots:
-                layer = slot[3]
-                new = propagate(calc, layer, c)
-                grown = extent + layer.kernel.spatial - 1
-                want = (new.spatial_x, new.spatial_y, new.channels)
-                got = (grown, grown, oracles.reach_first(reach, layer, shuffle).bit_count())
+        for level, state, slot, want, got in failing:
+            for prefix in _prefixes(levels, level, state):
                 design = prefix + (slot,)
-                if got != want and c <= oracles.FULL_PERMUTATION_LIMIT:
-                    layers = [s[3] for s in design]
-                    got = (grown, grown, oracles.best_permutation_channel_count(layers))
-                if got != want:
-                    # sorted as itertools.product lists them: by length, kinds, choices
-                    ks, choices, groups, _, _ = zip(*design)
-                    seq = sequence_name([SK_ALPHABET[k] for k in ks])
-                    text = f"C={c}, {seq} groups={groups}: calculus {want}, graph {got}"
-                    found.append(((len(design), ks, choices), text))
-                if len(design) < len_max:
-                    reach_next = oracles.reach_step(reach, layer, shuffle)
-                    stack.append((design, new, grown, reach_next, slot[4]))
-            result.checked += len(slots)
+                shown = got
+                if c <= oracles.FULL_PERMUTATION_LIMIT:
+                    # the best shuffle depends on the layers, not the state
+                    best = oracles.best_permutation_channel_count([s[3] for s in design])
+                    shown = (got[0], got[1], best)
+                    if shown == want:
+                        continue
+                # sorted as itertools.product lists them: by length, kinds, choices
+                ks, choices, groups, _, _ = zip(*design)
+                seq = sequence_name([SK_ALPHABET[k] for k in ks])
+                text = f"C={c}, {seq} groups={groups}: calculus {want}, graph {shown}"
+                found.append(((len(design), ks, choices), text))
         result.counterexamples += [text for _, text in sorted(found)]
     return result
+
+
+def _prefixes(levels: list[dict], depth: int, state: tuple) -> list[tuple]:
+    """Every slot sequence that reaches `state` after `depth` layers."""
+    prefixes = []
+    stack = [(depth, state, ())]
+    while stack:
+        depth, state, suffix = stack.pop()
+        if not depth:
+            prefixes.append(suffix)
+            continue
+        for parent, slot in levels[depth][state]:
+            stack.append((depth - 1, parent, (slot,) + suffix))
+    return prefixes

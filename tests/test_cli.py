@@ -297,3 +297,12 @@ def test_json_output_does_not_depend_on_the_hash_seed(argv):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])
+
+
+def test_importing_the_cli_does_not_load_the_sizer():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, skdesign.cli; print('skdesign.sizer' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"

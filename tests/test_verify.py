@@ -52,3 +52,54 @@ def test_prefix_walk_reports_an_oracle_fault_like_the_per_design_sweep(monkeypat
         oracles._read_masks.cache_clear()
     assert len(walk["counterexamples"]) == 14_732
     assert walk == per_design
+
+
+# Under correct code the calculus field and the oracle's extent agree, so a
+# state key that dropped one of them, or dropped the shuffle, would change
+# no output; only a fault that pulls them apart shows it.
+
+
+def test_prefix_walk_reports_a_spatial_fault_like_the_per_design_sweep(monkeypatch):
+    real = infofield.propagate
+
+    def short_depthwise(field, layer, original_channels):
+        new = real(field, layer, original_channels)
+        if layer.kernel.kind is Kind.DEPTHWISE and field.spatial_x > 1:
+            return InfoField(new.spatial_x - 1, new.spatial_y - 1, new.channels)
+        return new
+
+    monkeypatch.setattr(infofield, "propagate", short_depthwise)
+    monkeypatch.setattr(verify, "propagate", short_depthwise)
+    walk, per_design = _both_sweeps()
+    assert len(walk["counterexamples"]) == 4_864
+    assert walk == per_design
+
+
+def test_prefix_walk_reports_a_two_group_shuffle_fault_like_the_per_design_sweep(monkeypatch):
+    real = oracles.interleave
+    oracles._read_masks.cache_clear()
+    monkeypatch.setattr(
+        oracles, "interleave", lambda n, groups: tuple(range(n)) if groups == 2 else real(n, groups)
+    )
+    try:
+        walk, per_design = _both_sweeps()
+    finally:
+        oracles._read_masks.cache_clear()
+    assert len(walk["counterexamples"]) == 2_028
+    assert walk == per_design
+
+
+def test_prefix_walk_propagates_once_per_state_and_slot(monkeypatch):
+    # one `propagate` per distinct (state, slot) pair of each depth: the
+    # default sweep makes 3,562 calls for its 27,064 designs
+    calls = 0
+    real = verify.propagate
+
+    def counting_propagate(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, "propagate", counting_propagate)
+    assert verify_infofield().checked == 27_064
+    assert calls == 3_562
