@@ -162,87 +162,76 @@ def _evaluate_sequences(
     sequences: Sequence[tuple[Kind, ...]], config: SearchConfig
 ) -> tuple[dict[tuple[str, ...], list[DesignCandidate]], dict[str, int], int]:
     """Every group assignment of every width plan of a set of sequences,
-    classified against the reference field: one forward walk per width plan
-    over the trie of their kind prefixes.
+    classified against the reference field.
 
     Returns (valid candidates keyed by kernel multiset, per-verdict
     candidate counts, enumerated total), the same sums as classifying each
-    assignment alone.  A trie node keeps its live group prefixes, each with
-    its running parameter count, keyed by the field they reach, and each
-    child is stepped in one loop, twice at most: as a sequence's last slot
-    when it ends a sequence of the set, and as an interior slot when it has
-    children.  So `step` runs at most twice per (node, field, group
-    choice).  A verdict at a non-final slot accounts for W(child) full
-    assignments, the summed completion size of the set's sequences that
-    extend the child; W is computed on the way back up, and a sequence
-    with a slot that has no group choice adds nothing to it.  Valid last
-    slots become witnesses, priced as they are built.
+    assignment alone.  Per width plan, one loop visits the distinct
+    sequences in lexicographic order with a stack of the states after each
+    interior slot of the current one, reusing those of the prefix it shares
+    with the sequence before.  A state holds the channel plan, the live
+    (group prefix, cost) pairs keyed by the field they reach, and the dead
+    prefixes counted by verdict.  So `step` runs once per distinct
+    (prefix, field, group choice), and dead counts are multiplied by each
+    later slot's number of group choices and added at the last slot.
     """
     c, f, spatial = config.reference_channels, config.reference_out_channels, config.spatial
     reference = config.reference_field
-    members = set(sequences)
-    nexts: dict[tuple[Kind, ...], dict[Kind, None]] = {}
-    for seq in sequences:
-        for i in range(len(seq)):
-            nexts.setdefault(seq[:i], {})[seq[i]] = None
+    # one byte per kind: short keys that compare as the sequences do
+    order = sorted(set(sequences), key=lambda seq: bytes(map(SK_ALPHABET.index, seq)))
     valid: dict[tuple[str, ...], list[DesignCandidate]] = {}
     counts: dict[str, int] = {}
 
-    def walk(
-        prefix: tuple[Kind, ...],
-        plan: tuple[tuple[int, int], ...],
-        live: dict[InfoField, list[tuple[tuple, int]]],
-        bottleneck: bool,
-    ) -> int:
-        """Step the live (group prefix, cost) pairs of `prefix` into each
-        child; return W(prefix)."""
-        i = len(prefix)
-        width = plan[-1][1] if plan else c
-        total = 0
-        for kind in nexts.get(prefix, ()):
-            child = prefix + (kind,)
-            key = _multiset_key(child)
-            for last in (True, False):
-                widths = slot_widths(kind, i, width, last, bottleneck, c, f)
-                if widths is None or child not in (members if last else nexts):
-                    continue
-                choices = _slot_layers(kind, *widths, spatial)
-                # witnesses share, per trie node, one channel plan: a walk
-                # holds thousands of them at once
-                channel_plan = plan + (widths,)
-                killed: dict[VerdictKind, int] = {}
-                after: dict[InfoField, list[tuple[tuple, int]]] = {}
-                for fld, prefixes in live.items():
-                    for g, layer, price in choices:
-                        new, verdict = step(fld, layer, reference, last)
-                        if verdict is None:
-                            after.setdefault(new, []).extend(
-                                (p + (g,), cost + price) for p, cost in prefixes
-                            )
-                            continue
-                        killed[verdict] = killed.get(verdict, 0) + len(prefixes)
-                        if verdict is VerdictKind.VALID:
-                            valid.setdefault(key, []).extend(
-                                DesignCandidate(
-                                    child, p + (g,), bottleneck, channel_plan, cost + price
-                                )
-                                for p, cost in prefixes
-                            )
-                sub = 1 if last else walk(child, channel_plan, after, bottleneck)
-                total += len(choices) * sub
-                if sub:
-                    for verdict, n in killed.items():
-                        counts[verdict.value] = counts.get(verdict.value, 0) + n * sub
-        return total
+    def advance(state, kind: Kind, i: int, last: bool, bottleneck: bool):
+        """The state after slot i, None where the plan has no slot i or it
+        no group choice; after a last slot the live prefixes are valid."""
+        if state is None:
+            return None
+        plan, live, dead = state
+        widths = slot_widths(kind, i, plan[-1][1] if plan else c, last, bottleneck, c, f)
+        choices = _slot_layers(kind, *widths, spatial) if widths else ()
+        if not choices:
+            return None
+        dead = {verdict: n * len(choices) for verdict, n in dead.items()}
+        after: dict[InfoField, list[tuple[tuple, int]]] = {}
+        for fld, prefixes in live.items():
+            for g, layer, price in choices:
+                new, verdict = step(fld, layer, reference, last)
+                if verdict is None or verdict is VerdictKind.VALID:
+                    after.setdefault(new, []).extend(
+                        (p + (g,), cost + price) for p, cost in prefixes
+                    )
+                else:
+                    dead[verdict.value] = dead.get(verdict.value, 0) + len(prefixes)
+        return plan + (widths,), after, dead
 
-    enumerated = sum(
-        walk((), (), {InfoField.initial(): [((), 0)]}, bottleneck)
-        for bottleneck in _plan_flags(config)
-    )
-    # `walk` reaches itself through its closure; without this the cycle
-    # keeps the walk's prefixes and witnesses alive until a cyclic GC pass
-    del walk
-    return valid, counts, enumerated
+    for bottleneck in _plan_flags(config):
+        stack = [((), {InfoField.initial(): [((), 0)]}, {})]
+        prev: tuple[Kind, ...] = ()
+        for seq in order:
+            n = len(seq)
+            shared = min(n - 1, len(prev))
+            while seq[:shared] != prev[:shared]:
+                shared -= 1
+            del stack[shared + 1 :]
+            for j in range(len(stack), n):
+                stack.append(advance(stack[-1], seq[j - 1], j - 1, False, bottleneck))
+            prev = seq
+            state = advance(stack[-1], seq[-1], n - 1, True, bottleneck)
+            if state is None:
+                continue
+            plan, live, dead = state
+            witnesses = [
+                DesignCandidate(seq, p, bottleneck, plan, cost)
+                for prefixes in live.values()
+                for p, cost in prefixes
+            ]
+            if witnesses:
+                dead[VerdictKind.VALID.value] = len(witnesses)
+                valid.setdefault(_multiset_key(seq), []).extend(witnesses)
+            for verdict, k in dead.items():
+                counts[verdict] = counts.get(verdict, 0) + k
+    return valid, counts, sum(counts.values())
 
 
 @dataclass(frozen=True)
@@ -307,19 +296,24 @@ def _distinct_orderings(multiset: tuple[str, ...]) -> list[tuple[Kind, ...]]:
 
 
 def _grid_optimal_params(
-    pool: Sequence[tuple[str, ...]],
+    families: dict[tuple[str, ...], DesignFamily],
     grid: Sequence[tuple[int, int]],
     config: SearchConfig,
 ) -> dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]]:
-    """Cheapest valid instance of each pool multiset at each grid point
+    """Cheapest valid instance of each family's multiset at each grid point
     (C, F), None where it has none; one walk per grid point covers every
-    ordering of the pool."""
-    orderings = [seq for k in pool for seq in _distinct_orderings(k)]
-    opt: dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]] = {k: {} for k in pool}
+    ordering of the families.  The search's own (C, F) is not walked
+    again: its tiled orderings, which the search skipped, hold zero or two
+    or more spatial kernels of the reference size, so none is valid."""
+    ref = (config.reference_channels, config.reference_out_channels)
+    opt = {k: {ref: fam.min_params()} for k, fam in families.items()}
+    orderings = [seq for k in families for seq in _distinct_orderings(k)]
     for c, f in grid:
+        if (c, f) == ref:
+            continue
         probe = replace(config, reference_channels=c, reference_out_channels=f)
         valid = _evaluate_sequences(orderings, probe)[0]
-        for k in pool:
+        for k in families:
             # pop: this point's witnesses go before the next point's walk
             opt[k][(c, f)] = min((w.params for w in valid.pop(k, ())), default=None)
     return opt
@@ -360,7 +354,7 @@ def _apply_domination(
                 dropped.add(k)
 
     pool = [k for k in keys if k not in dropped]
-    opt = _grid_optimal_params(pool, grid, config)
+    opt = _grid_optimal_params({k: families[k] for k in pool}, grid, config)
 
     for k in pool:
         fam = families[k]

@@ -1,7 +1,9 @@
 import gc
 import itertools
 import json
+import random
 import re
+from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
@@ -171,6 +173,23 @@ def test_set_walk_matches_naive_sum():
         assert enumerated == enumerated_naive, (c, f)
 
 
+def test_evaluation_ignores_input_order_and_duplicates():
+    # the walk visits each distinct sequence once, in its own order: the
+    # same set given reversed, shuffled or twice over classifies the same
+    # assignments, each once
+    cfg = SearchConfig(reference_channels=8, reference_out_channels=16)
+    sequences = list(enumerate_sequences(replace(cfg, max_length=4)))
+    shuffled = list(sequences)
+    random.Random(15).shuffle(shuffled)
+    forms = [sequences, sequences[::-1], shuffled, sequences * 2]
+    results = [_evaluate_sequences(form, cfg) for form in forms]
+    for valid, counts, enumerated in results:
+        assert Counter(_fast(valid)) == Counter(_fast(results[0][0]))
+        assert counts == results[0][1]
+        assert enumerated == results[0][2]
+    assert results[0][2] == sum(results[0][1].values()) > 0
+
+
 def test_fused_counts_tie_out():
     cfg = SearchConfig(reference_channels=16, reference_out_channels=16)
     for seq in [(GC, PWG), (PWG, DW, PWG), (PW, PW, PW), (GC, PWG, PWG)]:
@@ -210,6 +229,28 @@ def test_search_audit_counts_are_frozen_and_monotone(default_result):
         "inferior-early-full": 1_039_348,
         "insufficient-field": 1235,
         "spatial-mismatch": 1_732_986,
+    }
+
+
+def test_search_audit_counts_at_length_8_without_domination():
+    # most length-8 sequences extend a prefix whose assignments are all
+    # dead, so most of these counts are carried to the last slot rather
+    # than stepped there
+    result = run_search(SearchConfig(max_length=8, enable_domination_filter=False))
+    assert dict(result.stage_counts) == {
+        "sequences_raw": 87_380,
+        "sequences_after_composition": 87_016,
+        "candidates_enumerated": 919_126_285,
+        "candidates_valid": 13_772,
+        "families": 43,
+        "families_after_domination": 43,
+    }
+    assert dict(result.verdict_counts) == {
+        "valid": 13_772,
+        "inferior-no-growth": 460_536_078,
+        "inferior-early-full": 173_821_973,
+        "insufficient-field": 1337,
+        "spatial-mismatch": 284_753_125,
     }
 
 
@@ -343,7 +384,7 @@ def test_grid_optimal_params_match_brute_force():
     families = {fam.multiset: fam for fam in result.families}
     grid = DEFAULT_DOMINATION_GRID
     assert (cfg.reference_channels, cfg.reference_out_channels) in grid
-    opt = _grid_optimal_params(sorted(families), grid, cfg)
+    opt = _grid_optimal_params(families, grid, cfg)
     for key, fam in families.items():
         for c, f in grid:
             probe = replace(cfg, reference_channels=c, reference_out_channels=f)
