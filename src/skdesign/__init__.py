@@ -1,7 +1,7 @@
 """Training-free design-space search for sparse convolution kernel compositions."""
 
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
-from .infofield import FieldVerdict, InfoField, VerdictKind, classify, field_of, propagate
+from .infofield import InfoField, VerdictKind, field_of, propagate
 
 __version__ = "0.1.0"
 
@@ -13,10 +13,8 @@ __all__ = [
     "param_count",
     "flop_count",
     "InfoField",
-    "FieldVerdict",
     "VerdictKind",
     "propagate",
     "field_of",
-    "classify",
     "__version__",
 ]

@@ -100,6 +100,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         enable_domination_filter=not args.no_domination,
     )
     result = search.run_search(config)
+    known = [_known_architectures(fam.name, fam.witnesses[0].groups) for fam in result.families]
     doc: dict[str, Any] = {
         "command": "search",
         "config": {
@@ -116,11 +117,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 "witnesses": len(fam.witnesses),
                 "min_params_at_reference": fam.min_params(),
                 "example_witness": fam.witnesses[0].describe(),
-                "known_architectures": sorted(
-                    search.identify_known(fam, fam.witnesses[0].groups)
-                ),
+                "known_architectures": names,
             }
-            for fam in result.families
+            for fam, names in zip(result.families, known)
         ],
         "stage_counts": dict(result.stage_counts),
         "removed": [
@@ -129,10 +128,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         ],
     }
     lines = [f"surviving design families ({len(result.families)}):"]
-    for fam in result.families:
+    for fam, names in zip(result.families, known):
         tag = " [bottleneck]" if fam.bottleneck else ""
-        known = sorted(search.identify_known(fam, fam.witnesses[0].groups))
-        suffix = f"  (matches: {', '.join(known)})" if known else ""
+        suffix = f"  (matches: {', '.join(names)})" if names else ""
         lines.append(
             f"  {fam.name}{tag}  witnesses={len(fam.witnesses)} "
             f"min_params={fam.min_params()}{suffix}"
@@ -147,6 +145,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
         doc.pop("removed")
     _emit(doc, lines, args.format)
     return EXIT_OK
+
+
+_FAMILIES = {f.value: f for f in Family}
+
+
+def _known_architectures(name: str, groups=None) -> list[str]:
+    """Architectures a search family's witness coincides with: those of the
+    closed-form family of the same name, none for any other family."""
+    family = _FAMILIES.get(name)
+    return sorted(family.known_architectures(groups)) if family else []
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -292,32 +300,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_ORACLE if failures else EXIT_OK
 
 
-_GRAPH_DESIGNS = {"standard": (Kind.STANDARD,), **{f.value: f.kinds for f in Family}}
-
-
 def _cmd_graph(args: argparse.Namespace) -> int:
-    if args.design not in _GRAPH_DESIGNS:
-        raise ValidationError(
-            f"unknown design {args.design!r}; expected one of: "
-            + ", ".join(sorted(_GRAPH_DESIGNS))
-        )
-    kinds = _GRAPH_DESIGNS[args.design]
+    design = efficiency.design_name(args.design)
+    kinds = _FAMILIES[design].kinds if design in _FAMILIES else (Kind.STANDARD,)
     c = args.channels
     groups = list(args.groups) if args.groups else []
     grouped = sum(kind.is_grouped for kind in kinds)
     if groups and not grouped:
-        raise ValidationError(f"{args.design} carries no group numbers")
+        raise ValidationError(f"{design} carries no group numbers")
     if len(groups) < grouped:
-        raise ValidationError(f"design {args.design} needs --groups with {grouped} numbers")
+        raise ValidationError(f"design {design} needs --groups with {grouped} numbers")
     numbers = iter(groups)
     layers = [
         LayerSpec(Kernel.of(kind, groups=next(numbers) if kind.is_grouped else None), c, c)
         for kind in kinds
     ]
-    dot = render_dot(layers, name=args.design)
+    dot = render_dot(layers, name=design)
     doc = {
         "command": "graph",
-        "config": {"design": args.design, "channels": c, "groups": groups},
+        "config": {"design": design, "channels": c, "groups": groups},
         "dot": dot,
     }
     _emit(doc, [dot], args.format)

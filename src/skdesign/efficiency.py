@@ -78,11 +78,21 @@ class Family(enum.Enum):
 
     @staticmethod
     def parse(name: str) -> "Family":
-        try:
-            return Family(name.lower())
-        except ValueError:
-            valid = ", ".join(f.value for f in Family)
-            raise ValidationError(f"unknown family {name!r}; expected one of: {valid}")
+        """The family `name` names, in any case."""
+        return Family(design_name(name, DESIGN_NAMES[1:]))
+
+
+# every design a command names: the standard convolution, then the families
+DESIGN_NAMES = ("standard",) + tuple(f.value for f in Family)
+
+
+def design_name(name: str, names: Sequence[str] = DESIGN_NAMES) -> str:
+    """`name` in lowercase, if it is one of `names` in any case."""
+    key = name.lower()
+    if key not in names:
+        valid = ", ".join(sorted(names))
+        raise ValidationError(f"unknown design {name!r}; expected one of: {valid}")
+    return key
 
 
 class UnderBudgetError(ValidationError):

@@ -56,9 +56,6 @@ class InfoField:
         (k, k, all channels)."""
         return InfoField(spatial, spatial, channels)
 
-    def __str__(self) -> str:
-        return f"({self.spatial_x}, {self.spatial_y}, {self.channels})"
-
 
 class VerdictKind(enum.Enum):
     VALID = "valid"
@@ -66,24 +63,6 @@ class VerdictKind(enum.Enum):
     INFERIOR_EARLY_FULL = "inferior-early-full"
     INSUFFICIENT_FIELD = "insufficient-field"
     SPATIAL_MISMATCH = "spatial-mismatch"
-
-
-@dataclass(frozen=True)
-class FieldVerdict:
-    kind: VerdictKind
-    at_index: Optional[int] = None
-    final: Optional[InfoField] = None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.kind is VerdictKind.VALID
-
-    def __str__(self) -> str:
-        if self.at_index is not None:
-            return f"{self.kind.value}@{self.at_index}"
-        if self.final is not None:
-            return f"{self.kind.value}{self.final}"
-        return self.kind.value
 
 
 def propagate(field: InfoField, layer: LayerSpec, original_channels: int) -> InfoField:
@@ -150,28 +129,3 @@ def step(
     if last:
         return new, VerdictKind.VALID if new == reference else VerdictKind.INSUFFICIENT_FIELD
     return new, None
-
-
-def classify(design: Sequence[LayerSpec], reference: InfoField) -> FieldVerdict:
-    """Early-stop walk of a design against the standard-convolution field.
-
-    The verdict is the first one `step` reports.  INFERIOR_NO_GROWTH
-    reports the index of the idle kernel, INFERIOR_EARLY_FULL the index
-    where the field first reached the reference, every other verdict the
-    field it was reached with.
-    """
-    _check_design(design, reference.channels)
-    field = InfoField.initial()
-    first_full: Optional[int] = None
-    last = len(design) - 1
-    for i, layer in enumerate(design):
-        field, verdict = step(field, layer, reference, last=i == last)
-        if verdict is VerdictKind.INFERIOR_NO_GROWTH:
-            return FieldVerdict(verdict, at_index=i)
-        if verdict is VerdictKind.INFERIOR_EARLY_FULL:
-            return FieldVerdict(verdict, at_index=first_full)
-        if verdict is not None:
-            return FieldVerdict(verdict, final=field)
-        if first_full is None and field == reference:
-            first_full = i
-    raise AssertionError("step gives a verdict at the last layer")

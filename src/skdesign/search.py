@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from .efficiency import Family, slot_widths
+from .efficiency import slot_widths
 from .infofield import InfoField, VerdictKind, step
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 
@@ -67,7 +67,6 @@ class SearchConfig:
     max_length: int = 6
     reference_channels: int = 64
     reference_out_channels: int = 64
-    spatial: int = 3
     enable_bottleneck_variants: bool = True
     enable_domination_filter: bool = True
 
@@ -76,12 +75,11 @@ class SearchConfig:
             raise ValidationError("max_length must be >= 1")
         if self.reference_channels < 1 or self.reference_out_channels < 1:
             raise ValidationError("reference channel counts must be positive")
-        if self.spatial < 2:
-            raise ValidationError("spatial size must be >= 2 for a meaningful field")
 
     @property
     def reference_field(self) -> InfoField:
-        return InfoField.reference(self.spatial, self.reference_channels)
+        """The field of the standard 3x3 convolution the designs replace."""
+        return InfoField.reference(3, self.reference_channels)
 
 
 def sequence_name(sequence: Sequence[Kind]) -> str:
@@ -115,7 +113,7 @@ def raw_sequence_count(max_length: int) -> int:
 @dataclass(frozen=True)
 class DesignCandidate:
     """A kernel sequence with concrete group numbers and channel plan, and
-    its parameter count at the search's spatial size."""
+    its parameter count with 3x3 spatial kernels."""
 
     sequence: tuple[Kind, ...]
     groups: tuple[Optional[int], ...]
@@ -134,7 +132,7 @@ class DesignCandidate:
 
 @functools.lru_cache(maxsize=None)
 def _slot_layers(
-    kind: Kind, c_in: int, c_out: int, spatial: int
+    kind: Kind, c_in: int, c_out: int
 ) -> tuple[tuple[Optional[int], LayerSpec, int], ...]:
     """Every group choice of a slot that `LayerSpec` accepts, with its layer
     and that layer's parameter count: the search prices kernels here and
@@ -142,7 +140,7 @@ def _slot_layers(
     slots = []
     for g in range(2, c_in + 1) if kind.is_grouped else (None,):
         try:
-            layer = LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
+            layer = LayerSpec(Kernel.of(kind, groups=g), c_in, c_out)
         except ValidationError:
             continue
         slots.append((g, layer, param_count(layer)))
@@ -175,7 +173,7 @@ def _evaluate_sequences(
     (prefix, field, group choice), and dead counts are multiplied by each
     later slot's number of group choices and added at the last slot.
     """
-    c, f, spatial = config.reference_channels, config.reference_out_channels, config.spatial
+    c, f = config.reference_channels, config.reference_out_channels
     reference = config.reference_field
     # one byte per kind: short keys that compare as the sequences do
     order = sorted(set(sequences), key=lambda seq: bytes(map(SK_ALPHABET.index, seq)))
@@ -189,7 +187,7 @@ def _evaluate_sequences(
             return None
         plan, live, dead = state
         widths = slot_widths(kind, i, plan[-1][1] if plan else c, last, bottleneck, c, f)
-        choices = _slot_layers(kind, *widths, spatial) if widths else ()
+        choices = _slot_layers(kind, *widths) if widths else ()
         if not choices:
             return None
         dead = {verdict: n * len(choices) for verdict, n in dead.items()}
@@ -434,16 +432,3 @@ def run_search(config: SearchConfig) -> SearchResult:
         stage_counts=stage_counts,
         verdict_counts=tuple(sorted(verdicts.items())),
     )
-
-
-def identify_known(
-    family: DesignFamily, groups: Optional[Sequence[int]] = None
-) -> frozenset[str]:
-    """Architectures a family instance coincides with or specializes; see
-    `efficiency.Family.known_architectures`.  Empty outside the four
-    families."""
-    try:
-        known = Family(family.name)
-    except ValueError:
-        return frozenset()
-    return known.known_architectures(groups)

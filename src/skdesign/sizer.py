@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .efficiency import Family, UnderBudgetError, layers_for
+from .efficiency import Family, UnderBudgetError, design_name, layers_for
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 
 STAGE_COUNT = 4
@@ -52,8 +52,9 @@ class BlockSpec:
     groups: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", design_name(self.kind))
         if self.kind != "standard":
-            family = Family.parse(self.kind)
+            family = Family(self.kind)
             if family.has_group_freedom and self.groups is None:
                 raise ValidationError(f"{self.kind} blocks need group numbers (M, N)")
             if not family.has_group_freedom and self.groups is not None:
@@ -70,12 +71,12 @@ class BlockSpec:
     def kernels_per_block(self) -> int:
         if self.kind == "standard":
             return 1
-        return Family.parse(self.kind).kernel_count
+        return Family(self.kind).kernel_count
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
         if self.kind == "standard":
             return [LayerSpec(Kernel.of(Kind.STANDARD), c, f)]
-        return layers_for(Family.parse(self.kind), c, f, self.groups)
+        return layers_for(Family(self.kind), c, f, self.groups)
 
     def describe(self) -> str:
         if self.groups is None:

@@ -25,7 +25,6 @@ from .search import SK_ALPHABET, _slot_layers, sequence_name
 # both suites start at this channel count
 MIN_CHANNELS = 4
 INFOFIELD_CHANNELS = (MIN_CHANNELS, 8, 12, 16)
-INFOFIELD_SPATIAL = 3
 
 
 @dataclass
@@ -92,7 +91,7 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
         slots = [
             (k, i, g or 1, layer, oracles.shuffle_group(layer))
             for k, kind in enumerate(SK_ALPHABET)
-            for i, (g, layer, _) in enumerate(_slot_layers(kind, c, c, INFOFIELD_SPATIAL))
+            for i, (g, layer, _) in enumerate(_slot_layers(kind, c, c))
         ]
         oracles.check_caps([slot[3] for slot in slots])
         result.checked += sum(len(slots) ** n for n in range(1, len_max + 1))

@@ -2,9 +2,10 @@
 
 The naive search path: `concretize` lists every group assignment of one
 sequence under each width plan, priced layer by layer, and
-`evaluate_candidate` classifies one candidate alone with
-`infofield.classify`.  The fused walk in `skdesign.search` must give the
-same candidates, prices and verdict counts.  The width plans are written
+`evaluate_candidate` classifies one candidate alone with `classify`, a
+plain fold of `infofield.step` over its layers.  The fused walk in
+`skdesign.search` must give the same candidates, prices and verdict
+counts.  The width plans are written
 out whole here and the group numbers found by trying `LayerSpec`, so a
 fault in the search's own plans or slot choices shows.
 
@@ -28,14 +29,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
-from skdesign.infofield import (
-    FieldVerdict,
-    InfoField,
-    _check_design,
-    classify,
-    field_of,
-    propagate,
-)
+from skdesign.infofield import InfoField, VerdictKind, _check_design, field_of, propagate, step
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 from skdesign.oracles import (
     FULL_PERMUTATION_LIMIT,
@@ -48,7 +42,7 @@ from skdesign.oracles import (
     shuffle_group,
 )
 from skdesign.search import SK_ALPHABET, DesignCandidate, SearchConfig, _slot_layers, sequence_name
-from skdesign.verify import INFOFIELD_CHANNELS, INFOFIELD_SPATIAL, VerifyResult, _check_c_max
+from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
 
 _KIND_CHAR = {
     Kind.GROUP: "g",
@@ -95,14 +89,12 @@ def _variant_plans(
 
 
 @functools.lru_cache(maxsize=None)
-def _group_numbers(
-    kind: Kind, c_in: int, c_out: int, spatial: int
-) -> tuple[Optional[int], ...]:
+def _group_numbers(kind: Kind, c_in: int, c_out: int) -> tuple[Optional[int], ...]:
     """The group numbers (None for an ungrouped kind) `LayerSpec` accepts."""
     accepted = []
     for g in range(2, c_in + 1) if kind.is_grouped else (None,):
         try:
-            LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
+            LayerSpec(Kernel.of(kind, groups=g), c_in, c_out)
         except ValidationError:
             continue
         accepted.append(g)
@@ -110,14 +102,14 @@ def _group_numbers(
 
 
 @functools.lru_cache(maxsize=None)
-def _layer(kind: Kind, g: Optional[int], c_in: int, c_out: int, spatial: int) -> LayerSpec:
-    return LayerSpec(Kernel.of(kind, spatial, g), c_in, c_out)
+def _layer(kind: Kind, g: Optional[int], c_in: int, c_out: int) -> LayerSpec:
+    return LayerSpec(Kernel.of(kind, groups=g), c_in, c_out)
 
 
-def candidate_layers(cand: DesignCandidate, spatial: int) -> list[LayerSpec]:
-    """A candidate's layers at `spatial`, built directly from its fields."""
+def candidate_layers(cand: DesignCandidate) -> list[LayerSpec]:
+    """A candidate's layers, built directly from its fields."""
     return [
-        _layer(kind, g, c_in, c_out, spatial)
+        _layer(kind, g, c_in, c_out)
         for kind, g, (c_in, c_out) in zip(cand.sequence, cand.groups, cand.channel_plan)
     ]
 
@@ -129,18 +121,29 @@ def concretize(
     seq = tuple(sequence)
     for bottleneck, plan in _variant_plans(seq, config):
         choice_sets = [
-            _group_numbers(kind, c_in, c_out, config.spatial)
+            _group_numbers(kind, c_in, c_out)
             for kind, (c_in, c_out) in zip(seq, plan)
         ]
         for combo in itertools.product(*choice_sets):
             cand = DesignCandidate(seq, combo, bottleneck, plan, params=0)
-            params = sum(param_count(layer) for layer in candidate_layers(cand, config.spatial))
+            params = sum(param_count(layer) for layer in candidate_layers(cand))
             yield replace(cand, params=params)
 
 
-def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> FieldVerdict:
+def classify(design: Sequence[LayerSpec], reference: InfoField) -> VerdictKind:
+    """The first verdict `step` reports, walking a design alone."""
+    _check_design(design, reference.channels)
+    field = InfoField.initial()
+    for i, layer in enumerate(design):
+        field, verdict = step(field, layer, reference, last=i == len(design) - 1)
+        if verdict is not None:
+            return verdict
+    raise AssertionError("step gives a verdict at the last layer")
+
+
+def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> VerdictKind:
     """Classify one candidate against the reference field."""
-    return classify(candidate_layers(candidate, config.spatial), config.reference_field)
+    return classify(candidate_layers(candidate), config.reference_field)
 
 
 def standard(spatial: int = 3) -> Kernel:
@@ -254,7 +257,7 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
     for c in channels:
         for length in range(1, len_max + 1):
             for seq in itertools.product(SK_ALPHABET, repeat=length):
-                slots = [_slot_layers(kind, c, c, INFOFIELD_SPATIAL) for kind in seq]
+                slots = [_slot_layers(kind, c, c) for kind in seq]
                 for choice in itertools.product(*slots):
                     layers = [layer for _, layer, _ in choice]
                     calc = field_of(layers, c)

@@ -21,6 +21,7 @@ from skdesign.efficiency import (
     optimal_group_numbers,
     ratio,
 )
+from skdesign.infofield import VerdictKind
 from skdesign.kernels import ValidationError
 from skdesign.oracles import feasible_pairs
 from skdesign.search import (
@@ -67,7 +68,7 @@ def test_criterion_1_search_reproduces_the_four_families():
     for fam in unfiltered.families:
         for w in fam.witnesses:
             verdict = evaluate_candidate(w, unfiltered.config)
-            assert verdict.is_valid, (fam.name, w.describe())
+            assert verdict is VerdictKind.VALID, (fam.name, w.describe())
     _report(
         1,
         f"four families in {elapsed:.1f}s; filter off keeps them among "

@@ -199,7 +199,7 @@ def test_graph_edges_are_the_reads_through_the_interleave():
         legal = [
             LayerSpec(Kernel.of(kind, groups=g), c, c)
             for kind in Kind
-            for g in _group_numbers(kind, c, c, 3)
+            for g in _group_numbers(kind, c, c)
         ]
         for n in (1, 2):
             for design in itertools.product(legal, repeat=n):
@@ -306,3 +306,39 @@ def test_importing_the_cli_does_not_load_the_sizer():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["size", "--family", "{}", "--width", "64", "--format", "json"],
+        ["width", "--family", "{}", "--budget", "2000000", "--format", "json"],
+        ["graph", "{}", "--format", "json"],
+    ],
+)
+@pytest.mark.parametrize("name", ["STANDARD", "Dw+Pw", "PW+DW+PW"])
+def test_design_names_match_in_any_case_and_print_in_lowercase(capsys, argv, name):
+    code, shouted, err = run(capsys, *(a.format(name) for a in argv))
+    assert code == EXIT_OK, err
+    code, lower, _ = run(capsys, *(a.format(name.lower()) for a in argv))
+    assert code == EXIT_OK
+    assert shouted == lower
+    assert name not in shouted and name.lower() in shouted
+
+
+@pytest.mark.parametrize("command", ["size", "width"])
+def test_unknown_block_lists_every_design_name(capsys, command):
+    limit = "--width" if command == "size" else "--budget"
+    code, out, err = run(capsys, command, "--family", "dw+dw", limit, "64")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "expected one of: dw+pw, gc+pwg, pw+dw+pw, pwg+dw+pwg, standard" in err
+
+
+def test_star_import_binds_every_exported_name():
+    import skdesign
+
+    namespace: dict = {}
+    exec("from skdesign import *", namespace)
+    for name in skdesign.__all__:
+        assert namespace[name] is getattr(skdesign, name), name

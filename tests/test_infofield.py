@@ -1,15 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from naive import depthwise, group_conv, pointwise, pointwise_group, standard, trace
-from skdesign.infofield import (
-    FieldVerdict,
-    InfoField,
-    VerdictKind,
-    classify,
-    field_of,
-    propagate,
-)
+from naive import classify, depthwise, group_conv, pointwise, pointwise_group, standard, trace
+from skdesign.infofield import InfoField, VerdictKind, field_of, propagate
 from skdesign.kernels import Kind, LayerSpec, ValidationError
 
 REF3 = InfoField.reference(3, 64)
@@ -71,9 +64,7 @@ def test_trace_and_classify_reject_empty_and_misread_designs():
 
 
 def test_classify_pointwise_pair_no_growth():
-    v = classify([_pw(64, 64), _pw(64, 64)], REF3)
-    assert v.kind is VerdictKind.INFERIOR_NO_GROWTH
-    assert v.at_index == 1
+    assert classify([_pw(64, 64), _pw(64, 64)], REF3) is VerdictKind.INFERIOR_NO_GROWTH
 
 
 def test_classify_early_full_before_depthwise():
@@ -82,38 +73,32 @@ def test_classify_early_full_before_depthwise():
         LayerSpec(pointwise_group(8), 64, 64),
         _dw(64),
     ]
-    v = classify(seq, REF3)
-    assert v.kind is VerdictKind.INFERIOR_EARLY_FULL
-    assert v.at_index == 1
+    assert classify(seq, REF3) is VerdictKind.INFERIOR_EARLY_FULL
+    assert trace(seq, 64)[2] == REF3  # full after the second kernel
 
 
 def test_classify_insufficient_coverage():
     seq = [LayerSpec(group_conv(4), 8, 8), LayerSpec(pointwise_group(4), 8, 8)]
-    v = classify(seq, InfoField.reference(3, 8))
-    assert v.kind is VerdictKind.INSUFFICIENT_FIELD
-    assert v.final.channels == 4
+    assert classify(seq, InfoField.reference(3, 8)) is VerdictKind.INSUFFICIENT_FIELD
+    assert field_of(seq, 8).channels == 4
 
 
 def test_classify_bottleneck_sandwich_survives_plain_dies():
     c = 64
     k = 16
     bneck = [_pw(c, k), LayerSpec(depthwise(3), k, k), _pw(k, c)]
-    assert classify(bneck, REF3).is_valid
+    assert classify(bneck, REF3) is VerdictKind.VALID
     plain = [_pw(c, c), _dw(c), _pw(c, c)]
-    v = classify(plain, REF3)
-    assert v.kind is VerdictKind.INFERIOR_NO_GROWTH
-    assert v.at_index == 2
+    assert classify(plain, REF3) is VerdictKind.INFERIOR_NO_GROWTH
 
 
 def test_classify_spatial_overshoot():
-    v = classify([_dw(64), _dw(64)], REF3)
-    assert v.kind is VerdictKind.SPATIAL_MISMATCH
+    assert classify([_dw(64), _dw(64)], REF3) is VerdictKind.SPATIAL_MISMATCH
 
 
 def test_classify_spatial_undershoot_is_insufficient():
-    v = classify([_pw(64, 64)], REF3)
-    assert v.kind is VerdictKind.INSUFFICIENT_FIELD
-    assert v.final == InfoField(1, 1, 64)
+    assert classify([_pw(64, 64)], REF3) is VerdictKind.INSUFFICIENT_FIELD
+    assert field_of([_pw(64, 64)], 64) == InfoField(1, 1, 64)
 
 
 def test_trace_lists_every_step():
