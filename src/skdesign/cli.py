@@ -352,7 +352,7 @@ def render_dot(layers, name: str = "design") -> str:
         out.append(f'    t{last}_c{ch} [label="{ch}"];')
     out.append("  }")
     for li, layer in enumerate(layers):
-        color = "green" if layer.kernel.spatial > 1 else "blue"
+        color = "green" if layer.kernel.kind.is_spatial else "blue"
         shuffle = shuffle_group(layers[li - 1]) if li else 1
         for ch, mask in enumerate(_read_masks(layer, shuffle)):
             for src in range(mask.bit_length()):

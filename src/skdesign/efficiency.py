@@ -147,7 +147,7 @@ def layers_for(
         # never None: each family has every slot of its plan once 4 | F holds
         c_in, width = slot_widths(kind, i, width, i == end, family.bottlenecked, c, f)
         g = next(pending) if kind.is_grouped else None
-        layers.append(LayerSpec(Kernel.of(kind, 3, g), c_in, width))
+        layers.append(LayerSpec(Kernel.of(kind, g), c_in, width))
     return layers
 
 

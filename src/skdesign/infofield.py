@@ -13,15 +13,15 @@ constraint M*N <= C for a grouped spatial kernel followed by a grouped 1x1
 kernel.  For depth > 2 the rule is an optimistic upper bound; the
 dependency-graph oracle verifies achievability at small scale.
 
-Propagation rule, with a the channels reached, C the layer's input channel
-count and groups = 1 for the standard and pointwise kinds:
+Propagation rule, with a the channels reached and fan-in the input
+channels each output channel reads (`LayerSpec.fan_in`: 1 for depthwise,
+else C // groups):
 
-    depthwise              a' = a           (spatial grows, channels don't mix)
-    every other kind       a' = min(original, (C // groups) * a)
+    a' = min(original, fan-in * a)
 
-A group number divides its layer's input width, so the count stays exact.
-Spatial extents grow by k-1 per layer of spatial size k (stride 1 assumed
-throughout the calculus).
+A group number divides its layer's input width, so the count stays exact,
+and a <= original, so depthwise keeps a' = a.  Spatial extents grow by k-1
+per layer of spatial size k (stride 1 assumed throughout the calculus).
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ class InfoField:
         return InfoField(1, 1, 1)
 
     @staticmethod
-    def reference(spatial: int, channels: int) -> "InfoField":
+    def reference(channels: int) -> "InfoField":
         """The field of one standard k x k convolution over `channels` inputs:
         (k, k, all channels)."""
-        return InfoField(spatial, spatial, channels)
+        k = Kind.STANDARD.size
+        return InfoField(k, k, channels)
 
 
 class VerdictKind(enum.Enum):
@@ -67,10 +68,8 @@ class VerdictKind(enum.Enum):
 
 def propagate(field: InfoField, layer: LayerSpec, original_channels: int) -> InfoField:
     """Push a field through one layer.  Total on valid inputs."""
-    k = layer.kernel.spatial
-    a = field.channels
-    if layer.kernel.kind is not Kind.DEPTHWISE:
-        a = min(original_channels, layer.in_channels // layer.kernel.groups * a)
+    k = layer.kernel.kind.size
+    a = min(original_channels, layer.fan_in * field.channels)
     return InfoField(field.spatial_x + k - 1, field.spatial_y + k - 1, a)
 
 

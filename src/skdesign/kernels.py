@@ -28,53 +28,44 @@ class ValidationError(ValueError):
 
 
 class Kind(enum.Enum):
-    STANDARD = "standard"
-    GROUP = "gc"
-    DEPTHWISE = "dw"
-    POINTWISE = "pw"
-    POINTWISE_GROUP = "pwg"
+    """A kernel kind and its fixed properties: `is_spatial` (k x k, else
+    1x1), `size` (that k, or 1) and `is_grouped` (carries a group number)."""
+
+    STANDARD = "standard", True, False
+    GROUP = "gc", True, True
+    DEPTHWISE = "dw", True, False
+    POINTWISE = "pw", False, False
+    POINTWISE_GROUP = "pwg", False, True
+
+    def __new__(cls, name: str, is_spatial: bool, is_grouped: bool) -> "Kind":
+        # plain attributes, not properties: the search and the sweeps read
+        # them once per layer step
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.is_spatial = is_spatial
+        kind.size = 3 if is_spatial else 1
+        kind.is_grouped = is_grouped
+        return kind
 
     # members are singletons compared by identity, so identity hashing is
     # exact and keeps Python code out of every Kernel/LayerSpec hash
     __hash__ = object.__hash__
 
-    @property
-    def is_spatial(self) -> bool:
-        """True for kinds whose spatial extent may exceed 1x1."""
-        return self in (Kind.STANDARD, Kind.GROUP, Kind.DEPTHWISE)
-
-    @property
-    def is_grouped(self) -> bool:
-        """True for kinds carrying a free group-number parameter."""
-        return self in (Kind.GROUP, Kind.POINTWISE_GROUP)
-
 
 @dataclass(frozen=True)
 class Kernel:
-    """One convolution kernel: a kind plus its spatial size and group number."""
+    """One convolution kernel: a kind plus its group number (1 for the
+    ungrouped kinds).  The kind fixes the spatial size."""
 
     kind: Kind
-    spatial: int = 3
     groups: int = 1
 
     @classmethod
-    def of(cls, kind: Kind, spatial: int = 3, groups: Optional[int] = None) -> "Kernel":
-        """A kernel of `kind`: 1x1 kinds ignore `spatial`, and groups=None means
-        no group number."""
-        return cls(kind, spatial if kind.is_spatial else 1, 1 if groups is None else groups)
+    def of(cls, kind: Kind, groups: Optional[int] = None) -> "Kernel":
+        """A kernel of `kind`; groups=None means no group number."""
+        return cls(kind, 1 if groups is None else groups)
 
     def __post_init__(self) -> None:
-        if not self.kind.is_spatial:
-            if self.spatial != 1:
-                raise ValidationError(
-                    f"{self.kind.value} kernels have spatial size fixed to 1, got {self.spatial}"
-                )
-        elif self.kind is Kind.DEPTHWISE:
-            # a 1x1 depthwise would be an identity-shaped no-op; reject it
-            if self.spatial < 2:
-                raise ValidationError("depthwise spatial size must be >= 2")
-        elif self.spatial < 1:
-            raise ValidationError("spatial size must be >= 1")
         if self.kind.is_grouped:
             if self.groups < 2:
                 raise ValidationError(
@@ -126,24 +117,22 @@ class LayerSpec:
                 f"group number {g} does not divide in_channels {self.in_channels}"
             )
 
+    @property
+    def fan_in(self) -> int:
+        """Input channels each output channel reads: one for depthwise, else
+        in_channels / groups."""
+        if self.kernel.kind is Kind.DEPTHWISE:
+            return 1
+        return self.in_channels // self.kernel.groups
+
     def __str__(self) -> str:
         return f"{self.kernel}[{self.in_channels}->{self.out_channels}]"
 
 
 def param_count(layer: LayerSpec) -> int:
     """Exact weight count of one layer (no biases, no normalisation)."""
-    k2 = layer.kernel.spatial * layer.kernel.spatial
-    c, f, g = layer.in_channels, layer.out_channels, layer.kernel.groups
-    kind = layer.kernel.kind
-    if kind is Kind.STANDARD:
-        return k2 * c * f
-    if kind is Kind.GROUP:
-        return k2 * (c // g) * f
-    if kind is Kind.DEPTHWISE:
-        return k2 * c
-    if kind is Kind.POINTWISE:
-        return c * f
-    return (c // g) * f  # pointwise group
+    k = layer.kernel.kind.size
+    return k * k * layer.fan_in * layer.out_channels
 
 
 def flop_count(layer: LayerSpec, out_spatial: tuple[int, int]) -> int:

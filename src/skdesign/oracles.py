@@ -27,7 +27,6 @@ from typing import Sequence
 from .kernels import Kind, LayerSpec, ValidationError
 
 MAX_ORACLE_CHANNELS = 16
-MAX_ORACLE_SPATIAL = 9
 MAX_GRID_CHANNELS = 4096
 FULL_PERMUTATION_LIMIT = 8
 
@@ -76,10 +75,6 @@ def check_caps(design: Sequence[LayerSpec]) -> None:
         if max(layer.in_channels, layer.out_channels) > MAX_ORACLE_CHANNELS:
             raise ValidationError(
                 f"oracle caps exceeded: channels > {MAX_ORACLE_CHANNELS} in {layer}"
-            )
-        if layer.kernel.spatial > MAX_ORACLE_SPATIAL:
-            raise ValidationError(
-                f"oracle caps exceeded: spatial > {MAX_ORACLE_SPATIAL} in {layer}"
             )
 
 
@@ -133,7 +128,7 @@ def reachable_channel_triple(design: Sequence[LayerSpec]) -> tuple[int, int, int
     reach, shuffle = tuple(1 << j for j in range(design[0].in_channels)), 1
     for layer in design[:-1]:
         reach, shuffle = reach_step(reach, layer, shuffle), shuffle_group(layer)
-    extent = 1 + sum(layer.kernel.spatial - 1 for layer in design)
+    extent = 1 + sum(layer.kernel.kind.size - 1 for layer in design)
     return (extent, extent, reach_first(reach, design[-1], shuffle).bit_count())
 
 

@@ -79,7 +79,7 @@ class SearchConfig:
     @property
     def reference_field(self) -> InfoField:
         """The field of the standard 3x3 convolution the designs replace."""
-        return InfoField.reference(3, self.reference_channels)
+        return InfoField.reference(self.reference_channels)
 
 
 def sequence_name(sequence: Sequence[Kind]) -> str:

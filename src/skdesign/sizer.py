@@ -183,7 +183,7 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
             total += count * _block_params(layers, conv)
             macs += count * _block_macs(layers, r_in, res_out)
         if s and conv.include_projections:
-            proj = LayerSpec(Kernel.of(Kind.STANDARD, 1), width_in, width_out)
+            proj = LayerSpec(Kernel.of(Kind.POINTWISE), width_in, width_out)
             projections += _layer_params(proj, conv)
             macs += flop_count(proj, (res_out, res_out))
         stage_params.append(total)

@@ -106,7 +106,7 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
                 for slot in slots:
                     layer = slot[3]
                     new = propagate(calc, layer, c)
-                    grown = extent + layer.kernel.spatial - 1
+                    grown = extent + layer.kernel.kind.size - 1
                     want = (new.spatial_x, new.spatial_y, new.channels)
                     got = (grown, grown, oracles.reach_first(reach, layer, shuffle).bit_count())
                     if got != want:

@@ -33,7 +33,6 @@ from skdesign.infofield import InfoField, VerdictKind, _check_design, field_of, 
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 from skdesign.oracles import (
     FULL_PERMUTATION_LIMIT,
-    MAX_ORACLE_SPATIAL,
     _input_groups,
     best_permutation_channel_count,
     check_caps,
@@ -43,6 +42,9 @@ from skdesign.oracles import (
 )
 from skdesign.search import SK_ALPHABET, DesignCandidate, SearchConfig, _slot_layers, sequence_name
 from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
+
+# the node-level walk's input-shape cap
+MAX_ORACLE_SPATIAL = 9
 
 _KIND_CHAR = {
     Kind.GROUP: "g",
@@ -146,24 +148,24 @@ def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> Verd
     return classify(candidate_layers(candidate), config.reference_field)
 
 
-def standard(spatial: int = 3) -> Kernel:
-    return Kernel(Kind.STANDARD, spatial=spatial)
+def standard() -> Kernel:
+    return Kernel(Kind.STANDARD)
 
 
-def group_conv(groups: int, spatial: int = 3) -> Kernel:
-    return Kernel(Kind.GROUP, spatial=spatial, groups=groups)
+def group_conv(groups: int) -> Kernel:
+    return Kernel(Kind.GROUP, groups=groups)
 
 
-def depthwise(spatial: int = 3) -> Kernel:
-    return Kernel(Kind.DEPTHWISE, spatial=spatial)
+def depthwise() -> Kernel:
+    return Kernel(Kind.DEPTHWISE)
 
 
 def pointwise() -> Kernel:
-    return Kernel(Kind.POINTWISE, spatial=1)
+    return Kernel(Kind.POINTWISE)
 
 
 def pointwise_group(groups: int) -> Kernel:
-    return Kernel(Kind.POINTWISE_GROUP, spatial=1, groups=groups)
+    return Kernel(Kind.POINTWISE_GROUP, groups=groups)
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,7 @@ def graph_information_field(
         raise ValidationError("input shape does not match the first layer")
     if max(input_shape.height, input_shape.width) > MAX_ORACLE_SPATIAL:
         raise ValidationError(f"oracle caps exceeded: spatial > {MAX_ORACLE_SPATIAL}")
-    extent = 1 + sum(layer.kernel.spatial - 1 for layer in design)
+    extent = 1 + sum(layer.kernel.kind.size - 1 for layer in design)
     if input_shape.height < extent or input_shape.width < extent:
         raise ValidationError(
             f"input spatial size {input_shape.height}x{input_shape.width} smaller "
@@ -231,7 +233,7 @@ def graph_information_field(
     for i in range(len(design) - 1, -1, -1):
         layer = design[i]
         reads = _input_groups(layer)
-        win = _window(layer.kernel.spatial)
+        win = _window(layer.kernel.kind.size)
         prev: set[tuple[int, int, int]] = set()
         for ch, x, y in nodes:
             for c in reads[ch]:

@@ -5,11 +5,11 @@ from naive import classify, depthwise, group_conv, pointwise, pointwise_group, s
 from skdesign.infofield import InfoField, VerdictKind, field_of, propagate
 from skdesign.kernels import Kind, LayerSpec, ValidationError
 
-REF3 = InfoField.reference(3, 64)
+REF3 = InfoField.reference(64)
 
 
 def _dw(c):
-    return LayerSpec(depthwise(3), c, c)
+    return LayerSpec(depthwise(), c, c)
 
 
 def _pw(c, f):
@@ -18,7 +18,7 @@ def _pw(c, f):
 
 def test_propagate_standard_reaches_full_field():
     start = InfoField.initial()
-    out = propagate(start, LayerSpec(standard(3), 64, 64), 64)
+    out = propagate(start, LayerSpec(standard(), 64, 64), 64)
     assert out == InfoField(3, 3, 64)
 
 
@@ -40,7 +40,7 @@ def test_field_of_examples():
     c = 64
     assert field_of([_dw(c), _pw(c, c)], c) == InfoField(3, 3, c)
     k = c // 4
-    bneck = [_pw(c, k), LayerSpec(depthwise(3), k, k), _pw(k, c)]
+    bneck = [_pw(c, k), LayerSpec(depthwise(), k, k), _pw(k, c)]
     assert field_of(bneck, c) == InfoField(3, 3, c)
     assert field_of([_dw(c)], c) == InfoField(3, 3, 1)
 
@@ -56,7 +56,7 @@ def test_field_of_channel_mismatch_names_boundary():
 
 def test_trace_and_classify_reject_empty_and_misread_designs():
     for check in (lambda d: field_of(d, 8), lambda d: trace(d, 8),
-                  lambda d: classify(d, InfoField.reference(3, 8))):
+                  lambda d: classify(d, InfoField.reference(8))):
         with pytest.raises(ValidationError, match="empty design"):
             check([])
         with pytest.raises(ValidationError, match="expects 64 input channels, got 8"):
@@ -79,14 +79,14 @@ def test_classify_early_full_before_depthwise():
 
 def test_classify_insufficient_coverage():
     seq = [LayerSpec(group_conv(4), 8, 8), LayerSpec(pointwise_group(4), 8, 8)]
-    assert classify(seq, InfoField.reference(3, 8)) is VerdictKind.INSUFFICIENT_FIELD
+    assert classify(seq, InfoField.reference(8)) is VerdictKind.INSUFFICIENT_FIELD
     assert field_of(seq, 8).channels == 4
 
 
 def test_classify_bottleneck_sandwich_survives_plain_dies():
     c = 64
     k = 16
-    bneck = [_pw(c, k), LayerSpec(depthwise(3), k, k), _pw(k, c)]
+    bneck = [_pw(c, k), LayerSpec(depthwise(), k, k), _pw(k, c)]
     assert classify(bneck, REF3) is VerdictKind.VALID
     plain = [_pw(c, c), _dw(c), _pw(c, c)]
     assert classify(plain, REF3) is VerdictKind.INFERIOR_NO_GROWTH
@@ -128,9 +128,9 @@ def _field_and_layer(draw):
     c = draw(st.sampled_from([4, 8, 12, 16, 24, 32]))
     kind = draw(st.sampled_from(list(Kind)))
     if kind is Kind.DEPTHWISE:
-        layer = LayerSpec(depthwise(3), c, c)
+        layer = LayerSpec(depthwise(), c, c)
     elif kind is Kind.STANDARD:
-        layer = LayerSpec(standard(3), c, c)
+        layer = LayerSpec(standard(), c, c)
     elif kind is Kind.POINTWISE:
         layer = LayerSpec(pointwise(), c, c)
     elif kind is Kind.GROUP:

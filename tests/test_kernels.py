@@ -7,11 +7,10 @@ from naive import TensorShape, depthwise, group_conv, pointwise, pointwise_group
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 
 
-def _kernel_unchecked(kind: Kind, spatial: int, groups: int) -> Kernel:
+def _kernel_unchecked(kind: Kind, groups: int) -> Kernel:
     """Build a Kernel bypassing validation."""
     k = object.__new__(Kernel)
     object.__setattr__(k, "kind", kind)
-    object.__setattr__(k, "spatial", spatial)
     object.__setattr__(k, "groups", groups)
     return k
 
@@ -26,13 +25,13 @@ def _layer_unchecked(kernel: Kernel, in_channels: int, out_channels: int) -> Lay
 
 
 def test_param_count_standard():
-    assert param_count(LayerSpec(standard(3), 64, 64)) == 36864
+    assert param_count(LayerSpec(standard(), 64, 64)) == 36864
 
 
 def test_param_count_dw_pw_total():
     # depthwise then pointwise totals 9C + C*F
     for c, f in [(64, 64), (64, 256), (280, 280)]:
-        layers = [LayerSpec(depthwise(3), c, c), LayerSpec(pointwise(), c, f)]
+        layers = [LayerSpec(depthwise(), c, c), LayerSpec(pointwise(), c, f)]
         assert sum(param_count(l) for l in layers) == 9 * c + c * f
 
 
@@ -47,12 +46,12 @@ def test_param_count_grouped_pair():
 
 
 def test_flop_count_examples():
-    assert flop_count(LayerSpec(standard(3), 64, 64), (56, 56)) == 115_605_504
+    assert flop_count(LayerSpec(standard(), 64, 64), (56, 56)) == 115_605_504
     assert flop_count(LayerSpec(pointwise(), 64, 64), (1, 1)) == 4096
 
 
 def test_flop_count_depthwise_against_loop_nest():
-    layer = LayerSpec(depthwise(3), 280, 280)
+    layer = LayerSpec(depthwise(), 280, 280)
     macs = 0
     for _u in range(28):
         for _v in range(28):
@@ -64,20 +63,16 @@ def test_flop_count_depthwise_against_loop_nest():
 
 def test_out_channels():
     assert LayerSpec(pointwise(), 64, 256).out_channels == 256
-    assert LayerSpec(depthwise(3), 64, 64).out_channels == 64
+    assert LayerSpec(depthwise(), 64, 64).out_channels == 64
     with pytest.raises(ValidationError):
-        LayerSpec(depthwise(3), 64, 32)
+        LayerSpec(depthwise(), 64, 32)
 
 
 def test_kernel_invariants():
     with pytest.raises(ValidationError):
-        depthwise(1)  # degenerate 1x1 depthwise
-    with pytest.raises(ValidationError):
         group_conv(1)
     with pytest.raises(ValidationError):
         pointwise_group(1)
-    with pytest.raises(ValidationError):
-        Kernel(Kind.POINTWISE, spatial=3)
 
 
 def test_layer_divisibility_errors_name_group_number():
@@ -92,10 +87,10 @@ def test_layer_divisibility_errors_name_group_number():
 def test_group_conv_limits_match_standard_and_depthwise():
     # relaxed constructors exercise the hypothetical group extremes
     c = f = 48
-    m1 = _layer_unchecked(_kernel_unchecked(Kind.GROUP, 3, 1), c, f)
-    assert param_count(m1) == param_count(LayerSpec(standard(3), c, f))
-    mc = _layer_unchecked(_kernel_unchecked(Kind.GROUP, 3, c), c, c)
-    assert param_count(mc) == param_count(LayerSpec(depthwise(3), c, c))
+    m1 = _layer_unchecked(_kernel_unchecked(Kind.GROUP, 1), c, f)
+    assert param_count(m1) == param_count(LayerSpec(standard(), c, f))
+    mc = _layer_unchecked(_kernel_unchecked(Kind.GROUP, c), c, c)
+    assert param_count(mc) == param_count(LayerSpec(depthwise(), c, c))
 
 
 def test_tensor_shape_validation():
@@ -110,9 +105,9 @@ def _layers(draw):
     kind = draw(st.sampled_from(list(Kind)))
     f = draw(st.sampled_from([c, 2 * c, 4 * c]))
     if kind is Kind.DEPTHWISE:
-        return LayerSpec(depthwise(3), c, c)
+        return LayerSpec(depthwise(), c, c)
     if kind is Kind.STANDARD:
-        return LayerSpec(standard(3), c, f)
+        return LayerSpec(standard(), c, f)
     if kind is Kind.POINTWISE:
         return LayerSpec(pointwise(), c, f)
     divisors = [d for d in range(2, c + 1) if c % d == 0]

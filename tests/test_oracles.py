@@ -39,7 +39,7 @@ def test_interleave_is_a_group_transpose():
 
 
 def test_graph_field_standard():
-    assert graph_information_field([LayerSpec(standard(3), 8, 8)], SHAPE8) == (3, 3, 8)
+    assert graph_information_field([LayerSpec(standard(), 8, 8)], SHAPE8) == (3, 3, 8)
 
 
 def test_graph_field_grouped_pair_reaches_full():
@@ -48,15 +48,15 @@ def test_graph_field_grouped_pair_reaches_full():
 
 
 def test_graph_field_depthwise_single_channel():
-    assert graph_information_field([LayerSpec(depthwise(3), 8, 8)], SHAPE8) == (3, 3, 1)
+    assert graph_information_field([LayerSpec(depthwise(), 8, 8)], SHAPE8) == (3, 3, 1)
 
 
 def test_graph_field_refuses_oversize():
     with pytest.raises(ValidationError):
-        graph_information_field([LayerSpec(standard(3), 32, 32)], TensorShape(32, 9, 9))
+        graph_information_field([LayerSpec(standard(), 32, 32)], TensorShape(32, 9, 9))
     with pytest.raises(ValidationError):
         graph_information_field(
-            [LayerSpec(depthwise(3), 8, 8)] * 5, TensorShape(8, 9, 9)
+            [LayerSpec(depthwise(), 8, 8)] * 5, TensorShape(8, 9, 9)
         )  # field extent 11 exceeds the 9x9 input
 
 
@@ -78,8 +78,7 @@ def test_factored_oracle_matches_node_level_walk():
                 for groups in itertools.product(*choice_sets):
                     layers = []
                     for kind, g in zip(seq, groups):
-                        k = 1 if kind in (Kind.POINTWISE, Kind.POINTWISE_GROUP) else 3
-                        layers.append(LayerSpec(Kernel(kind, spatial=k, groups=g), c, c))
+                        layers.append(LayerSpec(Kernel(kind, groups=g), c, c))
                     assert reachable_channel_triple(layers) == graph_information_field(
                         layers, shape
                     )
@@ -92,7 +91,7 @@ def _legal_layers(kind, c_in, c_out):
     groups = range(2, c_in + 1) if kind.is_grouped else (None,)
     for g in groups:
         try:
-            yield LayerSpec(Kernel.of(kind, 3, g), c_in, c_out)
+            yield LayerSpec(Kernel.of(kind, g), c_in, c_out)
         except ValidationError:
             pass
 
@@ -126,7 +125,7 @@ def test_factored_oracle_matches_node_level_walk_across_widths():
     ) == (3, 3, 8)
     des = [
         LayerSpec(pointwise_group(4), 16, 8),
-        LayerSpec(depthwise(3), 8, 8),
+        LayerSpec(depthwise(), 8, 8),
         LayerSpec(pointwise_group(2), 8, 12),
         LayerSpec(group_conv(3), 12, 12),
     ]
