@@ -98,23 +98,20 @@ class LayerSpec:
                 f"depthwise layers preserve the channel count "
                 f"({self.in_channels} -> {self.out_channels} requested)"
             )
-        if kind is Kind.GROUP:
-            if self.in_channels % g:
-                raise ValidationError(
-                    f"group number {g} does not divide in_channels {self.in_channels}"
-                )
-            if self.out_channels % g:
-                raise ValidationError(
-                    f"group number {g} does not divide out_channels {self.out_channels}"
-                )
-            if g > self.in_channels - 1:
-                raise ValidationError(
-                    f"group number {g} must be <= in_channels-1 ({self.in_channels - 1}); "
-                    f"one group per channel is the depthwise kind"
-                )
-        if kind is Kind.POINTWISE_GROUP and self.in_channels % g:
+        # a grouped convolution splits both widths into g equal groups;
+        # the ungrouped kinds have g = 1
+        if self.in_channels % g:
             raise ValidationError(
                 f"group number {g} does not divide in_channels {self.in_channels}"
+            )
+        if self.out_channels % g:
+            raise ValidationError(
+                f"group number {g} does not divide out_channels {self.out_channels}"
+            )
+        if kind is Kind.GROUP and g > self.in_channels - 1:
+            raise ValidationError(
+                f"group number {g} must be <= in_channels-1 ({self.in_channels - 1}); "
+                f"one group per channel is the depthwise kind"
             )
 
     @property

@@ -202,17 +202,18 @@ def feasible_pairs(
 
     constraint "le" keeps pairs with M*N <= bound (the information-field
     feasibility bound: C for gc+pwg, K for pwg+dw+pwg); "eq" keeps only
-    pairs meeting it exactly; "none" applies divisibility only.
+    pairs meeting it exactly; "none" applies divisibility only: each group
+    number divides both widths of its layer.
     """
     if family == "gc+pwg":
         ms = [d for d in _divisors(c) if 2 <= d <= c - 1]
-        ns = [d for d in _divisors(c) if d >= 2]
+        ns = [d for d in _divisors(c) if d >= 2 and f % d == 0]
         bound = c
     elif family == "pwg+dw+pwg":
         if f % 4:
             raise ValidationError(f"bottleneck width requires 4 | F, got F={f}")
         k = f // 4
-        ms = [d for d in _divisors(c) if d >= 2]
+        ms = [d for d in _divisors(c) if d >= 2 and k % d == 0]
         ns = [d for d in _divisors(k) if d >= 2]
         bound = k
     else:

@@ -80,6 +80,8 @@ def test_layer_divisibility_errors_name_group_number():
         LayerSpec(group_conv(5), 64, 64)
     with pytest.raises(ValidationError, match="3"):
         LayerSpec(pointwise_group(3), 64, 64)
+    with pytest.raises(ValidationError, match="32"):
+        LayerSpec(pointwise_group(32), 64, 16)  # a group number divides both widths
     with pytest.raises(ValidationError):
         LayerSpec(group_conv(64), 64, 64)  # one group per channel is depthwise
 

@@ -117,12 +117,13 @@ def test_factored_oracle_matches_node_level_walk_across_widths():
         ), [str(layer) for layer in layers]
         checked += 1
     assert checked > 1000
-    # the shuffle after pwg(3) at width 8 does not tile, so it is the identity
-    des = [LayerSpec(pointwise_group(3), 12, 8), LayerSpec(group_conv(2), 8, 8)]
-    assert interleave(8, 3) == tuple(range(8))
-    assert reachable_channel_triple(des) == graph_information_field(
-        des, TensorShape(12, 9, 9)
-    ) == (3, 3, 8)
+    # a width-changing grouped 1x1 and the shuffle after it: each output of
+    # pwg(4) at 12 -> 8 reads 3 inputs, so gc(4) then reaches 6 and gc(2) all 12
+    for g, reached in ((4, 6), (2, 12)):
+        des = [LayerSpec(pointwise_group(4), 12, 8), LayerSpec(group_conv(g), 8, 8)]
+        assert reachable_channel_triple(des) == graph_information_field(
+            des, TensorShape(12, 9, 9)
+        ) == (3, 3, reached)
     des = [
         LayerSpec(pointwise_group(4), 16, 8),
         LayerSpec(depthwise(), 8, 8),

@@ -13,7 +13,7 @@ from skdesign import search
 from skdesign.efficiency import Family, optimal_group_numbers
 from skdesign.infofield import VerdictKind
 from skdesign.kernels import Kind, ValidationError, param_count
-from skdesign.oracles import feasible_pairs
+from skdesign.oracles import feasible_pairs, reach_first, reach_step, shuffle_group
 from skdesign.search import (
     DEFAULT_DOMINATION_GRID,
     SK_ALPHABET,
@@ -214,9 +214,9 @@ def test_search_audit_counts_are_frozen_and_monotone(default_result):
     counts = dict(result.stage_counts)
     assert counts["sequences_raw"] == 5460
     assert counts["sequences_after_composition"] == 5356
-    assert counts["candidates_enumerated"] == 5_523_742
-    assert counts["candidates_valid"] == 9602
-    assert counts["families"] == 31
+    assert counts["candidates_enumerated"] == 5_412_926
+    assert counts["candidates_valid"] == 4553
+    assert counts["families"] == 27
     assert counts["families_after_domination"] == 4
     assert counts["sequences_raw"] >= counts["sequences_after_composition"]
     assert counts["candidates_enumerated"] >= counts["candidates_valid"]
@@ -224,11 +224,11 @@ def test_search_audit_counts_are_frozen_and_monotone(default_result):
     # verdict attribution covers every enumerated candidate exactly
     assert sum(n for _, n in result.verdict_counts) == counts["candidates_enumerated"]
     assert dict(result.verdict_counts) == {
-        "valid": 9602,
-        "inferior-no-growth": 2_740_571,
-        "inferior-early-full": 1_039_348,
-        "insufficient-field": 1235,
-        "spatial-mismatch": 1_732_986,
+        "valid": 4553,
+        "inferior-no-growth": 2_690_218,
+        "inferior-early-full": 1_026_994,
+        "insufficient-field": 442,
+        "spatial-mismatch": 1_690_719,
     }
 
 
@@ -240,17 +240,17 @@ def test_search_audit_counts_at_length_8_without_domination():
     assert dict(result.stage_counts) == {
         "sequences_raw": 87_380,
         "sequences_after_composition": 87_016,
-        "candidates_enumerated": 919_126_285,
-        "candidates_valid": 13_772,
-        "families": 43,
-        "families_after_domination": 43,
+        "candidates_enumerated": 909_727_453,
+        "candidates_valid": 4785,
+        "families": 33,
+        "families_after_domination": 33,
     }
     assert dict(result.verdict_counts) == {
-        "valid": 13_772,
-        "inferior-no-growth": 460_536_078,
-        "inferior-early-full": 173_821_973,
-        "insufficient-field": 1337,
-        "spatial-mismatch": 284_753_125,
+        "valid": 4785,
+        "inferior-no-growth": 455_799_672,
+        "inferior-early-full": 172_522_975,
+        "insufficient-field": 442,
+        "spatial-mismatch": 281_399_579,
     }
 
 
@@ -266,10 +266,36 @@ def test_search_without_domination_keeps_four_with_valid_audits():
             assert w.params == sum(param_count(l) for l in candidate_layers(w)), w.describe()
 
 
+def test_every_valid_witness_reaches_all_channels_in_the_oracle():
+    # the forward oracle's bitmask steps need no channel cap, so each valid
+    # witness, bottleneck plans included, is walked at the search's own
+    # widths: the calculus calls it full, so it must reach all C channels
+    for c, f, length in ((64, 64, 6), (16, 32, 5), (12, 12, 6)):
+        cfg = SearchConfig(
+            max_length=length,
+            reference_channels=c,
+            reference_out_channels=f,
+            enable_domination_filter=False,
+        )
+        result = run_search(cfg)
+        checked, short = 0, []
+        for fam in result.families:
+            for w in fam.witnesses:
+                layers = candidate_layers(w)
+                reach, shuffle = tuple(1 << j for j in range(c)), 1
+                for layer in layers[:-1]:
+                    reach, shuffle = reach_step(reach, layer, shuffle), shuffle_group(layer)
+                checked += 1
+                if reach_first(reach, layers[-1], shuffle).bit_count() != c:
+                    short.append(w.describe())
+        assert checked == dict(result.stage_counts)["candidates_valid"]
+        assert not short, (c, f, f"{len(short)} of {checked}", short[:3])
+
+
 def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
     # one `step` per (trie node, field, group choice) as a last slot and one
     # as an interior slot: the default search without domination makes
-    # 6,298 calls, against the 5,523,742 assignments it classifies
+    # 4,932 calls, against the 5,412,926 assignments it classifies
     calls = 0
     real_step = search.step
 
@@ -280,8 +306,8 @@ def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(search, "step", counting_step)
     result = run_search(SearchConfig(enable_domination_filter=False))
-    assert calls == 6298
-    assert dict(result.stage_counts)["candidates_enumerated"] == 5523742
+    assert calls == 4932
+    assert dict(result.stage_counts)["candidates_enumerated"] == 5412926
 
 
 def test_family_min_params_is_the_cheapest_witness(default_result):
