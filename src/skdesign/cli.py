@@ -191,7 +191,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     doc["ratio"] = _fraction_doc(r)
     lines.append(f"  parameter ratio vs standard 3x3: {_fmt_fraction(r)}")
     if groups is not None:
-        k = f // 4 if family.bottlenecked else c
+        # the intermediate width, as the family's width plan builds it
+        k = efficiency.layers_for(family, c, f, groups)[0].out_channels
         ok = efficiency.theorem1_condition(k, groups[0], groups[1])
         doc["groups"] = {"M": groups[0], "N": groups[1], "theorem1_product_condition": ok}
         lines.append(

@@ -37,11 +37,11 @@ class Kind(enum.Enum):
     POINTWISE = "pw", False, False
     POINTWISE_GROUP = "pwg", False, True
 
-    def __new__(cls, name: str, is_spatial: bool, is_grouped: bool) -> "Kind":
+    def __new__(cls, value: str, is_spatial: bool, is_grouped: bool) -> "Kind":
         # plain attributes, not properties: the search and the sweeps read
         # them once per layer step
         kind = object.__new__(cls)
-        kind._value_ = name
+        kind._value_ = value
         kind.is_spatial = is_spatial
         kind.size = 3 if is_spatial else 1
         kind.is_grouped = is_grouped
