@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from . import __version__, efficiency, search
 from .efficiency import Family
 from .kernels import Kernel, Kind, LayerSpec, ValidationError
-from .oracles import _read_masks, shuffle_group
+from .oracles import _input_groups, shuffle_after
 
 if TYPE_CHECKING:  # search and verify do not load the sizer
     from . import sizer
@@ -330,10 +330,10 @@ def render_dot(layers, name: str = "design") -> str:
     """DOT drawing of channel connectivity at one spatial slice.
 
     One node per (layer, channel); edges into each output channel from the
-    input channels it reads through the interleave shuffle, in ascending
-    input channel, as the graph oracle's read masks give them.  Edges of
-    spatial kernels are green (they also carry spatial context), 1x1 edges
-    are blue.
+    input channels it reads, each named as the previous layer's output that
+    the graph oracle's `shuffle_after` passes on to it, in ascending order.
+    Edges of spatial kernels are green (they also carry spatial context),
+    1x1 edges are blue.
     """
     safe = name.replace("+", "_")
     out = [f'digraph "{safe}" {{', "  rankdir=LR;", "  node [shape=circle, fontsize=10];"]
@@ -354,11 +354,10 @@ def render_dot(layers, name: str = "design") -> str:
     out.append("  }")
     for li, layer in enumerate(layers):
         color = "green" if layer.kernel.kind.is_spatial else "blue"
-        shuffle = shuffle_group(layers[li - 1]) if li else 1
-        for ch, mask in enumerate(_read_masks(layer, shuffle)):
-            for src in range(mask.bit_length()):
-                if mask >> src & 1:
-                    out.append(f"  t{li}_c{src} -> t{li + 1}_c{ch} [color={color}];")
+        names = shuffle_after(layers[li - 1]) if li else range(layer.in_channels)
+        for ch, reads in enumerate(_input_groups(layer)):
+            for src in sorted(names[c] for c in reads):
+                out.append(f"  t{li}_c{src} -> t{li + 1}_c{ch} [color={color}];")
     out.append("}")
     return "\n".join(out)
 

@@ -3,10 +3,10 @@
 Two oracles live here and deliberately share no machinery with the modules
 they check:
 
-* a factored dependency-graph information-field oracle that inserts
-  interleave channel shuffles between layers and counts the original input
-  channels one output channel can reach, by carrying forward, layer by
-  layer, the bitmask of original channels each channel reaches;
+* a factored dependency-graph information-field oracle that passes each
+  layer's outputs on through an interleave channel shuffle and counts the
+  original input channels one output channel can reach, by carrying
+  forward, layer by layer, the bitmask of original channels each reaches;
 
 * an exhaustive divisor-grid optimizer that evaluates exact integer
   parameter counts at every feasible group-number pair and returns all
@@ -63,11 +63,11 @@ def _input_groups(layer: LayerSpec) -> list[list[int]]:
     return out
 
 
-def shuffle_group(layer: LayerSpec) -> int:
-    """Group count used for the interleave shuffle after a layer."""
-    if layer.kernel.kind is Kind.DEPTHWISE:
-        return layer.out_channels
-    return layer.kernel.groups
+def shuffle_after(layer: LayerSpec) -> tuple[int, ...]:
+    """The interleave after a layer, one group per kernel group or, after a
+    depthwise layer, per channel: next input j is output channel perm[j]."""
+    f = layer.out_channels
+    return interleave(f, f if layer.kernel.kind is Kind.DEPTHWISE else layer.kernel.groups)
 
 
 def check_caps(design: Sequence[LayerSpec]) -> None:
@@ -79,12 +79,11 @@ def check_caps(design: Sequence[LayerSpec]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _read_masks(layer: LayerSpec, shuffle: int) -> tuple[int, ...]:
-    """For each output channel, the bitmask of channels it reads, named as
-    they were before the interleave shuffle with `shuffle` groups that
-    feeds the layer (1 for no shuffle)."""
-    perm = interleave(layer.in_channels, shuffle)
-    return tuple(sum(1 << perm[c] for c in reads) for reads in _input_groups(layer))
+def _read_masks(layer: LayerSpec) -> tuple[int, ...]:
+    """For each output channel, in the order `shuffle_after(layer)` passes
+    them on, the bitmask of the layer's input channels it reads."""
+    reads = _input_groups(layer)
+    return tuple(sum(1 << c for c in reads[j]) for j in shuffle_after(layer))
 
 
 def _reached(masks: tuple[int, ...], channels: int) -> int:
@@ -98,20 +97,20 @@ def _reached(masks: tuple[int, ...], channels: int) -> int:
     return inputs
 
 
-def reach_step(reach: tuple[int, ...], layer: LayerSpec, shuffle: int) -> tuple[int, ...]:
-    """For each output channel of `layer`, the bitmask of original channels
-    it reaches, given `reach` for the layer before and the interleave with
-    `shuffle` groups between them.  Each distinct read mask is resolved once."""
-    masks = _read_masks(layer, shuffle)
+def reach_step(reach: tuple[int, ...], layer: LayerSpec) -> tuple[int, ...]:
+    """The reach the next layer reads, given `reach`, the one `layer` reads:
+    each output channel's bitmask of original channels, in the order
+    `shuffle_after(layer)` passes them on.  Each distinct mask is resolved once."""
+    masks = _read_masks(layer)
     resolved = {m: _reached(reach, m) for m in set(masks)}
     # from a list: tuple() of a generator resizes its result, and CPython
     # keeps each freed resized tuple on a free list, 0.4 MB over one sweep
     return tuple([resolved[m] for m in masks])
 
 
-def reach_first(reach: tuple[int, ...], layer: LayerSpec, shuffle: int) -> int:
-    """Output channel 0 of `reach_step`: all a design's last layer needs."""
-    return _reached(reach, _read_masks(layer, shuffle)[0])
+def reach_first(reach: tuple[int, ...], layer: LayerSpec) -> int:
+    """Row 0 of `reach_step`, channel 0, which no interleave moves: all a last layer needs."""
+    return _reached(reach, _read_masks(layer)[0])
 
 
 def reachable_channel_triple(design: Sequence[LayerSpec]) -> tuple[int, int, int]:
@@ -125,11 +124,11 @@ def reachable_channel_triple(design: Sequence[LayerSpec]) -> tuple[int, int, int
     if not design:
         raise ValidationError("empty design")
     check_caps(design)
-    reach, shuffle = tuple(1 << j for j in range(design[0].in_channels)), 1
+    reach = tuple(1 << j for j in range(design[0].in_channels))
     for layer in design[:-1]:
-        reach, shuffle = reach_step(reach, layer, shuffle), shuffle_group(layer)
+        reach = reach_step(reach, layer)
     extent = 1 + sum(layer.kernel.kind.size - 1 for layer in design)
-    return (extent, extent, reach_first(reach, design[-1], shuffle).bit_count())
+    return (extent, extent, reach_first(reach, design[-1]).bit_count())
 
 
 def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:
@@ -151,11 +150,11 @@ def best_permutation_channel_count(design: Sequence[LayerSpec]) -> int:
 
     @lru_cache(maxsize=None)
     def best(layer_idx: int, mask: int) -> int:
-        size = _reached(_read_masks(design[layer_idx], 1), mask).bit_count()
+        size = _reached(_read_masks(design[layer_idx]), mask).bit_count()
         if layer_idx == 0:
             return size
         # free permutation before this layer: any equal-size subset of the
-        # previous layer's outputs is reachable
+        # previous layer's output rows is reachable, whatever their order
         n = design[layer_idx - 1].out_channels
         result = 0
         for subset in _subsets_of_size(n, size):

@@ -8,9 +8,9 @@ Two suites:
 
 * infofield: over all kernel sequences up to a length cap at small channel
   counts, the calculus triple must equal the dependency-graph reachability
-  triple exactly.  The graph uses the deterministic interleave shuffle; if
-  that misses the calculus value at eight channels or fewer, the full
-  permutation space is searched before declaring a disagreement.
+  triple exactly.  The graph passes channels between layers in one fixed
+  order; if that misses the calculus value at eight channels or fewer, the
+  full permutation space is searched before declaring a disagreement.
 """
 
 from __future__ import annotations
@@ -78,18 +78,18 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
     """Calculus triple vs dependency-graph triple, all sequences and groups.
 
     A design's verdict and those of its extensions depend only on the state
-    its prefix reaches: the calculus field, the oracle's extent and reach,
-    and the shuffle after the last layer.  So one level loop per channel
-    count checks each distinct (state, slot) pair of each depth once, with
-    one `propagate`, one `reach_first` and, below the last depth, one
-    `reach_step`; a disagreement is expanded to every design whose prefix
-    reaches that state."""
+    its prefix reaches: the calculus field, the oracle's extent, and the
+    oracle's reach in the order the next layer reads it.  So one level loop
+    per channel count checks each distinct (state, slot) pair of each depth
+    once, with one `propagate`, one `reach_first` and, below the last depth,
+    one `reach_step`; a disagreement is expanded to every design whose
+    prefix reaches that state."""
     _check_c_max(c_max)
     result = VerifyResult("infofield")
     for c in (c for c in INFOFIELD_CHANNELS if c <= c_max):
-        # (kind index, choice index, group, layer, shuffle after the layer)
+        # (kind index, choice index, group, layer)
         slots = [
-            (k, i, g or 1, layer, oracles.shuffle_group(layer))
+            (k, i, g or 1, layer)
             for k, kind in enumerate(SK_ALPHABET)
             for i, (g, layer, _) in enumerate(_slot_layers(kind, c, c))
         ]
@@ -97,22 +97,22 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
         result.checked += sum(len(slots) ** n for n in range(1, len_max + 1))
         # levels[d] maps each state reached by d layers to the
         # (state at d - 1, slot) edges into it
-        levels = [{(InfoField.initial(), 1, tuple(1 << j for j in range(c)), 1): []}]
+        levels = [{(InfoField.initial(), 1, tuple(1 << j for j in range(c))): []}]
         failing = []
         for depth in range(1, len_max + 1):
             below = {}
             for state in levels[-1]:
-                calc, extent, reach, shuffle = state
+                calc, extent, reach = state
                 for slot in slots:
                     layer = slot[3]
                     new = propagate(calc, layer, c)
                     grown = extent + layer.kernel.kind.size - 1
                     want = (new.spatial_x, new.spatial_y, new.channels)
-                    got = (grown, grown, oracles.reach_first(reach, layer, shuffle).bit_count())
+                    got = (grown, grown, oracles.reach_first(reach, layer).bit_count())
                     if got != want:
                         failing.append((depth - 1, state, slot, want, got))
                     if depth < len_max:
-                        key = (new, grown, oracles.reach_step(reach, layer, shuffle), slot[4])
+                        key = (new, grown, oracles.reach_step(reach, layer))
                         below.setdefault(key, []).append((state, slot))
             levels.append(below)
         found = []
@@ -121,13 +121,13 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
                 design = prefix + (slot,)
                 shown = got
                 if c <= oracles.FULL_PERMUTATION_LIMIT:
-                    # the best shuffle depends on the layers, not the state
+                    # the best permutation depends on the layers, not the state
                     best = oracles.best_permutation_channel_count([s[3] for s in design])
                     shown = (got[0], got[1], best)
                     if shown == want:
                         continue
                 # sorted as itertools.product lists them: by length, kinds, choices
-                ks, choices, groups, _, _ = zip(*design)
+                ks, choices, groups, _ = zip(*design)
                 seq = sequence_name([SK_ALPHABET[k] for k in ks])
                 text = f"C={c}, {seq} groups={groups}: calculus {want}, graph {shown}"
                 found.append(((len(design), ks, choices), text))

@@ -36,9 +36,8 @@ from skdesign.oracles import (
     _input_groups,
     best_permutation_channel_count,
     check_caps,
-    interleave,
     reachable_channel_triple,
-    shuffle_group,
+    shuffle_after,
 )
 from skdesign.search import SK_ALPHABET, DesignCandidate, SearchConfig, _slot_layers, sequence_name
 from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
@@ -197,7 +196,7 @@ def _window(k: int) -> range:
 def _interleave_permutations(design: Sequence[LayerSpec]) -> list[tuple[int, ...]]:
     perms: list[tuple[int, ...]] = [tuple(range(design[0].in_channels))]
     for i in range(1, len(design)):
-        perms.append(interleave(design[i].in_channels, shuffle_group(design[i - 1])))
+        perms.append(shuffle_after(design[i - 1]))
     return perms
 
 

@@ -10,9 +10,16 @@ from pathlib import Path
 import pytest
 
 from naive import _group_numbers
-from skdesign.cli import EXIT_OK, EXIT_ORACLE, EXIT_USAGE, EXIT_VALIDATION, main, render_dot
+from skdesign.cli import (
+    EXIT_OK,
+    EXIT_ORACLE,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    main,
+    render_dot,
+)
 from skdesign.kernels import Kernel, Kind, LayerSpec
-from skdesign.oracles import _input_groups, interleave, shuffle_group
+from skdesign.oracles import _input_groups, shuffle_after
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -206,7 +213,7 @@ def test_graph_edges_are_the_reads_through_the_interleave():
                 expected = set()
                 for li, layer in enumerate(design):
                     if li:
-                        perm = interleave(layer.in_channels, shuffle_group(design[li - 1]))
+                        perm = shuffle_after(design[li - 1])
                     else:
                         perm = tuple(range(layer.in_channels))
                     for ch, reads in enumerate(_input_groups(layer)):
@@ -342,3 +349,4 @@ def test_star_import_binds_every_exported_name():
     exec("from skdesign import *", namespace)
     for name in skdesign.__all__:
         assert namespace[name] is getattr(skdesign, name), name
+

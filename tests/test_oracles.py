@@ -15,8 +15,7 @@ from naive import (
 )
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.oracles import (
-    _reached,
-    _read_masks,
+    _input_groups,
     best_permutation_channel_count,
     divisor_grid_min,
     feasible_pairs,
@@ -26,7 +25,7 @@ from skdesign.oracles import (
     reach_first,
     reach_step,
     reachable_channel_triple,
-    shuffle_group,
+    shuffle_after,
 )
 
 SHAPE8 = TensorShape(8, 9, 9)
@@ -38,6 +37,11 @@ def test_interleave_is_a_group_transpose():
     assert sorted(interleave(12, 3)) == list(range(12))
     # a group number that does not tile the width leaves the order alone
     assert interleave(8, 3) == tuple(range(8))
+    # no shuffle moves channel 0, the one `reach_first` reads
+    for n in range(1, 65):
+        for g in range(1, n + 1):
+            if n % g == 0:
+                assert interleave(n, g)[0] == 0, (n, g)
 
 
 def test_graph_field_standard():
@@ -135,28 +139,40 @@ def test_factored_oracle_matches_node_level_walk_across_widths():
     assert reachable_channel_triple(des) == graph_information_field(des, TensorShape(16, 9, 9))
 
 
-def _backward_reach(design, outputs):
-    """The original channels a set of the last layer's output channels
-    reaches, walked backward through each layer's read masks."""
+def _backward_reach(design, channel):
+    """The original channels one output channel of the last layer reaches,
+    walked backward through each layer's reads and the interleave before
+    it: one shuffle group per kernel group, one per channel after a
+    depthwise layer."""
+    channels = {channel}
     for i in range(len(design) - 1, -1, -1):
-        shuffle = shuffle_group(design[i - 1]) if i else 1
-        outputs = _reached(_read_masks(design[i], shuffle), outputs)
-    return outputs
+        reads = _input_groups(design[i])
+        channels = {c for ch in channels for c in reads[ch]}
+        if i:
+            prev = design[i - 1]
+            f = prev.out_channels
+            perm = interleave(f, f if prev.kernel.kind is Kind.DEPTHWISE else prev.kernel.groups)
+            channels = {perm[c] for c in channels}
+    return sum(1 << c for c in channels)
 
 
 def test_reach_step_matches_a_backward_walk_on_every_output_channel():
-    checked = 0
+    checked = reordered = 0
     for layers in _legal_designs():
-        reach, shuffle = tuple(1 << j for j in range(layers[0].in_channels)), 1
+        reach = tuple(1 << j for j in range(layers[0].in_channels))
         for layer in layers:
-            before, before_shuffle = reach, shuffle
-            reach, shuffle = reach_step(reach, layer, shuffle), shuffle_group(layer)
-        assert reach == tuple(
-            _backward_reach(layers, 1 << j) for j in range(layers[-1].out_channels)
-        ), [str(layer) for layer in layers]
-        assert reach_first(before, layers[-1], before_shuffle) == reach[0]
+            before, reach = reach, reach_step(reach, layer)
+        # position j holds the output channel the shuffle after the last
+        # layer passes on there
+        walked = [_backward_reach(layers, ch) for ch in range(layers[-1].out_channels)]
+        assert reach == tuple(walked[ch] for ch in shuffle_after(layers[-1])), [
+            str(layer) for layer in layers
+        ]
+        assert reach_first(before, layers[-1]) == reach[0] == walked[0]
         checked += 1
+        reordered += reach != tuple(walked)
     assert checked > 1000
+    assert reordered > 100
 
 
 def test_oracle_imports_nothing_it_checks():

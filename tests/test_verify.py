@@ -55,8 +55,9 @@ def test_prefix_walk_reports_an_oracle_fault_like_the_per_design_sweep(monkeypat
 
 
 # Under correct code the calculus field and the oracle's extent agree, so a
-# state key that dropped one of them, or dropped the shuffle, would change
-# no output; only a fault that pulls them apart shows it.
+# state key that dropped one of them would change no output; only a fault
+# that pulls them apart shows it.  The key needs no shuffle: the oracle's
+# reach lists channels in the order the next layer reads them.
 
 
 def test_prefix_walk_reports_a_spatial_fault_like_the_per_design_sweep(monkeypatch):
@@ -91,7 +92,7 @@ def test_prefix_walk_reports_a_two_group_shuffle_fault_like_the_per_design_sweep
 
 def test_prefix_walk_propagates_once_per_state_and_slot(monkeypatch):
     # one `propagate` per distinct (state, slot) pair of each depth: the
-    # default sweep makes 3,562 calls for its 27,064 designs
+    # default sweep makes 1,540 calls for its 27,064 designs
     calls = 0
     real = verify.propagate
 
@@ -102,4 +103,4 @@ def test_prefix_walk_propagates_once_per_state_and_slot(monkeypatch):
 
     monkeypatch.setattr(verify, "propagate", counting_propagate)
     assert verify_infofield().checked == 27_064
-    assert calls == 3_562
+    assert calls == 1_540
