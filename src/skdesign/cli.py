@@ -1,7 +1,8 @@
 """Command-line front end: search, analyze, size, width, verify, graph.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 oracle
-disagreement.  Every command accepts --format {table,json}; json documents
+disagreement, 141 (128 + SIGPIPE) when the reader closes the output early,
+as `| head` does.  Every command accepts --format {table,json}; json documents
 are deterministic (sorted keys, versioned schema) so diffs are meaningful
 in CI.  Exact rationals are printed verbatim alongside a 6-significant-
 figure decimal rendering.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_ORACLE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,10 +432,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

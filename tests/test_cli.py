@@ -11,6 +11,7 @@ import pytest
 
 from naive import _group_numbers
 from skdesign.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_USAGE,
@@ -350,3 +351,17 @@ def test_star_import_binds_every_exported_name():
     for name in skdesign.__all__:
         assert namespace[name] is getattr(skdesign, name), name
 
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    # several MB of DOT, far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skdesign.cli", "graph", "pw+dw+pw", "--channels", "300"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b'digraph "pw_dw_pw" {\n'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_BROKEN_PIPE == 141
+    assert err == b""
