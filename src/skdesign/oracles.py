@@ -64,10 +64,10 @@ def _input_groups(layer: LayerSpec) -> list[list[int]]:
 
 
 def shuffle_after(layer: LayerSpec) -> tuple[int, ...]:
-    """The interleave after a layer, one group per kernel group or, after a
-    depthwise layer, per channel: next input j is output channel perm[j]."""
-    f = layer.out_channels
-    return interleave(f, f if layer.kernel.kind is Kind.DEPTHWISE else layer.kernel.groups)
+    """The interleave after a layer, one group per kernel group (so none
+    after depthwise, whose per-channel shuffle is the identity too): the
+    next layer's input j is output channel perm[j]."""
+    return interleave(layer.out_channels, layer.kernel.groups)
 
 
 def check_caps(design: Sequence[LayerSpec]) -> None:

@@ -143,7 +143,7 @@ def _backward_reach(design, channel):
     """The original channels one output channel of the last layer reaches,
     walked backward through each layer's reads and the interleave before
     it: one shuffle group per kernel group, one per channel after a
-    depthwise layer."""
+    depthwise layer, as grouped-convolution frameworks count its groups."""
     channels = {channel}
     for i in range(len(design) - 1, -1, -1):
         reads = _input_groups(design[i])
