@@ -109,7 +109,7 @@ def reach_step(reach: tuple[int, ...], layer: LayerSpec) -> tuple[int, ...]:
 
 
 def reach_first(reach: tuple[int, ...], layer: LayerSpec) -> int:
-    """Row 0 of `reach_step`, channel 0, which no interleave moves: all a last layer needs."""
+    """Row 0 of `reach_step`, channel 0 under any interleave: all a design's last layer needs."""
     return _reached(reach, _read_masks(layer)[0])
 
 
