@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__, efficiency, search
 from .efficiency import Family
-from .kernels import Kernel, Kind, LayerSpec, ValidationError
+from .kernels import LayerSpec, ValidationError
 from .oracles import _input_groups, shuffle_after
 
 if TYPE_CHECKING:  # search and verify do not load the sizer
@@ -103,7 +103,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         enable_domination_filter=not args.no_domination,
     )
     result = search.run_search(config)
-    known = [_known_architectures(fam.name, fam.witnesses[0].groups) for fam in result.families]
+    known = [_known_architectures(f.name, f.witnesses[0].group_numbers) for f in result.families]
     doc: dict[str, Any] = {
         "command": "search",
         "config": {
@@ -282,47 +282,26 @@ def _cmd_width(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verify_infofield, verify_theorem1
 
-    any_requested = args.theorem1 or args.infofield
-    run_theorem1 = args.theorem1 or not any_requested
-    run_infofield = args.infofield or not any_requested
-    failures = []
-    doc: dict[str, Any] = {"command": "verify", "checks": {}}
-    lines: list[str] = []
-    if run_theorem1:
-        res = verify_theorem1(c_max=args.c_max)
-        doc["checks"]["theorem1"] = res.as_doc()
-        lines.append(res.render())
-        if not res.passed:
-            failures.append("theorem1")
-    if run_infofield:
-        res = verify_infofield(c_max=min(args.c_max, 16), len_max=args.len_max)
-        doc["checks"]["infofield"] = res.as_doc()
-        lines.append(res.render())
-        if not res.passed:
-            failures.append("infofield")
-    _emit(doc, lines, args.format)
-    return EXIT_ORACLE if failures else EXIT_OK
+    suites = {
+        "theorem1": lambda: verify_theorem1(c_max=args.c_max),
+        "infofield": lambda: verify_infofield(c_max=args.c_max, len_max=args.len_max),
+    }
+    # no suite flag runs them all
+    names = [name for name in suites if getattr(args, name)] or list(suites)
+    results = [suites[name]() for name in names]
+    doc = {"command": "verify", "checks": {n: r.as_doc() for n, r in zip(names, results)}}
+    _emit(doc, [res.render() for res in results], args.format)
+    return EXIT_OK if all(res.passed for res in results) else EXIT_ORACLE
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     design = efficiency.design_name(args.design)
-    kinds = _FAMILIES[design].kinds if design in _FAMILIES else (Kind.STANDARD,)
     c = args.channels
-    groups = list(args.groups) if args.groups else []
-    grouped = sum(kind.is_grouped for kind in kinds)
-    if groups and not grouped:
-        raise ValidationError(f"{design} carries no group numbers")
-    if len(groups) < grouped:
-        raise ValidationError(f"design {design} needs --groups with {grouped} numbers")
-    numbers = iter(groups)
-    layers = [
-        LayerSpec(Kernel.of(kind, groups=next(numbers) if kind.is_grouped else None), c, c)
-        for kind in kinds
-    ]
+    layers = [LayerSpec(k, c, c) for k in efficiency.design_kernels(design, args.groups)]
     dot = render_dot(layers, name=design)
     doc = {
         "command": "graph",
-        "config": {"design": design, "channels": c, "groups": groups},
+        "config": {"design": design, "channels": c, "groups": list(args.groups or ())},
         "dot": dot,
     }
     _emit(doc, [dot], args.format)

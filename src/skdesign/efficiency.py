@@ -51,7 +51,7 @@ class Family(enum.Enum):
         self.bottlenecked = self.kernel_count == 3
 
     def known_architectures(
-        self, groups: Optional[Sequence[Optional[int]]] = None
+        self, groups: Optional[tuple[int, int]] = None
     ) -> frozenset[str]:
         """Architectures an instance coincides with or specializes.
 
@@ -61,18 +61,14 @@ class Family(enum.Enum):
         the depthwise kind, N = 1 the pointwise kind), so no grouped-pair
         instance reports them.  The bottlenecked pointwise sandwich is the
         extreme case of ResNeXt where the cardinality equals the bottleneck
-        width.  The grouped sandwich with equal group numbers is
+        width.  The grouped sandwich with equal group numbers (M, N) is
         ShuffleNet's unit.
-        `groups` may hold None for the ungrouped slots of a witness.
         """
         if self is Family.DW_PW:
             return frozenset({"MobileNet", "Xception"})
         if self is Family.PW_DW_PW:
             return frozenset({"ResNeXt-extreme"})
-        g = tuple(x for x in groups if x is not None) if groups is not None else ()
-        if len(g) != 2:
-            return frozenset()
-        if self is Family.PWG_DW_PWG and g[0] == g[1]:
+        if self is Family.PWG_DW_PWG and groups and groups[0] == groups[1]:
             return frozenset({"ShuffleNet"})
         return frozenset()
 
@@ -82,8 +78,12 @@ class Family(enum.Enum):
         return Family(design_name(name, DESIGN_NAMES[1:]))
 
 
-# every design a command names: the standard convolution, then the families
-DESIGN_NAMES = ("standard",) + tuple(f.value for f in Family)
+# the kinds of every design a command names: the standard convolution,
+# then the families
+DESIGN_KINDS = {"standard": (Kind.STANDARD,), **{f.value: f.kinds for f in Family}}
+DESIGN_NAMES = tuple(DESIGN_KINDS)
+# the designs whose kernels take group numbers (M, N)
+_GROUPED_DESIGNS = {f.value for f in Family if f.has_group_freedom}
 
 
 def design_name(name: str, names: Sequence[str] = DESIGN_NAMES) -> str:
@@ -93,6 +93,23 @@ def design_name(name: str, names: Sequence[str] = DESIGN_NAMES) -> str:
         valid = ", ".join(sorted(names))
         raise ValidationError(f"unknown design {name!r}; expected one of: {valid}")
     return key
+
+
+def design_kernels(name: str, groups: Optional[tuple[int, int]] = None) -> list[Kernel]:
+    """The kernels of the design `name`, a key of `DESIGN_KINDS`.
+
+    A design with grouped kernels requires groups=(M, N), handed to its
+    grouped kernels in order; any other design takes none.
+    """
+    kinds = DESIGN_KINDS[name]
+    if name in _GROUPED_DESIGNS:
+        if groups is None:
+            raise ValidationError(f"{name} needs group numbers (M, N)")
+        numbers = iter(groups)
+        return [Kernel(k, next(numbers)) if k.is_grouped else Kernel(k) for k in kinds]
+    if groups is not None:
+        raise ValidationError(f"{name} carries no group numbers")
+    return [Kernel(k) for k in kinds]
 
 
 class UnderBudgetError(ValidationError):
@@ -131,23 +148,17 @@ def layers_for(
 ) -> list[LayerSpec]:
     """Concrete layer stack of a family at channel counts (C, F).
 
-    Grouped families require groups=(M, N), handed to the grouped slots in
-    order.  Bottleneck families use K = F/4 and require 4 | F.
+    Grouped families require groups=(M, N), as `design_kernels` builds
+    them.  Bottleneck families use K = F/4 and require 4 | F.
     """
-    if family.has_group_freedom:
-        if groups is None:
-            raise ValidationError(f"{family.value} needs group numbers (M, N)")
-    elif groups is not None:
-        raise ValidationError(f"{family.value} carries no group numbers")
+    kernels = design_kernels(family.value, groups)
     _check_bottleneck_width(family, f)
-    pending = iter(groups or ())
     layers = []
     width, end = c, family.kernel_count - 1
-    for i, kind in enumerate(family.kinds):
+    for i, kernel in enumerate(kernels):
         # never None: each family has every slot of its plan once 4 | F holds
-        c_in, width = slot_widths(kind, i, width, i == end, family.bottlenecked, c, f)
-        g = next(pending) if kind.is_grouped else None
-        layers.append(LayerSpec(Kernel.of(kind, g), c_in, width))
+        c_in, width = slot_widths(kernel.kind, i, width, i == end, family.bottlenecked, c, f)
+        layers.append(LayerSpec(kernel, c_in, width))
     return layers
 
 

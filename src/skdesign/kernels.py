@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class ValidationError(ValueError):
@@ -59,11 +58,6 @@ class Kernel:
 
     kind: Kind
     groups: int = 1
-
-    @classmethod
-    def of(cls, kind: Kind, groups: Optional[int] = None) -> "Kernel":
-        """A kernel of `kind`; groups=None means no group number."""
-        return cls(kind, 1 if groups is None else groups)
 
     def __post_init__(self) -> None:
         if self.kind.is_grouped:

@@ -112,38 +112,39 @@ def raw_sequence_count(max_length: int) -> int:
 
 @dataclass(frozen=True)
 class DesignCandidate:
-    """A kernel sequence with concrete group numbers and channel plan, and
-    its parameter count with 3x3 spatial kernels."""
+    """The layers of a kernel sequence at concrete group numbers and widths,
+    whether they follow the bottleneck plan, and their parameter count."""
 
-    sequence: tuple[Kind, ...]
-    groups: tuple[Optional[int], ...]
+    layers: tuple[LayerSpec, ...]
     bottleneck: bool
-    channel_plan: tuple[tuple[int, int], ...]
     params: int
 
+    @property
+    def sequence(self) -> tuple[Kind, ...]:
+        return tuple(layer.kernel.kind for layer in self.layers)
+
+    @property
+    def group_numbers(self) -> tuple[int, ...]:
+        """The group numbers of the grouped kernels, in order."""
+        return tuple(layer.kernel.groups for layer in self.layers if layer.kernel.kind.is_grouped)
+
     def describe(self) -> str:
-        parts = [
-            f"{kind.value}({g})" if g else kind.value
-            for kind, g in zip(self.sequence, self.groups)
-        ]
         tag = " [bottleneck]" if self.bottleneck else ""
-        return "+".join(parts) + tag
+        return "+".join(str(layer.kernel) for layer in self.layers) + tag
 
 
 @functools.lru_cache(maxsize=None)
-def _slot_layers(
-    kind: Kind, c_in: int, c_out: int
-) -> tuple[tuple[Optional[int], LayerSpec, int], ...]:
-    """Every group choice of a slot that `LayerSpec` accepts, with its layer
-    and that layer's parameter count: the search prices kernels here and
-    nowhere else."""
+def _slot_layers(kind: Kind, c_in: int, c_out: int) -> tuple[tuple[LayerSpec, int], ...]:
+    """Every layer of a slot that `LayerSpec` accepts, one per group number,
+    with its parameter count: the search prices kernels here and nowhere
+    else."""
     slots = []
-    for g in range(2, c_in + 1) if kind.is_grouped else (None,):
+    for g in range(2, c_in + 1) if kind.is_grouped else (1,):
         try:
-            layer = LayerSpec(Kernel.of(kind, groups=g), c_in, c_out)
+            layer = LayerSpec(Kernel(kind, g), c_in, c_out)
         except ValidationError:
             continue
-        slots.append((g, layer, param_count(layer)))
+        slots.append((layer, param_count(layer)))
     return tuple(slots)
 
 
@@ -167,8 +168,8 @@ def _evaluate_sequences(
     assignment alone.  Per width plan, one loop visits the distinct
     sequences in lexicographic order with a stack of the states after each
     interior slot of the current one, reusing those of the prefix it shares
-    with the sequence before.  A state holds the channel plan, the live
-    (group prefix, cost) pairs keyed by the field they reach, and the dead
+    with the sequence before.  A state holds the width reached, the live
+    (layer prefix, cost) pairs keyed by the field they reach, and the dead
     prefixes counted by verdict.  So `step` runs once per distinct
     (prefix, field, group choice), and dead counts are multiplied by each
     later slot's number of group choices and added at the last slot.
@@ -185,26 +186,26 @@ def _evaluate_sequences(
         no group choice; after a last slot the live prefixes are valid."""
         if state is None:
             return None
-        plan, live, dead = state
-        widths = slot_widths(kind, i, plan[-1][1] if plan else c, last, bottleneck, c, f)
+        width, live, dead = state
+        widths = slot_widths(kind, i, width, last, bottleneck, c, f)
         choices = _slot_layers(kind, *widths) if widths else ()
         if not choices:
             return None
         dead = {verdict: n * len(choices) for verdict, n in dead.items()}
         after: dict[InfoField, list[tuple[tuple, int]]] = {}
         for fld, prefixes in live.items():
-            for g, layer, price in choices:
+            for layer, price in choices:
                 new, verdict = step(fld, layer, reference, last)
                 if verdict is None or verdict is VerdictKind.VALID:
                     after.setdefault(new, []).extend(
-                        (p + (g,), cost + price) for p, cost in prefixes
+                        (p + (layer,), cost + price) for p, cost in prefixes
                     )
                 else:
                     dead[verdict.value] = dead.get(verdict.value, 0) + len(prefixes)
-        return plan + (widths,), after, dead
+        return widths[1], after, dead
 
     for bottleneck in _plan_flags(config):
-        stack = [((), {InfoField.initial(): [((), 0)]}, {})]
+        stack = [(c, {InfoField.initial(): [((), 0)]}, {})]
         prev: tuple[Kind, ...] = ()
         for seq in order:
             n = len(seq)
@@ -218,9 +219,9 @@ def _evaluate_sequences(
             state = advance(stack[-1], seq[-1], n - 1, True, bottleneck)
             if state is None:
                 continue
-            plan, live, dead = state
+            _, live, dead = state
             witnesses = [
-                DesignCandidate(seq, p, bottleneck, plan, cost)
+                DesignCandidate(p, bottleneck, cost)
                 for prefixes in live.values()
                 for p, cost in prefixes
             ]
@@ -284,7 +285,7 @@ def _witness_sort_key(w: DesignCandidate):
         w.params,
         w.bottleneck,
         tuple(map(_KIND_ORDER.get, w.sequence)),
-        tuple(g or 0 for g in w.groups),
+        tuple(layer.kernel.groups for layer in w.layers),
     )
 
 

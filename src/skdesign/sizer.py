@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .efficiency import Family, UnderBudgetError, design_name, layers_for
+from .efficiency import (
+    DESIGN_KINDS, Family, UnderBudgetError, design_kernels, design_name, layers_for,
+)
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 
 STAGE_COUNT = 4
@@ -53,29 +55,17 @@ class BlockSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", design_name(self.kind))
-        if self.kind != "standard":
-            family = Family(self.kind)
-            if family.has_group_freedom and self.groups is None:
-                raise ValidationError(f"{self.kind} blocks need group numbers (M, N)")
-            if not family.has_group_freedom and self.groups is not None:
-                raise ValidationError(f"{self.kind} blocks carry no group numbers")
-            # a group number no kernel accepts would leave no feasible width
-            # for `solve_width` to find
-            grouped = [kind for kind in family.kinds if kind.is_grouped]
-            for kind, g in zip(grouped, self.groups or ()):
-                Kernel.of(kind, groups=g)
-        elif self.groups is not None:
-            raise ValidationError("standard blocks carry no group numbers")
+        # a group number no kernel accepts would leave no feasible width
+        # for `solve_width` to find
+        design_kernels(self.kind, self.groups)
 
     @property
     def kernels_per_block(self) -> int:
-        if self.kind == "standard":
-            return 1
-        return Family(self.kind).kernel_count
+        return len(DESIGN_KINDS[self.kind])
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
         if self.kind == "standard":
-            return [LayerSpec(Kernel.of(Kind.STANDARD), c, f)]
+            return [LayerSpec(Kernel(Kind.STANDARD), c, f)]
         return layers_for(Family(self.kind), c, f, self.groups)
 
     def describe(self) -> str:
@@ -156,7 +146,7 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     """Exact whole-model parameter and MAC totals under the layout."""
     conv = layout.conventions
     w = layout.width
-    stem_layer = LayerSpec(Kernel.of(Kind.STANDARD), 3, w)
+    stem_layer = LayerSpec(Kernel(Kind.STANDARD), 3, w)
     stem = _layer_params(stem_layer, conv)
     macs = flop_count(stem_layer, (STEM_RESOLUTION, STEM_RESOLUTION))
 
@@ -183,7 +173,7 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
             total += count * _block_params(layers, conv)
             macs += count * _block_macs(layers, r_in, res_out)
         if s and conv.include_projections:
-            proj = LayerSpec(Kernel.of(Kind.POINTWISE), width_in, width_out)
+            proj = LayerSpec(Kernel(Kind.POINTWISE), width_in, width_out)
             projections += _layer_params(proj, conv)
             macs += flop_count(proj, (res_out, res_out))
         stage_params.append(total)

@@ -89,9 +89,9 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
     for c in (c for c in INFOFIELD_CHANNELS if c <= c_max):
         # (kind index, choice index, group, layer)
         slots = [
-            (k, i, g or 1, layer)
+            (k, i, layer.kernel.groups, layer)
             for k, kind in enumerate(SK_ALPHABET)
-            for i, (g, layer, _) in enumerate(_slot_layers(kind, c, c))
+            for i, (layer, _) in enumerate(_slot_layers(kind, c, c))
         ]
         oracles.check_caps([slot[3] for slot in slots])
         result.checked += sum(len(slots) ** n for n in range(1, len_max + 1))

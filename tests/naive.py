@@ -20,14 +20,13 @@ design of the sweep from scratch with `field_of` and
 `verify.verify_infofield` must give the same result document.
 
 Test helpers that `src/` does not need: `trace` (the field after each
-kernel), `TensorShape`, and one kernel constructor per kind beside
-`Kernel.of`.
+kernel), `TensorShape`, and one kernel constructor per kind.
 """
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from skdesign.infofield import InfoField, VerdictKind, _check_design, field_of, propagate, step
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
@@ -90,45 +89,31 @@ def _variant_plans(
 
 
 @functools.lru_cache(maxsize=None)
-def _group_numbers(kind: Kind, c_in: int, c_out: int) -> tuple[Optional[int], ...]:
-    """The group numbers (None for an ungrouped kind) `LayerSpec` accepts."""
+def _group_numbers(kind: Kind, c_in: int, c_out: int) -> tuple[int, ...]:
+    """The group numbers (1 for an ungrouped kind) `LayerSpec` accepts."""
     accepted = []
-    for g in range(2, c_in + 1) if kind.is_grouped else (None,):
+    for g in range(2, c_in + 1) if kind.is_grouped else (1,):
         try:
-            LayerSpec(Kernel.of(kind, groups=g), c_in, c_out)
+            LayerSpec(Kernel(kind, g), c_in, c_out)
         except ValidationError:
             continue
         accepted.append(g)
     return tuple(accepted)
 
 
-@functools.lru_cache(maxsize=None)
-def _layer(kind: Kind, g: Optional[int], c_in: int, c_out: int) -> LayerSpec:
-    return LayerSpec(Kernel.of(kind, groups=g), c_in, c_out)
-
-
-def candidate_layers(cand: DesignCandidate) -> list[LayerSpec]:
-    """A candidate's layers, built directly from its fields."""
-    return [
-        _layer(kind, g, c_in, c_out)
-        for kind, g, (c_in, c_out) in zip(cand.sequence, cand.groups, cand.channel_plan)
-    ]
-
-
 def concretize(
     sequence: Sequence[Kind], config: SearchConfig
 ) -> Iterator[DesignCandidate]:
-    """Every legal group assignment of a sequence, plain then bottleneck."""
+    """Every legal group assignment of a sequence, plain then bottleneck,
+    with its layers built from the whole width plans above."""
     seq = tuple(sequence)
     for bottleneck, plan in _variant_plans(seq, config):
         choice_sets = [
-            _group_numbers(kind, c_in, c_out)
+            [LayerSpec(Kernel(kind, g), c_in, c_out) for g in _group_numbers(kind, c_in, c_out)]
             for kind, (c_in, c_out) in zip(seq, plan)
         ]
-        for combo in itertools.product(*choice_sets):
-            cand = DesignCandidate(seq, combo, bottleneck, plan, params=0)
-            params = sum(param_count(layer) for layer in candidate_layers(cand))
-            yield replace(cand, params=params)
+        for layers in itertools.product(*choice_sets):
+            yield DesignCandidate(layers, bottleneck, sum(map(param_count, layers)))
 
 
 def classify(design: Sequence[LayerSpec], reference: InfoField) -> VerdictKind:
@@ -144,7 +129,7 @@ def classify(design: Sequence[LayerSpec], reference: InfoField) -> VerdictKind:
 
 def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> VerdictKind:
     """Classify one candidate against the reference field."""
-    return classify(candidate_layers(candidate), config.reference_field)
+    return classify(candidate.layers, config.reference_field)
 
 
 def standard() -> Kernel:
@@ -260,7 +245,7 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
             for seq in itertools.product(SK_ALPHABET, repeat=length):
                 slots = [_slot_layers(kind, c, c) for kind in seq]
                 for choice in itertools.product(*slots):
-                    layers = [layer for _, layer, _ in choice]
+                    layers = [layer for layer, _ in choice]
                     calc = field_of(layers, c)
                     want = (calc.spatial_x, calc.spatial_y, calc.channels)
                     got = reachable_channel_triple(layers)
@@ -272,7 +257,7 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
                         if (got[0], got[1], best) == want:
                             continue
                         got = (got[0], got[1], best)
-                    groups = tuple(g or 1 for g, _, _ in choice)
+                    groups = tuple(layer.kernel.groups for layer in layers)
                     result.counterexamples.append(
                         f"C={c}, {sequence_name(seq)} groups={groups}: "
                         f"calculus {want}, graph {got}"

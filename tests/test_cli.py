@@ -205,7 +205,7 @@ def test_search_alpha_that_is_no_ratio_is_a_usage_error(capsys, alpha):
 def test_graph_edges_are_the_reads_through_the_interleave():
     for c in (4, 8, 12):
         legal = [
-            LayerSpec(Kernel.of(kind, groups=g), c, c)
+            LayerSpec(Kernel(kind, g), c, c)
             for kind in Kind
             for g in _group_numbers(kind, c, c)
         ]
@@ -275,6 +275,30 @@ def test_graph_rejects_groups_on_design_without_grouped_kernel(capsys):
     assert code == EXIT_VALIDATION
     assert "carries no group numbers" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "design, groups, commands",
+    [
+        ("gc+pwg", [], ("size", "width", "graph")),
+        ("dw+pw", ["--groups", "2,2"], ("size", "width", "graph", "analyze")),
+        ("standard", ["--groups", "2,2"], ("size", "width", "graph")),
+    ],
+)
+def test_each_group_number_fault_has_one_message(capsys, design, groups, commands):
+    # missing or extra group numbers: every command that builds the design
+    # prints the same line
+    argv = {
+        "size": ["size", "--family", design, "--width", "64"],
+        "width": ["width", "--family", design, "--budget", "10000000"],
+        "graph": ["graph", design],
+        "analyze": ["analyze", design, "--c", "64", "--f", "64"],
+    }
+    fault = "carries no group numbers" if groups else "needs group numbers (M, N)"
+    for command in commands:
+        code, out, err = run(capsys, *argv[command], *groups)
+        assert (code, out) == (EXIT_VALIDATION, ""), command
+        assert err == f"validation error: {design} {fault}\n", command
 
 
 @pytest.mark.parametrize("c_max", ["2", "3"])

@@ -94,10 +94,10 @@ def test_factored_oracle_matches_node_level_walk():
 
 def _legal_layers(kind, c_in, c_out):
     """Every layer of `kind` that LayerSpec accepts at these widths."""
-    groups = range(2, c_in + 1) if kind.is_grouped else (None,)
+    groups = range(2, c_in + 1) if kind.is_grouped else (1,)
     for g in groups:
         try:
-            yield LayerSpec(Kernel.of(kind, g), c_in, c_out)
+            yield LayerSpec(Kernel(kind, g), c_in, c_out)
         except ValidationError:
             pass
 

@@ -8,9 +8,9 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from naive import candidate_layers, concretize, evaluate_candidate, sequence_chars
+from naive import concretize, evaluate_candidate, sequence_chars
 from skdesign import search
-from skdesign.efficiency import Family, optimal_group_numbers
+from skdesign.efficiency import Family, family_params, optimal_group_numbers
 from skdesign.infofield import VerdictKind
 from skdesign.kernels import Kind, ValidationError, param_count
 from skdesign.oracles import feasible_pairs, reach_first, reach_step
@@ -81,7 +81,7 @@ def test_concretize_group_enumeration():
     cfg = SearchConfig(reference_channels=8, reference_out_channels=8)
     cands = list(concretize((GC, PWG), cfg))
     assert len(cands) == 6
-    assert {(c.groups[0], c.groups[1]) for c in cands} == {
+    assert {(c.group_numbers[0], c.group_numbers[1]) for c in cands} == {
         (m, n) for m in (2, 4) for n in (2, 4, 8)
     }
 
@@ -92,7 +92,8 @@ def test_concretize_bottleneck_variants_need_three_kernels():
     assert len(cands) == 2
     plain, bneck = cands
     assert not plain.bottleneck and bneck.bottleneck
-    assert bneck.channel_plan == ((64, 16), (16, 16), (16, 64))
+    widths = tuple((layer.in_channels, layer.out_channels) for layer in bneck.layers)
+    assert widths == ((64, 16), (16, 16), (16, 64))
     # two-kernel sequences only get the plain plan
     assert all(not c.bottleneck for c in concretize((DW, PW), cfg))
 
@@ -106,8 +107,8 @@ def test_concretize_depthwise_pair_single_candidate():
 
 
 def _naive(sequences, cfg):
-    """Valid (sequence, groups, bottleneck, params) set, per-verdict counts
-    and enumerated total of `concretize` + `evaluate_candidate`."""
+    """Valid (layers, bottleneck, params) set, per-verdict counts and
+    enumerated total of `concretize` + `evaluate_candidate`."""
     valid = set()
     counts: dict[str, int] = {}
     for seq in sequences:
@@ -115,7 +116,7 @@ def _naive(sequences, cfg):
             verdict = evaluate_candidate(cand, cfg)
             counts[verdict.value] = counts.get(verdict.value, 0) + 1
             if verdict is VerdictKind.VALID:
-                valid.add((cand.sequence, cand.groups, cand.bottleneck, cand.params))
+                valid.add((cand.layers, cand.bottleneck, cand.params))
     return valid, counts, sum(counts.values())
 
 
@@ -125,7 +126,7 @@ def _fast(valid):
     for key, witnesses in valid.items():
         for w in witnesses:
             assert _multiset_key(w.sequence) == key
-            yield (w.sequence, w.groups, w.bottleneck, w.params)
+            yield (w.layers, w.bottleneck, w.params)
 
 
 def test_fused_evaluation_matches_naive_path():
@@ -263,7 +264,7 @@ def test_search_without_domination_keeps_four_with_valid_audits():
         for w in fam.witnesses:
             v = evaluate_candidate(w, cfg)
             assert v is VerdictKind.VALID, (fam.name, w.describe(), v)
-            assert w.params == sum(param_count(l) for l in candidate_layers(w)), w.describe()
+            assert w.params == sum(param_count(l) for l in w.layers), w.describe()
 
 
 def test_every_valid_witness_reaches_all_channels_in_the_oracle():
@@ -281,7 +282,7 @@ def test_every_valid_witness_reaches_all_channels_in_the_oracle():
         checked, short = 0, []
         for fam in result.families:
             for w in fam.witnesses:
-                layers = candidate_layers(w)
+                layers = w.layers
                 reach = tuple(1 << j for j in range(c))
                 for layer in layers[:-1]:
                     reach = reach_step(reach, layer)
@@ -316,22 +317,47 @@ def test_family_min_params_is_the_cheapest_witness(default_result):
         assert fam.min_params() == min(w.params for w in fam.witnesses), fam.name
 
 
+def _closed_form_minimum(family, c, f):
+    """The family's fewest parameters at (C, F) and, for the grouped
+    families, the group pairs reaching it; (None, None) where it has no
+    instance."""
+    try:
+        if family.has_group_freedom:
+            opt = optimal_group_numbers(family, c, f)
+            return opt.discrete_params, opt.discrete
+        return family_params(family, c, f), None
+    except ValidationError:
+        return None, None
+
+
 def test_search_prices_gc_pwg_as_the_closed_form_does():
     # the plain plan keeps the grouped spatial kernel at C and moves to F
     # at the 1x1 kernel, as `efficiency.layers_for` builds the family; at a
-    # prime C neither has a legal pair of group numbers
+    # prime C neither has a legal pair of group numbers.  Each of the four
+    # families is priced on its own ordering and plan: the gc-first closed
+    # form does not describe pwg(C)+gc, which a prime C allows at F = 2C
     for c in range(4, 33):
         for f in (c, 2 * c, 3 * c):
             cfg = SearchConfig(
-                max_length=2, reference_channels=c, reference_out_channels=f,
+                max_length=3, reference_channels=c, reference_out_channels=f,
                 enable_domination_filter=False,
             )
-            fams = {fam.name: fam.min_params() for fam in run_search(cfg).families}
-            try:
-                want = optimal_group_numbers(Family.GC_PWG, c, f).discrete_params
-            except ValidationError:
-                want = None
+            families = run_search(cfg).families
+            fams = {fam.name: fam.min_params() for fam in families}
+            want, _ = _closed_form_minimum(Family.GC_PWG, c, f)
             assert fams.get("gc+pwg") == want, (c, f)
+            witnesses = [w for fam in families for w in fam.witnesses]
+            for family in Family:
+                own = [
+                    w for w in witnesses
+                    if w.sequence == family.kinds and w.bottleneck == family.bottlenecked
+                ]
+                got = min((w.params for w in own), default=None)
+                want, pairs = _closed_form_minimum(family, c, f)
+                assert got == want, (family.value, c, f)
+                if pairs is not None:
+                    cheapest = sorted(w.group_numbers for w in own if w.params == got)
+                    assert tuple(cheapest) == pairs, (family.value, c, f)
 
 
 def test_walk_state_is_freed_without_a_cyclic_gc_pass():
@@ -357,7 +383,7 @@ def test_walk_state_is_freed_without_a_cyclic_gc_pass():
 def test_families_differing_only_in_groups_collapse(default_result):
     result = default_result
     gcpwg = next(f for f in result.families if f.name == "gc+pwg")
-    assignments = {w.groups for w in gcpwg.witnesses}
+    assignments = {w.group_numbers for w in gcpwg.witnesses}
     assert len(assignments) > 1
     assert len({w.sequence for w in gcpwg.witnesses}) <= 2  # both orders collapse
 
@@ -416,7 +442,7 @@ def test_slot_group_numbers_match_the_oracle_pairs():
     # keeps its own divisor rule as the independent check: the two must
     # agree on every feasible pair of both grouped families
     def groups(kind, c_in, c_out):
-        return [g for g, _, _ in _slot_layers(kind, c_in, c_out)]
+        return [layer.kernel.groups for layer, _ in _slot_layers(kind, c_in, c_out)]
 
     def pairs(ms, ns, bound):
         return [(m, n) for m in ms for n in ns if m * n <= bound]
@@ -443,12 +469,12 @@ def test_identify_known(default_result):
     # the lookup `search` prints: by family name in the closed-form table
     result = default_result
     fams = {f.name: f for f in result.families}
-    assert _known_architectures(fams["pwg+dw+pwg"].name, (4, None, 4)) == ["ShuffleNet"]
-    assert _known_architectures(fams["pwg+dw+pwg"].name, (8, None, 2)) == []
+    assert _known_architectures(fams["pwg+dw+pwg"].name, (4, 4)) == ["ShuffleNet"]
+    assert _known_architectures(fams["pwg+dw+pwg"].name, (8, 2)) == []
     assert _known_architectures(fams["pw+dw+pw"].name) == ["ResNeXt-extreme"]
     assert _known_architectures(fams["dw+pw"].name) == ["MobileNet", "Xception"]
     assert _known_architectures(fams["gc+pwg"].name, (2, 2)) == []
-    assert _known_architectures("gc+pw+pwg", (2, None, 2)) == []
+    assert _known_architectures("gc+pw+pwg", (2, 2)) == []
 
 
 def test_config_validation():
