@@ -81,7 +81,7 @@ def test_concretize_group_enumeration():
     cfg = SearchConfig(reference_channels=8, reference_out_channels=8)
     cands = list(concretize((GC, PWG), cfg))
     assert len(cands) == 6
-    assert {(c.group_numbers[0], c.group_numbers[1]) for c in cands} == {
+    assert {c.group_numbers for c in cands} == {
         (m, n) for m in (2, 4) for n in (2, 4, 8)
     }
 
