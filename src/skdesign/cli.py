@@ -103,7 +103,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         enable_domination_filter=not args.no_domination,
     )
     result = search.run_search(config)
-    known = [_known_architectures(f.name, f.witnesses[0].group_numbers) for f in result.families]
+    known = [_known_architectures(f.name, f.cheapest.group_numbers) for f in result.families]
     doc: dict[str, Any] = {
         "command": "search",
         "config": {
@@ -117,9 +117,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             {
                 "name": fam.name,
                 "bottleneck": fam.bottleneck,
-                "witnesses": len(fam.witnesses),
+                "witnesses": fam.witness_count,
                 "min_params_at_reference": fam.min_params(),
-                "example_witness": fam.witnesses[0].describe(),
+                "example_witness": fam.cheapest.describe(),
                 "known_architectures": names,
             }
             for fam, names in zip(result.families, known)
@@ -135,7 +135,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         tag = " [bottleneck]" if fam.bottleneck else ""
         suffix = f"  (matches: {', '.join(names)})" if names else ""
         lines.append(
-            f"  {fam.name}{tag}  witnesses={len(fam.witnesses)} "
+            f"  {fam.name}{tag}  witnesses={fam.witness_count} "
             f"min_params={fam.min_params()}{suffix}"
         )
     if args.audit:

@@ -1,10 +1,10 @@
 """Design-space enumeration and three-stage pruning of kernel compositions.
 
-The pipeline enumerates every sequence of the four sparse kernel kinds up
-to a maximum length, then prunes in three stages:
+The pipeline covers every sequence of the four sparse kernel kinds up to a
+maximum length and prunes in three stages:
 
 1. composition: sequences that are a strict prefix tiled two or more times
-   (AAAAAA, ABABAB, ABCABC, ...) are removed before any evaluation;
+   (AAAAAA, ABABAB, ABCABC, ...) are removed;
 2. performance: each surviving sequence is instantiated at every legal
    group assignment (plain and, for 3+ kernel sequences, with a 1:4
    bottleneck) and kept only when its information field equals the one of
@@ -12,13 +12,18 @@ to a maximum length, then prunes in three stages:
 3. efficiency: the early-stop rules of `infofield.step` discard
    instances containing kernels that contribute nothing.
 
+No sequence is listed.  One level-by-level walk counts the assignments of
+all sequences at once over states (width plan, width reached, field or
+dead verdict, kernel multiset of the prefix); see `_walk`.
+
 Surviving candidates collapse into design families keyed by their kernel
 multiset: group numbers, orderings and the bottleneck flag are witness
-detail, not identity.  An optional domination filter then removes families
-that only restate or worsen another survivor; the classical reduction of
-this space to four families was a manual judgement, so the filter is an
-explicit, auditable reconstruction of it and can be switched off.  Its
-three rules are:
+detail, not identity.  A family keeps its witness count, its cheapest
+witness and the width plans that hold one.  An optional domination filter
+then removes families that only restate or worsen another survivor; the
+classical reduction of this space to four families was a manual judgement,
+so the filter is an explicit, auditable reconstruction of it and can be
+switched off.  Its three rules are:
 
 * shorter-cheaper: a strictly shorter surviving family beats the family
   at every grid configuration at optimal group assignment;
@@ -35,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .efficiency import slot_widths
 from .infofield import InfoField, VerdictKind, step
@@ -86,28 +91,20 @@ def sequence_name(sequence: Sequence[Kind]) -> str:
     return "+".join(k.value for k in sequence)
 
 
-def is_repeated(sequence: Sequence[Kind]) -> bool:
-    """Whole sequence equals some strict prefix tiled two or more times."""
-    if not sequence:
-        raise ValidationError("empty sequence")
-    seq = tuple(sequence)
-    n = len(seq)
-    for d in range(1, n):
-        if n % d == 0 and seq == seq[:d] * (n // d):
-            return True
-    return False
-
-
-def enumerate_sequences(config: SearchConfig) -> Iterator[tuple[Kind, ...]]:
-    """All non-repeated sequences up to max_length, in deterministic order."""
-    for length in range(1, config.max_length + 1):
-        for seq in itertools.product(SK_ALPHABET, repeat=length):
-            if not is_repeated(seq):
-                yield seq
-
-
 def raw_sequence_count(max_length: int) -> int:
     return sum(len(SK_ALPHABET) ** n for n in range(1, max_length + 1))
+
+
+def _tiled_words(max_length: int) -> set[tuple[Kind, ...]]:
+    """Every sequence of up to max_length kinds that is a strict prefix
+    tiled two or more times, built from its tile."""
+    return {
+        tile * (n // d)
+        for n in range(2, max_length + 1)
+        for d in range(1, n)
+        if n % d == 0
+        for tile in itertools.product(SK_ALPHABET, repeat=d)
+    }
 
 
 @dataclass(frozen=True)
@@ -153,100 +150,107 @@ def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
     return (False, True) if config.enable_bottleneck_variants else (False,)
 
 
-def _multiset_key(sequence: Sequence[Kind]) -> tuple[str, ...]:
-    return tuple(sorted(k.value for k in sequence))
+def _add_kind(multiset: tuple[str, ...], kind: Kind) -> tuple[str, ...]:
+    return tuple(sorted((*multiset, kind.value)))
 
 
-def _evaluate_sequences(
-    sequences: Sequence[tuple[Kind, ...]], config: SearchConfig
-) -> tuple[dict[tuple[str, ...], list[DesignCandidate]], dict[str, int], int]:
-    """Every group assignment of every width plan of a set of sequences,
-    classified against the reference field.
+def _carry(states: dict, key: tuple, count: int, best: Optional[tuple]) -> None:
+    """Add `count` prefixes with cheapest key `best` (None: dead) to a state."""
+    old = states.get(key)
+    if old is not None:
+        count += old[0]
+        best = old[1] if best is None else min(old[1], best)
+    states[key] = count, best
 
-    Returns (valid candidates keyed by kernel multiset, per-verdict
-    candidate counts, enumerated total), the same sums as classifying each
-    assignment alone.  Per width plan, one loop visits the distinct
-    sequences in lexicographic order with a stack of the states after each
-    interior slot of the current one, reusing those of the prefix it shares
-    with the sequence before.  A state holds the width reached, the live
-    (layer prefix, cost) pairs keyed by the field they reach, and the dead
-    prefixes counted by verdict.  So `step` runs once per distinct
-    (prefix, field, group choice), and dead counts are multiplied by each
-    later slot's number of group choices and added at the last slot.
+
+def _walk(
+    config: SearchConfig, depth: int, grow: Callable[[tuple, Kind, bool], Optional[tuple]]
+):
+    """Every group assignment of every width plan of the sequences of up to
+    `depth` kinds that `grow` admits, classified against the reference
+    field.  grow(tag, kind, last) is the tag of a prefix extended by `kind`
+    as its last or an interior slot, or None where the walk does not go.
+
+    Returns (valid, verdicts).  `valid` maps the tag of each valid end to
+    [witness count, cheapest witness key, bottleneck flags], where a key is
+    (params, bottleneck, kind order, group numbers, layers) and the first
+    four order witnesses cheapest first; `verdicts` counts assignments by
+    verdict.
+
+    The walk goes one slot at a time over states (bottleneck, width
+    reached, field or dead verdict, tag).  A live state carries its
+    prefixes' count and cheapest key: the step rules, the later widths and
+    the tag's future depend only on the state, and prefixes at one state
+    have one length, so a shared completion keeps their cost order.  A
+    dead state carries only its count, multiplied by each later slot's
+    number of group choices.  So `step` runs once per (live state, group
+    choice) as an interior slot and once as a last slot, however many
+    sequences share the state.
     """
     c, f = config.reference_channels, config.reference_out_channels
     reference = config.reference_field
-    # one byte per kind: short keys that compare as the sequences do
-    order = sorted(set(sequences), key=lambda seq: bytes(map(SK_ALPHABET.index, seq)))
-    valid: dict[tuple[str, ...], list[DesignCandidate]] = {}
-    counts: dict[str, int] = {}
-
-    def advance(state, kind: Kind, i: int, last: bool, bottleneck: bool):
-        """The state after slot i, None where the plan has no slot i or it
-        no group choice; after a last slot the live prefixes are valid."""
-        if state is None:
-            return None
-        width, live, dead = state
-        widths = slot_widths(kind, i, width, last, bottleneck, c, f)
-        choices = _slot_layers(kind, *widths) if widths else ()
-        if not choices:
-            return None
-        dead = {verdict: n * len(choices) for verdict, n in dead.items()}
-        after: dict[InfoField, list[tuple[tuple, int]]] = {}
-        for fld, prefixes in live.items():
-            for layer, price in choices:
-                new, verdict = step(fld, layer, reference, last)
-                if verdict is None or verdict is VerdictKind.VALID:
-                    after.setdefault(new, []).extend(
-                        (p + (layer,), cost + price) for p, cost in prefixes
-                    )
+    valid: dict[tuple, list] = {}
+    verdicts: dict[str, int] = {}
+    level = {(b, c, InfoField.initial(), ()): (1, (0, b, (), (), ())) for b in _plan_flags(config)}
+    for i in range(depth):
+        after_level: dict[tuple, tuple[int, Optional[tuple]]] = {}
+        for (bottleneck, width, state, tag), (count, best) in level.items():
+            # each kind as a last slot, and as an interior one below depth
+            for kind, last in itertools.product(SK_ALPHABET, (True, False)[: depth - i]):
+                after = grow(tag, kind, last)
+                if after is None:
+                    continue
+                widths = slot_widths(kind, i, width, last, bottleneck, c, f)
+                choices = _slot_layers(kind, *widths) if widths else ()
+                if not choices:
+                    continue
+                if best is None:  # a dead state: `state` names its verdict
+                    moves = [(state, count * len(choices), None)]
                 else:
-                    dead[verdict.value] = dead.get(verdict.value, 0) + len(prefixes)
-        return widths[1], after, dead
-
-    for bottleneck in _plan_flags(config):
-        stack = [(c, {InfoField.initial(): [((), 0)]}, {})]
-        prev: tuple[Kind, ...] = ()
-        for seq in order:
-            n = len(seq)
-            shared = min(n - 1, len(prev))
-            while seq[:shared] != prev[:shared]:
-                shared -= 1
-            del stack[shared + 1 :]
-            for j in range(len(stack), n):
-                stack.append(advance(stack[-1], seq[j - 1], j - 1, False, bottleneck))
-            prev = seq
-            state = advance(stack[-1], seq[-1], n - 1, True, bottleneck)
-            if state is None:
-                continue
-            _, live, dead = state
-            witnesses = [
-                DesignCandidate(p, bottleneck, cost)
-                for prefixes in live.values()
-                for p, cost in prefixes
-            ]
-            if witnesses:
-                dead[VerdictKind.VALID.value] = len(witnesses)
-                valid.setdefault(_multiset_key(seq), []).extend(witnesses)
-            for verdict, k in dead.items():
-                counts[verdict] = counts.get(verdict, 0) + k
-    return valid, counts, sum(counts.values())
+                    moves = []
+                    for layer, price in choices:
+                        new, verdict = step(state, layer, reference, last)
+                        grown = None
+                        if verdict is None or verdict is VerdictKind.VALID:
+                            grown = (
+                                best[0] + price, bottleneck, best[2] + (_KIND_ORDER[kind],),
+                                best[3] + (layer.kernel.groups,), best[4] + (layer,),
+                            )
+                        moves.append((new if verdict is None else verdict.value, count, grown))
+                for moved, n, grown in moves:
+                    if not last:
+                        _carry(after_level, (bottleneck, widths[1], moved, after), n, grown)
+                        continue
+                    # after a last slot every state is a verdict
+                    verdicts[moved] = verdicts.get(moved, 0) + n
+                    if grown is not None:
+                        entry = valid.setdefault(after, [0, grown, set()])
+                        entry[0] += n
+                        entry[1] = min(entry[1], grown)
+                        entry[2].add(bottleneck)
+        level = after_level
+    return valid, verdicts
 
 
 @dataclass(frozen=True)
 class DesignFamily:
-    """Survivors identical up to ordering, group numbers and bottleneck use."""
+    """Survivors identical up to ordering, group numbers and bottleneck use:
+    how many there are, the cheapest (fewest parameters, then plain before
+    bottleneck, then the canonical kind order, then the group numbers), and
+    the bottleneck flags of the width plans that hold one."""
 
     multiset: tuple[str, ...]
-    witnesses: tuple[DesignCandidate, ...]  # sorted by `_witness_sort_key`
+    witness_count: int
+    cheapest: DesignCandidate
+    bottlenecks: frozenset[bool]
 
     @property
     def canonical_sequence(self) -> tuple[Kind, ...]:
-        return self.witnesses[0].sequence
+        return self.cheapest.sequence
 
     @property
     def bottleneck(self) -> bool:
-        return self.witnesses[0].bottleneck
+        return self.cheapest.bottleneck
 
     @property
     def name(self) -> str:
@@ -257,7 +261,7 @@ class DesignFamily:
         return len(self.canonical_sequence)
 
     def min_params(self) -> int:
-        return self.witnesses[0].params
+        return self.cheapest.params
 
 
 @dataclass(frozen=True)
@@ -280,41 +284,32 @@ class SearchResult:
         return tuple(f.name for f in self.families)
 
 
-def _witness_sort_key(w: DesignCandidate):
-    return (
-        w.params,
-        w.bottleneck,
-        tuple(map(_KIND_ORDER.get, w.sequence)),
-        tuple(layer.kernel.groups for layer in w.layers),
-    )
-
-
-def _distinct_orderings(multiset: tuple[str, ...]) -> list[tuple[Kind, ...]]:
-    kinds = [Kind(v) for v in multiset]
-    return sorted(set(itertools.permutations(kinds)), key=lambda s: [k.value for k in s])
-
-
 def _grid_optimal_params(
     families: dict[tuple[str, ...], DesignFamily],
     grid: Sequence[tuple[int, int]],
     config: SearchConfig,
 ) -> dict[tuple[str, ...], dict[tuple[int, int], Optional[int]]]:
     """Cheapest valid instance of each family's multiset at each grid point
-    (C, F), None where it has none; one walk per grid point covers every
-    ordering of the families.  The search's own (C, F) is not walked
-    again: its tiled orderings, which the search skipped, hold zero or two
-    or more spatial kernels of the reference size, so none is valid."""
+    (C, F), None where it has none.  One walk per grid point covers every
+    ordering of the families, limited to the sub-multisets of their
+    multisets.  The search's own (C, F) is not walked again: each family's
+    cheapest witness already is its minimum there."""
     ref = (config.reference_channels, config.reference_out_channels)
     opt = {k: {ref: fam.min_params()} for k, fam in families.items()}
-    orderings = [seq for k in families for seq in _distinct_orderings(k)]
+    within = {sub for k in families for r in range(1, len(k)) for sub in itertools.combinations(k, r)}
+
+    def grow(tag, kind, last):
+        after = _add_kind(tag, kind)
+        return after if after in (families if last else within) else None
+
+    depth = max(map(len, families), default=0)
     for c, f in grid:
         if (c, f) == ref:
             continue
         probe = replace(config, reference_channels=c, reference_out_channels=f)
-        valid = _evaluate_sequences(orderings, probe)[0]
+        valid = _walk(probe, depth, grow)[0]
         for k in families:
-            # pop: this point's witnesses go before the next point's walk
-            opt[k][(c, f)] = min((w.params for w in valid.pop(k, ())), default=None)
+            opt[k][(c, f)] = valid[k][1][0] if k in valid else None
     return opt
 
 
@@ -382,11 +377,9 @@ def _apply_domination(
                 continue
         # rule: a shorter survivor over the same kind set with at least the
         # same structural variants makes the longer chain redundant
-        flags = {w.bottleneck for w in fam.witnesses}
         for b in pool:
             if len(b) < len(k) and set(b) == set(k):
-                bflags = {w.bottleneck for w in families[b].witnesses}
-                if flags <= bflags:
+                if fam.bottlenecks <= families[b].bottlenecks:
                     removed.append(
                         RemovedFamily(
                             fam.name, k, "redundant-length",
@@ -401,14 +394,28 @@ def _apply_domination(
 
 
 def run_search(config: SearchConfig) -> SearchResult:
-    """Full pipeline: enumerate, prune, deduplicate, optionally dominate."""
-    sequences = list(enumerate_sequences(config))
-    raw = raw_sequence_count(config.max_length)
+    """Full pipeline: enumerate, prune, deduplicate, optionally dominate.
 
-    valid, verdicts, enumerated = _evaluate_sequences(sequences, config)
+    One walk counts every sequence, tiled ones included.  A valid design
+    holds exactly one 3x3 spatial kernel, and a tiled sequence holds none
+    or at least two, so no tiled sequence is valid: the same walk over the
+    tiled sequences alone gives the dead counts to subtract."""
+    raw = raw_sequence_count(config.max_length)
+    tiled = _tiled_words(config.max_length)
+    prefixes = {word[:j] for word in tiled for j in range(1, len(word))}
+
+    def tiled_only(tag, kind, last):
+        word = tag + (kind,)
+        return word if word in (tiled if last else prefixes) else None
+
+    valid, verdicts = _walk(config, config.max_length, lambda tag, kind, last: _add_kind(tag, kind))
+    for verdict, n in _walk(config, config.max_length, tiled_only)[1].items():
+        verdicts[verdict] -= n
     families = {
-        key: DesignFamily(key, tuple(sorted(cands, key=_witness_sort_key)))
-        for key, cands in valid.items()
+        key: DesignFamily(
+            key, count, DesignCandidate(best[4], best[1], best[0]), frozenset(flags)
+        )
+        for key, (count, best, flags) in valid.items()
     }
 
     if config.enable_domination_filter:
@@ -420,9 +427,9 @@ def run_search(config: SearchConfig) -> SearchResult:
     kept.sort(key=lambda fam: (fam.length, tuple(map(_KIND_ORDER.get, fam.canonical_sequence))))
     stage_counts = (
         ("sequences_raw", raw),
-        ("sequences_after_composition", len(sequences)),
-        ("candidates_enumerated", enumerated),
-        ("candidates_valid", sum(map(len, valid.values()))),
+        ("sequences_after_composition", raw - len(tiled)),
+        ("candidates_enumerated", sum(verdicts.values())),
+        ("candidates_valid", sum(fam.witness_count for fam in families.values())),
         ("families", len(families)),
         ("families_after_domination", len(kept)),
     )
@@ -431,5 +438,5 @@ def run_search(config: SearchConfig) -> SearchResult:
         families=tuple(kept),
         removed=tuple(sorted(removed, key=lambda r: r.multiset)),
         stage_counts=stage_counts,
-        verdict_counts=tuple(sorted(verdicts.items())),
+        verdict_counts=tuple(sorted((v, n) for v, n in verdicts.items() if n)),
     )

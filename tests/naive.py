@@ -3,11 +3,18 @@
 The naive search path: `concretize` lists every group assignment of one
 sequence under each width plan, priced layer by layer, and
 `evaluate_candidate` classifies one candidate alone with `classify`, a
-plain fold of `infofield.step` over its layers.  The fused walk in
-`skdesign.search` must give the same candidates, prices and verdict
-counts.  The width plans are written
-out whole here and the group numbers found by trying `LayerSpec`, so a
-fault in the search's own plans or slot choices shows.
+plain fold of `infofield.step` over its layers.  The width plans are
+written out whole here and the group numbers found by trying `LayerSpec`,
+so a fault in the search's own plans or slot choices shows.
+
+The witness lister: `evaluate_sequences` walks a set of sequences one by
+one in lexicographic order, sharing the steps of common prefixes, and
+lists every valid witness.  `list_witnesses` runs it over every
+non-tiled sequence (`enumerate_sequences`, `is_repeated`) of a search.
+It must agree with `concretize` + `evaluate_candidate`, and the state walk
+of `skdesign.search`, which lists no witness, must agree with its
+`summary`: per family the witness count, the cheapest witness under
+`witness_sort_key` and the bottleneck flags.
 
 The literal graph oracle: `graph_information_field` wires up every
 activation (channel, x, y) of a small network and walks backward from one
@@ -25,9 +32,10 @@ kernel), `TensorShape`, and one kernel constructor per kind.
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
+from skdesign.efficiency import slot_widths
 from skdesign.infofield import InfoField, VerdictKind, _check_design, field_of, propagate, step
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 from skdesign.oracles import (
@@ -38,7 +46,16 @@ from skdesign.oracles import (
     reachable_channel_triple,
     shuffle_after,
 )
-from skdesign.search import SK_ALPHABET, DesignCandidate, SearchConfig, _slot_layers, sequence_name
+from skdesign.search import (
+    _KIND_ORDER,
+    SK_ALPHABET,
+    DesignCandidate,
+    DesignFamily,
+    SearchConfig,
+    _plan_flags,
+    _slot_layers,
+    sequence_name,
+)
 from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
 
 # the node-level walk's input-shape cap
@@ -130,6 +147,166 @@ def classify(design: Sequence[LayerSpec], reference: InfoField) -> VerdictKind:
 def evaluate_candidate(candidate: DesignCandidate, config: SearchConfig) -> VerdictKind:
     """Classify one candidate against the reference field."""
     return classify(candidate.layers, config.reference_field)
+
+
+def is_repeated(sequence: Sequence[Kind]) -> bool:
+    """Whole sequence equals some strict prefix tiled two or more times."""
+    if not sequence:
+        raise ValidationError("empty sequence")
+    seq = tuple(sequence)
+    n = len(seq)
+    for d in range(1, n):
+        if n % d == 0 and seq == seq[:d] * (n // d):
+            return True
+    return False
+
+
+def enumerate_sequences(config: SearchConfig) -> Iterator[tuple[Kind, ...]]:
+    """All non-repeated sequences up to max_length, in deterministic order."""
+    for length in range(1, config.max_length + 1):
+        for seq in itertools.product(SK_ALPHABET, repeat=length):
+            if not is_repeated(seq):
+                yield seq
+
+
+def multiset_key(sequence: Sequence[Kind]) -> tuple[str, ...]:
+    return tuple(sorted(k.value for k in sequence))
+
+
+def distinct_orderings(multiset: tuple[str, ...]) -> list[tuple[Kind, ...]]:
+    kinds = [Kind(v) for v in multiset]
+    return sorted(set(itertools.permutations(kinds)), key=lambda s: [k.value for k in s])
+
+
+def witness_sort_key(w: DesignCandidate):
+    """Cheapest first: fewest parameters, then plain before bottleneck, then
+    the canonical kind order, then the group numbers."""
+    return (
+        w.params,
+        w.bottleneck,
+        tuple(map(_KIND_ORDER.get, w.sequence)),
+        tuple(layer.kernel.groups for layer in w.layers),
+    )
+
+
+def evaluate_sequences(
+    sequences: Sequence[tuple[Kind, ...]], config: SearchConfig
+) -> tuple[dict[tuple[str, ...], list[DesignCandidate]], dict[str, int], int]:
+    """Every group assignment of every width plan of a set of sequences,
+    classified against the reference field.
+
+    Returns (valid candidates keyed by kernel multiset, per-verdict
+    candidate counts, enumerated total), the same sums as classifying each
+    assignment alone.  Per width plan, one loop visits the distinct
+    sequences in lexicographic order with a stack of the states after each
+    interior slot of the current one, reusing those of the prefix it shares
+    with the sequence before.  A state holds the width reached, the live
+    (layer prefix, cost) pairs keyed by the field they reach, and the dead
+    prefixes counted by verdict.  So `step` runs once per distinct
+    (prefix, field, group choice), and dead counts are multiplied by each
+    later slot's number of group choices and added at the last slot.
+    """
+    c, f = config.reference_channels, config.reference_out_channels
+    reference = config.reference_field
+    # one byte per kind: short keys that compare as the sequences do
+    order = sorted(set(sequences), key=lambda seq: bytes(map(SK_ALPHABET.index, seq)))
+    valid: dict[tuple[str, ...], list[DesignCandidate]] = {}
+    counts: dict[str, int] = {}
+
+    def advance(state, kind: Kind, i: int, last: bool, bottleneck: bool):
+        """The state after slot i, None where the plan has no slot i or it
+        no group choice; after a last slot the live prefixes are valid."""
+        if state is None:
+            return None
+        width, live, dead = state
+        widths = slot_widths(kind, i, width, last, bottleneck, c, f)
+        choices = _slot_layers(kind, *widths) if widths else ()
+        if not choices:
+            return None
+        dead = {verdict: n * len(choices) for verdict, n in dead.items()}
+        after: dict[InfoField, list[tuple[tuple, int]]] = {}
+        for fld, prefixes in live.items():
+            for layer, price in choices:
+                new, verdict = step(fld, layer, reference, last)
+                if verdict is None or verdict is VerdictKind.VALID:
+                    after.setdefault(new, []).extend(
+                        (p + (layer,), cost + price) for p, cost in prefixes
+                    )
+                else:
+                    dead[verdict.value] = dead.get(verdict.value, 0) + len(prefixes)
+        return widths[1], after, dead
+
+    for bottleneck in _plan_flags(config):
+        stack = [(c, {InfoField.initial(): [((), 0)]}, {})]
+        prev: tuple[Kind, ...] = ()
+        for seq in order:
+            n = len(seq)
+            shared = min(n - 1, len(prev))
+            while seq[:shared] != prev[:shared]:
+                shared -= 1
+            del stack[shared + 1 :]
+            for j in range(len(stack), n):
+                stack.append(advance(stack[-1], seq[j - 1], j - 1, False, bottleneck))
+            prev = seq
+            state = advance(stack[-1], seq[-1], n - 1, True, bottleneck)
+            if state is None:
+                continue
+            _, live, dead = state
+            witnesses = [
+                DesignCandidate(p, bottleneck, cost)
+                for prefixes in live.values()
+                for p, cost in prefixes
+            ]
+            if witnesses:
+                dead[VerdictKind.VALID.value] = len(witnesses)
+                valid.setdefault(multiset_key(seq), []).extend(witnesses)
+            for verdict, k in dead.items():
+                counts[verdict] = counts.get(verdict, 0) + k
+    return valid, counts, sum(counts.values())
+
+
+@functools.lru_cache(maxsize=None)
+def list_witnesses(
+    config: SearchConfig,
+) -> tuple[dict[tuple[str, ...], tuple[DesignCandidate, ...]], dict[str, int], int]:
+    """Every valid witness of the search at `config` (domination aside),
+    keyed by kernel multiset and sorted by `witness_sort_key`, with the
+    per-verdict counts and the enumerated total.  Callers must not change
+    the dictionaries it returns: it is cached per config."""
+    valid, counts, enumerated = evaluate_sequences(list(enumerate_sequences(config)), config)
+    return (
+        {k: tuple(sorted(ws, key=witness_sort_key)) for k, ws in valid.items()},
+        counts,
+        enumerated,
+    )
+
+
+def summary(witnesses: dict[tuple[str, ...], Sequence[DesignCandidate]]) -> dict:
+    """Per multiset: witness count, cheapest witness and bottleneck flags
+    of sorted witness lists."""
+    return {
+        k: (len(ws), ws[0], frozenset(w.bottleneck for w in ws))
+        for k, ws in witnesses.items()
+    }
+
+
+def family_summary(families: Sequence[DesignFamily]) -> dict:
+    """What `summary` gives, as the search's families hold it."""
+    return {
+        fam.multiset: (fam.witness_count, fam.cheapest, fam.bottlenecks)
+        for fam in families
+    }
+
+
+def search_witnesses(result) -> dict[tuple[str, ...], tuple[DesignCandidate, ...]]:
+    """The lister's witness lists of a search result's families, once their
+    summary is checked against the search's own."""
+    listed = list_witnesses(replace(result.config, enable_domination_filter=False))[0]
+    if not result.config.enable_domination_filter:
+        assert set(listed) == {fam.multiset for fam in result.families}
+    witnesses = {fam.multiset: listed[fam.multiset] for fam in result.families}
+    assert summary(witnesses) == family_summary(result.families)
+    return witnesses
 
 
 def standard() -> Kernel:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from naive import evaluate_candidate, sequence_chars
+from naive import evaluate_candidate, is_repeated, search_witnesses, sequence_chars
 from skdesign.efficiency import (
     Family,
     family_params,
@@ -27,7 +27,7 @@ from skdesign.oracles import feasible_pairs
 from skdesign.search import (
     SK_ALPHABET,
     SearchConfig,
-    is_repeated,
+    _tiled_words,
     run_search,
 )
 from skdesign.sizer import (
@@ -65,8 +65,9 @@ def test_criterion_1_search_reproduces_the_four_families():
     assert {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"} <= names
     extras = names - {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"}
     assert extras, "expected extra survivors with the filter off"
+    witnesses = search_witnesses(unfiltered)
     for fam in unfiltered.families:
-        for w in fam.witnesses:
+        for w in witnesses[fam.multiset]:
             verdict = evaluate_candidate(w, unfiltered.config)
             assert verdict is VerdictKind.VALID, (fam.name, w.describe())
     _report(
@@ -151,22 +152,26 @@ def test_criterion_5_continuous_optimum_anchors():
 
 
 def test_criterion_6_pattern_filter_dual_implementation():
+    # the search builds the tiled sequences from their tiles; the tests
+    # find them by divisor tiling and by regex
     pattern = re.compile(r"(.+?)\1+")
     total = removed = 0
+    built = _tiled_words(6)
     for n in range(1, 7):
         for seq in itertools.product(SK_ALPHABET, repeat=n):
             total += 1
             tiled = is_repeated(seq)
             assert tiled == (pattern.fullmatch(sequence_chars(seq)) is not None)
+            assert tiled == (seq in built)
             removed += tiled
     assert total == 5460
-    assert removed == 104
+    assert removed == 104 == len(built)
     a, b, c = SK_ALPHABET[0], SK_ALPHABET[1], SK_ALPHABET[2]
     assert is_repeated((a,) * 6)
     assert is_repeated((a, b) * 3)
     assert is_repeated((a, b, c) * 2)
     assert all(not is_repeated((k,)) for k in SK_ALPHABET)
-    _report(6, "divisor tiling and regex agree on all 5460 sequences (104 removed)")
+    _report(6, "tiles, divisor tiling and regex agree on all 5460 sequences (104 removed)")
 
 
 # (block, groups, width, blocks per stage, projections, published total)

@@ -8,7 +8,20 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from naive import concretize, evaluate_candidate, sequence_chars
+from naive import (
+    concretize,
+    distinct_orderings,
+    enumerate_sequences,
+    evaluate_candidate,
+    evaluate_sequences,
+    family_summary,
+    is_repeated,
+    search_witnesses,
+    list_witnesses,
+    multiset_key,
+    sequence_chars,
+    summary,
+)
 from skdesign import search
 from skdesign.efficiency import Family, family_params, optimal_group_numbers
 from skdesign.infofield import VerdictKind
@@ -18,16 +31,12 @@ from skdesign.search import (
     DEFAULT_DOMINATION_GRID,
     SK_ALPHABET,
     DesignCandidate,
+    DesignFamily,
     SearchConfig,
-    enumerate_sequences,
-    is_repeated,
     raw_sequence_count,
     run_search,
     sequence_name,
-    _distinct_orderings,
-    _evaluate_sequences,
     _grid_optimal_params,
-    _multiset_key,
     _slot_layers,
 )
 from skdesign.cli import _known_architectures
@@ -125,7 +134,7 @@ def _fast(valid):
     kernel multiset."""
     for key, witnesses in valid.items():
         for w in witnesses:
-            assert _multiset_key(w.sequence) == key
+            assert multiset_key(w.sequence) == key
             yield (w.layers, w.bottleneck, w.params)
 
 
@@ -147,7 +156,7 @@ def test_fused_evaluation_matches_naive_path():
     for c, f, sequences in cases:
         cfg = SearchConfig(reference_channels=c, reference_out_channels=f)
         for seq in sequences:
-            valid, counts, enumerated = _evaluate_sequences([seq], cfg)
+            valid, counts, enumerated = evaluate_sequences([seq], cfg)
             valid_fast = set(_fast(valid))
             valid_naive, counts_naive, enumerated_naive = _naive([seq], cfg)
             assert valid_fast == valid_naive, (c, f, seq)
@@ -165,7 +174,7 @@ def test_set_walk_matches_naive_sum():
     aperiodic = list(enumerate_sequences(SearchConfig(max_length=4)))
     for (c, f), sequences in itertools.product([(8, 8), (8, 16), (4, 4)], [every, aperiodic]):
         cfg = SearchConfig(reference_channels=c, reference_out_channels=f)
-        valid, counts, enumerated = _evaluate_sequences(sequences, cfg)
+        valid, counts, enumerated = evaluate_sequences(sequences, cfg)
         valid_fast = list(_fast(valid))
         valid_naive, counts_naive, enumerated_naive = _naive(sequences, cfg)
         assert len(valid_fast) == len(set(valid_fast))
@@ -183,7 +192,7 @@ def test_evaluation_ignores_input_order_and_duplicates():
     shuffled = list(sequences)
     random.Random(15).shuffle(shuffled)
     forms = [sequences, sequences[::-1], shuffled, sequences * 2]
-    results = [_evaluate_sequences(form, cfg) for form in forms]
+    results = [evaluate_sequences(form, cfg) for form in forms]
     for valid, counts, enumerated in results:
         assert Counter(_fast(valid)) == Counter(_fast(results[0][0]))
         assert counts == results[0][1]
@@ -194,7 +203,7 @@ def test_evaluation_ignores_input_order_and_duplicates():
 def test_fused_counts_tie_out():
     cfg = SearchConfig(reference_channels=16, reference_out_channels=16)
     for seq in [(GC, PWG), (PWG, DW, PWG), (PW, PW, PW), (GC, PWG, PWG)]:
-        valid, counts, enumerated = _evaluate_sequences([seq], cfg)
+        valid, counts, enumerated = evaluate_sequences([seq], cfg)
         assert sum(counts.values()) == enumerated
         assert counts.get("valid", 0) == sum(map(len, valid.values()))
 
@@ -255,13 +264,56 @@ def test_search_audit_counts_at_length_8_without_domination():
     }
 
 
+def test_search_audit_counts_at_length_10_without_domination():
+    # 1,398,100 sequences, out of reach of a walk that visits each one
+    result = run_search(SearchConfig(max_length=10, enable_domination_filter=False))
+    assert dict(result.stage_counts) == {
+        "sequences_raw": 1_398_100,
+        "sequences_after_composition": 1_396_636,
+        "candidates_enumerated": 151_718_734_238,
+        "candidates_valid": 4785,
+        "families": 33,
+        "families_after_domination": 33,
+    }
+    assert dict(result.verdict_counts) == {
+        "valid": 4785,
+        "inferior-no-growth": 76_144_378_497,
+        "inferior-early-full": 28_716_505_801,
+        "insufficient-field": 442,
+        "spatial-mismatch": 46_857_844_713,
+    }
+
+
+@pytest.mark.parametrize(
+    "c, f, length",
+    [(8, 8, 4), (8, 16, 4), (4, 4, 4), (3, 5, 6), (16, 32, 5), (64, 64, 6)],
+)
+def test_state_walk_agrees_with_the_witness_lister(c, f, length):
+    # per family: witness count, cheapest witness and bottleneck flags; and
+    # every verdict count, the enumerated total and the sequence count.
+    # (4, 4) has empty bottleneck slots (K = 1 takes no group number)
+    cfg = SearchConfig(
+        max_length=length, reference_channels=c, reference_out_channels=f,
+        enable_domination_filter=False,
+    )
+    result = run_search(cfg)
+    witnesses, counts, enumerated = list_witnesses(cfg)
+    assert family_summary(result.families) == summary(witnesses)
+    assert dict(result.verdict_counts) == counts
+    stages = dict(result.stage_counts)
+    assert stages["candidates_enumerated"] == enumerated
+    assert stages["candidates_valid"] == counts.get("valid", 0)
+    assert stages["sequences_after_composition"] == len(list(enumerate_sequences(cfg)))
+
+
 def test_search_without_domination_keeps_four_with_valid_audits():
     result = run_search(SearchConfig(enable_domination_filter=False))
     names = set(result.family_names())
     assert {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"} <= names
     cfg = result.config
+    witnesses = search_witnesses(result)
     for fam in result.families:
-        for w in fam.witnesses:
+        for w in witnesses[fam.multiset]:
             v = evaluate_candidate(w, cfg)
             assert v is VerdictKind.VALID, (fam.name, w.describe(), v)
             assert w.params == sum(param_count(l) for l in w.layers), w.describe()
@@ -279,9 +331,10 @@ def test_every_valid_witness_reaches_all_channels_in_the_oracle():
             enable_domination_filter=False,
         )
         result = run_search(cfg)
+        witnesses = search_witnesses(result)
         checked, short = 0, []
         for fam in result.families:
-            for w in fam.witnesses:
+            for w in witnesses[fam.multiset]:
                 layers = w.layers
                 reach = tuple(1 << j for j in range(c))
                 for layer in layers[:-1]:
@@ -294,9 +347,11 @@ def test_every_valid_witness_reaches_all_channels_in_the_oracle():
 
 
 def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
-    # one `step` per (trie node, field, group choice) as a last slot and one
-    # as an interior slot: the default search without domination makes
-    # 4,932 calls, against the 5,412,926 assignments it classifies
+    # one `step` per (live state, group choice) as a last slot and one as an
+    # interior slot: the default search without domination makes 3,989
+    # calls, 2,482 in the walk over kernel multisets and 1,507 in the walk
+    # over the 104 tiled sequences, against the 5,412,926 assignments it
+    # classifies
     calls = 0
     real_step = search.step
 
@@ -307,14 +362,16 @@ def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(search, "step", counting_step)
     result = run_search(SearchConfig(enable_domination_filter=False))
-    assert calls == 4932
+    assert calls == 3989
     assert dict(result.stage_counts)["candidates_enumerated"] == 5412926
 
 
 def test_family_min_params_is_the_cheapest_witness(default_result):
     nodom = run_search(SearchConfig(max_length=4, enable_domination_filter=False))
-    for fam in default_result.families + nodom.families:
-        assert fam.min_params() == min(w.params for w in fam.witnesses), fam.name
+    for result in (default_result, nodom):
+        witnesses = search_witnesses(result)
+        for fam in result.families:
+            assert fam.min_params() == min(w.params for w in witnesses[fam.multiset]), fam.name
 
 
 def _closed_form_minimum(family, c, f):
@@ -342,11 +399,12 @@ def test_search_prices_gc_pwg_as_the_closed_form_does():
                 max_length=3, reference_channels=c, reference_out_channels=f,
                 enable_domination_filter=False,
             )
-            families = run_search(cfg).families
+            result = run_search(cfg)
+            families = result.families
             fams = {fam.name: fam.min_params() for fam in families}
             want, _ = _closed_form_minimum(Family.GC_PWG, c, f)
             assert fams.get("gc+pwg") == want, (c, f)
-            witnesses = [w for fam in families for w in fam.witnesses]
+            witnesses = [w for ws in search_witnesses(result).values() for w in ws]
             for family in Family:
                 own = [
                     w for w in witnesses
@@ -361,18 +419,17 @@ def test_search_prices_gc_pwg_as_the_closed_form_does():
 
 
 def test_walk_state_is_freed_without_a_cyclic_gc_pass():
-    # the walk's prefixes and witnesses must go with its result, by
-    # reference counting alone
+    # the walk's states and the families' witnesses must go with its
+    # result, by reference counting alone
     def alive():
-        return sum(isinstance(o, DesignCandidate) for o in gc.get_objects())
+        return sum(isinstance(o, (DesignCandidate, DesignFamily)) for o in gc.get_objects())
 
-    cfg = SearchConfig(reference_channels=8, reference_out_channels=8)
-    sequences = list(enumerate_sequences(replace(cfg, max_length=4)))
+    cfg = SearchConfig(max_length=4, reference_channels=8, reference_out_channels=8)
     gc.collect()
     gc.disable()
     try:
         before = alive()
-        result = _evaluate_sequences(sequences, cfg)
+        result = run_search(cfg)
         assert alive() > before
         del result
         assert alive() == before
@@ -383,9 +440,10 @@ def test_walk_state_is_freed_without_a_cyclic_gc_pass():
 def test_families_differing_only_in_groups_collapse(default_result):
     result = default_result
     gcpwg = next(f for f in result.families if f.name == "gc+pwg")
-    assignments = {w.group_numbers for w in gcpwg.witnesses}
+    witnesses = search_witnesses(result)[gcpwg.multiset]
+    assignments = {w.group_numbers for w in witnesses}
     assert len(assignments) > 1
-    assert len({w.sequence for w in gcpwg.witnesses}) <= 2  # both orders collapse
+    assert len({w.sequence for w in witnesses}) <= 2  # both orders collapse
 
 
 def test_search_is_deterministic_and_parallel_safe():
@@ -397,7 +455,7 @@ def test_search_is_deterministic_and_parallel_safe():
         return json.dumps(
             {
                 "families": [
-                    (f.name, f.bottleneck, [w.describe() for w in f.witnesses])
+                    (f.name, f.bottleneck, f.witness_count, f.cheapest.describe())
                     for f in res.families
                 ],
                 "counts": list(res.stage_counts),
@@ -415,6 +473,19 @@ def test_max_len_two_keeps_only_pairs():
     assert result.family_names() == ("dw+pw", "gc+pwg")
 
 
+def _brute_grid_min(key, c, f, cfg):
+    """The fewest parameters of a valid instance of the multiset at
+    (C, F), over `concretize` of all its orderings; None where it has none."""
+    probe = replace(cfg, reference_channels=c, reference_out_channels=f)
+    brute = [
+        cand.params
+        for seq in distinct_orderings(key)
+        for cand in concretize(seq, probe)
+        if evaluate_candidate(cand, probe) is VerdictKind.VALID
+    ]
+    return min(brute) if brute else None
+
+
 def test_grid_optimal_params_match_brute_force():
     # the cheapest valid instance of each multiset at each grid point,
     # against a minimum over `concretize` of all its orderings; the grid
@@ -427,14 +498,25 @@ def test_grid_optimal_params_match_brute_force():
     opt = _grid_optimal_params(families, grid, cfg)
     for key, fam in families.items():
         for c, f in grid:
-            probe = replace(cfg, reference_channels=c, reference_out_channels=f)
-            brute = [
-                cand.params
-                for seq in _distinct_orderings(key)
-                for cand in concretize(seq, probe)
-                if evaluate_candidate(cand, probe) is VerdictKind.VALID
-            ]
-            assert opt[key][(c, f)] == (min(brute) if brute else None), (fam.name, c, f)
+            assert opt[key][(c, f)] == _brute_grid_min(key, c, f, cfg), (fam.name, c, f)
+
+
+def test_grid_walk_limited_to_some_families_matches_brute_force():
+    # the grid walk goes only through sub-multisets of the families it is
+    # given: with a few of them, the others' orderings are never walked,
+    # and each given family's minima must still match brute force
+    cfg = SearchConfig(max_length=5, reference_channels=16, reference_out_channels=32)
+    result = run_search(replace(cfg, enable_domination_filter=False))
+    families = {fam.multiset: fam for fam in result.families}
+    grid = [(8, 8), (8, 16), (12, 12), (16, 32)]
+    for chosen in (sorted(families)[::4], [k for k in families if len(k) == 4]):
+        limited = {k: families[k] for k in chosen}
+        assert 1 < len(limited) < len(families)
+        opt = _grid_optimal_params(limited, grid, cfg)
+        assert set(opt) == set(limited)
+        for key in limited:
+            for c, f in grid:
+                assert opt[key][(c, f)] == _brute_grid_min(key, c, f, cfg), (key, c, f)
 
 
 def test_slot_group_numbers_match_the_oracle_pairs():
@@ -459,7 +541,7 @@ def test_slot_group_numbers_match_the_oracle_pairs():
 
 def test_gc_pwg_dw_never_survives_with_all_kernels_contributing():
     cfg = SearchConfig()
-    valid, counts, _ = _evaluate_sequences([(GC, PWG, DW)], cfg)
+    valid, counts, _ = evaluate_sequences([(GC, PWG, DW)], cfg)
     assert valid == {}
     assert counts.get("valid", 0) == 0
     assert counts.get("inferior-early-full", 0) > 0
