@@ -98,13 +98,16 @@ def design_name(name: str, names: Sequence[str] = DESIGN_NAMES) -> str:
 def design_kernels(name: str, groups: Optional[tuple[int, int]] = None) -> list[Kernel]:
     """The kernels of the design `name`, a key of `DESIGN_KINDS`.
 
-    A design with grouped kernels requires groups=(M, N), handed to its
-    grouped kernels in order; any other design takes none.
+    A design with grouped kernels requires groups=(M, N), exactly two
+    numbers, handed to its grouped kernels in order; any other design takes
+    none.
     """
     kinds = DESIGN_KINDS[name]
     if name in _GROUPED_DESIGNS:
         if groups is None:
             raise ValidationError(f"{name} needs group numbers (M, N)")
+        if len(groups) != 2:
+            raise ValidationError(f"{name} needs group numbers (M, N), got {tuple(groups)}")
         numbers = iter(groups)
         return [Kernel(k, next(numbers)) if k.is_grouped else Kernel(k) for k in kinds]
     if groups is not None:
@@ -151,7 +154,12 @@ def layers_for(
     Grouped families require groups=(M, N), as `design_kernels` builds
     them.  Bottleneck families use K = F/4 and require 4 | F.
     """
-    kernels = design_kernels(family.value, groups)
+    return plan_layers(family, design_kernels(family.value, groups), c, f)
+
+
+def plan_layers(family: Family, kernels: Sequence[Kernel], c: int, f: int) -> list[LayerSpec]:
+    """The family's kernels, as `design_kernels` builds them, laid out at
+    channel counts (C, F) on the family's width plan."""
     _check_bottleneck_width(family, f)
     layers = []
     width, end = c, family.kernel_count - 1

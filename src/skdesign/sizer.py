@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .efficiency import (
-    DESIGN_KINDS, Family, UnderBudgetError, design_kernels, design_name, layers_for,
+    Family, UnderBudgetError, design_kernels, design_name, plan_layers,
 )
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 
@@ -55,18 +55,22 @@ class BlockSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", design_name(self.kind))
-        # a group number no kernel accepts would leave no feasible width
-        # for `solve_width` to find
-        design_kernels(self.kind, self.groups)
+        # the kernels and the family are resolved here, once, and are not
+        # fields: `model_params` lays a block out twice per stage.  A group
+        # number no kernel accepts would leave no feasible width for
+        # `solve_width` to find, so it is rejected here
+        object.__setattr__(self, "_kernels", tuple(design_kernels(self.kind, self.groups)))
+        family = None if self.kind == "standard" else Family(self.kind)
+        object.__setattr__(self, "_family", family)
 
     @property
     def kernels_per_block(self) -> int:
-        return len(DESIGN_KINDS[self.kind])
+        return len(self._kernels)
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
-        if self.kind == "standard":
-            return [LayerSpec(Kernel(Kind.STANDARD), c, f)]
-        return layers_for(Family(self.kind), c, f, self.groups)
+        if self._family is None:
+            return [LayerSpec(self._kernels[0], c, f)]
+        return plan_layers(self._family, self._kernels, c, f)
 
     def describe(self) -> str:
         if self.groups is None:

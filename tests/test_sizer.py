@@ -1,8 +1,10 @@
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skdesign.efficiency import UnderBudgetError
-from skdesign.kernels import ValidationError
+from skdesign.efficiency import Family, UnderBudgetError, design_kernels, layers_for
+from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.sizer import (
     BlockSpec,
     Conventions,
@@ -119,6 +121,34 @@ SCAN_BLOCKS = (
     BlockSpec("pwg+dw+pwg", (4, 4)),
     BlockSpec("pwg+dw+pwg", (2, 8)),
 )
+
+
+@pytest.mark.parametrize("groups", [(4,), (4, 4, 4)])
+def test_a_group_tuple_of_the_wrong_length_is_a_validation_error(groups):
+    # one number used to escape as a bare StopIteration, and a third was
+    # dropped without a word
+    fault = r"gc\+pwg needs group numbers \(M, N\), got"
+    with pytest.raises(ValidationError, match=fault):
+        design_kernels("gc+pwg", groups)
+    with pytest.raises(ValidationError, match=fault):
+        layers_for(Family.GC_PWG, 16, 16, groups)
+    with pytest.raises(ValidationError, match=fault):
+        BlockSpec("gc+pwg", groups)
+
+
+def test_block_layers_are_the_family_layers_and_add_no_field():
+    # `BlockSpec` resolves its design once; what it lays out must still be
+    # what `layers_for` builds, also for a copy with other group numbers
+    assert [f.name for f in fields(BlockSpec)] == ["kind", "groups"]
+    for block in SCAN_BLOCKS:
+        for c, f in ((32, 32), (16, 32)):
+            if block.kind == "standard":
+                want = [LayerSpec(Kernel(Kind.STANDARD), c, f)]
+            else:
+                want = layers_for(Family(block.kind), c, f, block.groups)
+            assert block.layers(c, f) == want, (block, c, f)
+    regrouped = replace(BlockSpec("gc+pwg", (4, 2)), groups=(2, 4))
+    assert regrouped.layers(16, 16) == layers_for(Family.GC_PWG, 16, 16, (2, 4))
 
 
 def _scan_width(budget, block, blocks, conventions):
