@@ -173,9 +173,9 @@ def _walk(
 
     Returns (valid, verdicts).  `valid` maps the tag of each valid end to
     [witness count, cheapest witness key, bottleneck flags], where a key is
-    (params, bottleneck, kind order, group numbers, layers) and the first
-    four order witnesses cheapest first; `verdicts` counts assignments by
-    verdict.
+    (params, bottleneck, kind order, group numbers, layers): its first four
+    entries rank witnesses as `DesignFamily` states.  `verdicts` counts
+    assignments by verdict.
 
     The walk goes one slot at a time over states (bottleneck, width
     reached, field or dead verdict, tag).  A live state carries its
