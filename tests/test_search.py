@@ -4,7 +4,7 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +35,6 @@ from skdesign.search import (
     SearchConfig,
     raw_sequence_count,
     run_search,
-    sequence_name,
     _grid_optimal_params,
     _slot_layers,
 )
