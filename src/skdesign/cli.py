@@ -319,21 +319,15 @@ def render_dot(layers, name: str = "design") -> str:
     """
     safe = name.replace("+", "_")
     out = [f'digraph "{safe}" {{', "  rankdir=LR;", "  node [shape=circle, fontsize=10];"]
-    for li, layer in enumerate(layers):
-        col = li
-        n = layer.in_channels
+    # one column per layer input, then the last layer's output
+    widths = [layer.in_channels for layer in layers] + [layers[-1].out_channels]
+    for col, n in enumerate(widths):
         out.append(f"  subgraph cluster_{col} {{")
-        label = "input" if li == 0 else f"after {layers[li - 1].kernel}"
+        label = "input" if col == 0 else f"after {layers[col - 1].kernel}"
         out.append(f'    label="{label}";')
         for ch in range(n):
             out.append(f'    t{col}_c{ch} [label="{ch}"];')
         out.append("  }")
-    last = len(layers)
-    out.append(f"  subgraph cluster_{last} {{")
-    out.append(f'    label="after {layers[-1].kernel}";')
-    for ch in range(layers[-1].out_channels):
-        out.append(f'    t{last}_c{ch} [label="{ch}"];')
-    out.append("  }")
     for li, layer in enumerate(layers):
         color = "green" if layer.kernel.kind.is_spatial else "blue"
         names = shuffle_after(layers[li - 1]) if li else range(layer.in_channels)

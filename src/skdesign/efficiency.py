@@ -46,9 +46,8 @@ class Family(enum.Enum):
 
     def __init__(self, value: str) -> None:
         self.kinds = tuple(Kind(name) for name in value.split("+"))
-        self.kernel_count = len(self.kinds)
         self.has_group_freedom = any(kind.is_grouped for kind in self.kinds)
-        self.bottlenecked = self.kernel_count == 3
+        self.bottlenecked = len(self.kinds) == 3
 
     def known_architectures(
         self, groups: Optional[tuple[int, int]] = None
@@ -82,8 +81,6 @@ class Family(enum.Enum):
 # then the families
 DESIGN_KINDS = {"standard": (Kind.STANDARD,), **{f.value: f.kinds for f in Family}}
 DESIGN_NAMES = tuple(DESIGN_KINDS)
-# the designs whose kernels take group numbers (M, N)
-_GROUPED_DESIGNS = {f.value for f in Family if f.has_group_freedom}
 
 
 def design_name(name: str, names: Sequence[str] = DESIGN_NAMES) -> str:
@@ -103,7 +100,7 @@ def design_kernels(name: str, groups: Optional[tuple[int, int]] = None) -> list[
     none.
     """
     kinds = DESIGN_KINDS[name]
-    if name in _GROUPED_DESIGNS:
+    if any(k.is_grouped for k in kinds):
         if groups is None:
             raise ValidationError(f"{name} needs group numbers (M, N)")
         if len(groups) != 2:
@@ -162,7 +159,7 @@ def plan_layers(family: Family, kernels: Sequence[Kernel], c: int, f: int) -> li
     channel counts (C, F) on the family's width plan."""
     _check_bottleneck_width(family, f)
     layers = []
-    width, end = c, family.kernel_count - 1
+    width, end = c, len(kernels) - 1
     for i, kernel in enumerate(kernels):
         # never None: each family has every slot of its plan once 4 | F holds
         c_in, width = slot_widths(kernel.kind, i, width, i == end, family.bottlenecked, c, f)
@@ -209,7 +206,6 @@ def ratio(
 
 @dataclass(frozen=True)
 class GroupOptimum:
-    family: Family
     continuous: tuple[float, float]
     continuous_condition: str
     discrete: tuple[tuple[int, int], ...]
@@ -240,14 +236,11 @@ def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
         continuous, condition = (m, k / m), "M*N = K and M = sqrt(C)/2"
         # K*(C/M + 4M + 9) at the K = M*N boundary, minimized at M = sqrt(C)/2
         bound = k * (4.0 * math.sqrt(c) + 9.0)
-    return GroupOptimum(family, continuous, condition, grid.minimizers, grid.value, bound)
+    return GroupOptimum(continuous, condition, grid.minimizers, grid.value, bound)
 
 
 @dataclass(frozen=True)
 class WidthReport:
-    family: Family
-    budget: int
-    alpha: Fraction
     greatest_width_real: float
     width: int
     params_at_width: int
@@ -281,18 +274,16 @@ def _continuous_width(family: Family, p: int, alpha: Fraction) -> tuple[float, s
 
 
 def _min_params_at_width(family: Family, c: int, alpha: Fraction) -> Optional[int]:
-    """Best achievable parameter count at integer width c, or None if infeasible."""
+    """Best achievable parameter count at integer width c, or None if
+    infeasible.  With alpha > 0 and c >= 1, a whole F = alpha*c is >= 1."""
     fa = alpha * c
     if fa.denominator != 1:
         return None
-    f = int(fa)
-    if f < 1:
-        return None
+    f = fa.numerator
     try:
         if not family.has_group_freedom:
             return family_params(family, c, f)
-        grid = oracles.divisor_grid_min(family.value, c, f, constraint="le")
-        return grid.value
+        return oracles.divisor_grid_min(family.value, c, f, constraint="le").value
     except ValidationError:
         return None
 
@@ -317,15 +308,7 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     for c in range(start, 0, -1):
         params = _min_params_at_width(family, c, alpha)
         if params is not None and params <= budget:
-            return WidthReport(
-                family=family,
-                budget=budget,
-                alpha=alpha,
-                greatest_width_real=g_real,
-                width=c,
-                params_at_width=params,
-                optimality_condition=condition,
-            )
+            return WidthReport(g_real, c, params, condition)
     raise UnderBudgetError(
         f"budget {budget} is below the smallest legal {family.value} design"
     )

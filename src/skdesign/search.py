@@ -25,8 +25,8 @@ classical reduction of this space to four families was a manual judgement,
 so the filter is an explicit, auditable reconstruction of it and can be
 switched off.  Its three rules are:
 
-* shorter-cheaper: a strictly shorter surviving family beats the family
-  at every grid configuration at optimal group assignment;
+* shorter-cheaper: a surviving family of the same or shorter length beats
+  the family at every grid configuration at optimal group assignment;
 * boundary-fold: the family mixes plain 1x1 kernels into an otherwise
   grouped design; it is the groups=1 boundary case of the all-grouped
   family, which subsumes it;
@@ -280,9 +280,6 @@ class SearchResult:
     stage_counts: tuple[tuple[str, int], ...]
     verdict_counts: tuple[tuple[str, int], ...]
 
-    def family_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.families)
-
 
 def _grid_optimal_params(
     families: dict[tuple[str, ...], DesignFamily],
@@ -321,8 +318,7 @@ def _apply_domination(
     if ref_cfg not in grid:
         grid.append(ref_cfg)
     keys = sorted(families)
-    removed: list[RemovedFamily] = []
-    dropped: set[tuple[str, ...]] = set()
+    removed: dict[tuple[str, ...], RemovedFamily] = {}
 
     # boundary fold first: a family mixing plain 1x1 kernels into a design
     # that also carries grouped kernels is the groups=1 boundary of the
@@ -339,15 +335,12 @@ def _apply_domination(
                 )
             )
             if target in families:
-                removed.append(
-                    RemovedFamily(
-                        families[k].name, k, "boundary-fold",
-                        f"groups=1 boundary instance of {families[target].name}",
-                    )
+                removed[k] = RemovedFamily(
+                    families[k].name, k, "boundary-fold",
+                    f"groups=1 boundary instance of {families[target].name}",
                 )
-                dropped.add(k)
 
-    pool = [k for k in keys if k not in dropped]
+    pool = [k for k in keys if k not in removed]
     opt = _grid_optimal_params({k: families[k] for k in pool}, grid, config)
 
     for k in pool:
@@ -366,31 +359,25 @@ def _apply_domination(
                 for cfg in feasible_cfgs
             )
             if beaten:
-                removed.append(
-                    RemovedFamily(
-                        fam.name, k, "shorter-cheaper",
-                        "another surviving family of the same or shorter length "
-                        "needs fewer parameters at every tested configuration",
-                    )
+                removed[k] = RemovedFamily(
+                    fam.name, k, "shorter-cheaper",
+                    "another surviving family of the same or shorter length "
+                    "needs fewer parameters at every tested configuration",
                 )
-                dropped.add(k)
                 continue
         # rule: a shorter survivor over the same kind set with at least the
         # same structural variants makes the longer chain redundant
         for b in pool:
             if len(b) < len(k) and set(b) == set(k):
                 if fam.bottlenecks <= families[b].bottlenecks:
-                    removed.append(
-                        RemovedFamily(
-                            fam.name, k, "redundant-length",
-                            f"same kinds as shorter surviving family {families[b].name}",
-                        )
+                    removed[k] = RemovedFamily(
+                        fam.name, k, "redundant-length",
+                        f"same kinds as shorter surviving family {families[b].name}",
                     )
-                    dropped.add(k)
                     break
 
-    kept = [families[k] for k in keys if k not in dropped]
-    return kept, removed
+    kept = [families[k] for k in keys if k not in removed]
+    return kept, list(removed.values())
 
 
 def run_search(config: SearchConfig) -> SearchResult:

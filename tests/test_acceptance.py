@@ -61,7 +61,7 @@ def test_criterion_1_search_reproduces_the_four_families():
     ], got
 
     unfiltered = run_search(SearchConfig(enable_domination_filter=False))
-    names = set(unfiltered.family_names())
+    names = {f.name for f in unfiltered.families}
     assert {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"} <= names
     extras = names - {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"}
     assert extras, "expected extra survivors with the filter off"

@@ -308,7 +308,7 @@ def test_state_walk_agrees_with_the_witness_lister(c, f, length):
 
 def test_search_without_domination_keeps_four_with_valid_audits():
     result = run_search(SearchConfig(enable_domination_filter=False))
-    names = set(result.family_names())
+    names = {f.name for f in result.families}
     assert {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"} <= names
     cfg = result.config
     witnesses = search_witnesses(result)
@@ -470,7 +470,7 @@ def test_search_is_deterministic_and_parallel_safe():
 
 def test_max_len_two_keeps_only_pairs():
     result = run_search(SearchConfig(max_length=2))
-    assert result.family_names() == ("dw+pw", "gc+pwg")
+    assert tuple(f.name for f in result.families) == ("dw+pw", "gc+pwg")
 
 
 def _brute_grid_min(key, c, f, cfg):
@@ -570,4 +570,4 @@ def test_four_families_survive_at_another_divisor_rich_config():
     result = run_search(
         SearchConfig(reference_channels=32, reference_out_channels=32, max_length=3)
     )
-    assert {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"} <= set(result.family_names())
+    assert {"dw+pw", "gc+pwg", "pw+dw+pw", "pwg+dw+pwg"} <= {f.name for f in result.families}
