@@ -60,6 +60,13 @@ def _check_c_max(c_max: int) -> None:
 def verify_theorem1(c_max: int = 64) -> VerifyResult:
     """Exhaustive check that grouped-pair minimizers use M*N = C."""
     _check_c_max(c_max)
+    # each even C is checked up to F = 4C, and the grid oracle is capped
+    c_top = oracles.MAX_GRID_CHANNELS // 4
+    if c_max - c_max % 2 > c_top:
+        raise ValidationError(
+            f"c_max {c_max} is past the theorem1 suite's cap: it checks F = 4C on "
+            f"grids of at most {oracles.MAX_GRID_CHANNELS} channels, so C is at most {c_top}"
+        )
     result = VerifyResult("theorem1")
     for c in range(MIN_CHANNELS, c_max + 1, 2):
         for f in (c, 2 * c, 4 * c):

@@ -1,9 +1,9 @@
 import pytest
 
 from naive import verify_infofield_per_design
-from skdesign import infofield, oracles, verify
+from skdesign import cli, infofield, oracles, verify
 from skdesign.infofield import InfoField
-from skdesign.kernels import Kind
+from skdesign.kernels import Kind, ValidationError
 from skdesign.verify import verify_infofield
 
 
@@ -104,3 +104,42 @@ def test_prefix_walk_propagates_once_per_state_and_slot(monkeypatch):
     monkeypatch.setattr(verify, "propagate", counting_propagate)
     assert verify_infofield().checked == 27_064
     assert calls == 1_540
+
+
+def test_theorem1_reports_a_minimizer_off_the_product_condition(monkeypatch, capsys):
+    real = oracles.divisor_grid_min
+
+    def off_at_c6_f12(objective, c, f, constraint="le"):
+        grid = real(objective, c, f, constraint)
+        if (c, f) == (6, 12):
+            return oracles.GridMinResult(grid.minimizers + ((2, 2),), grid.value)
+        return grid
+
+    monkeypatch.setattr(oracles, "divisor_grid_min", off_at_c6_f12)
+    result = verify.verify_theorem1(c_max=8)
+    assert not result.passed
+    assert result.checked == 9
+    assert result.counterexamples == [
+        "C=6, F=12: minimizers [(2, 2)] have M*N != C (min value 144)"
+    ]
+    assert cli.main(["verify", "--theorem1", "--c-max", "8"]) == cli.EXIT_ORACLE
+    out = capsys.readouterr().out
+    assert out.startswith("theorem1: FAIL (9 cases)\n  counterexample: C=6, F=12:")
+
+
+def test_theorem1_rejects_a_c_max_past_the_grid_cap_before_any_grid(monkeypatch):
+    # every even C is checked up to F = 4C, so C may reach 4096 / 4 = 1024
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(oracles, "divisor_grid_min", no_grid)
+    for c_max in (1026, 1027, 4096):
+        with pytest.raises(ValidationError) as err:
+            verify.verify_theorem1(c_max=c_max)
+        assert str(err.value) == (
+            f"c_max {c_max} is past the theorem1 suite's cap: it checks F = 4C on "
+            f"grids of at most 4096 channels, so C is at most 1024"
+        )
+    monkeypatch.undo()
+    assert verify.verify_theorem1(c_max=1025).passed
+    assert cli.main(["verify", "--infofield", "--c-max", "2000"]) == cli.EXIT_OK
