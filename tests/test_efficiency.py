@@ -5,7 +5,6 @@ import pytest
 
 from skdesign.efficiency import (
     Family,
-    GroupOptimum,
     UnderBudgetError,
     family_params,
     greatest_width,
