@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from naive import enumerate_sequences, list_witnesses, summary, family_summary
+from naive import enumerate_sequences, family_summary, list_witnesses, summary
 from skdesign.search import SearchConfig, _grid_optimal_params, raw_sequence_count, run_search
 
 _list_witnesses = list_witnesses.__wrapped__
