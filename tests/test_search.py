@@ -284,6 +284,71 @@ def test_search_audit_counts_at_length_10_without_domination():
     }
 
 
+def test_search_at_length_12_without_domination_is_pinned():
+    # taken from the walk that carried every dead state's kind multiset,
+    # before dead states dropped it: stage and verdict counts, and per
+    # family the witness count, cheapest witness, its parameters and the
+    # bottleneck flags
+    result = run_search(SearchConfig(max_length=12, enable_domination_filter=False))
+    assert dict(result.stage_counts) == {
+        "sequences_raw": 22_369_620,
+        "sequences_after_composition": 22_363_816,
+        "candidates_enumerated": 25_447_548_719_803,
+        "candidates_valid": 4785,
+        "families": 33,
+        "families_after_domination": 33,
+    }
+    assert dict(result.verdict_counts) == {
+        "valid": 4785,
+        "inferior-no-growth": 12_775_745_515_242,
+        "inferior-early-full": 4_817_211_206_015,
+        "insufficient-field": 442,
+        "spatial-mismatch": 7_854_591_993_319,
+    }
+    families = {
+        fam.name: (
+            fam.witness_count, fam.cheapest.describe(), fam.min_params(),
+            tuple(sorted(fam.bottlenecks)),
+        )
+        for fam in result.families
+    }
+    assert families == {
+        'dw+pw': (2, 'dw+pw', 4672, (False,)),
+        'gc+pw': (10, 'gc(32)+pw', 5248, (False,)),
+        'gc+pwg': (30, 'gc(32)+pwg(2)', 3200, (False,)),
+        'gc+pw+pw': (7, 'gc(16)+pw+pw [bottleneck]', 1856, (True,)),
+        'gc+pw+pwg': (109, 'gc(16)+pw+pwg(16) [bottleneck]', 896, (False, True)),
+        'pw+dw+pw': (1, 'pw+dw+pw [bottleneck]', 2192, (True,)),
+        'pw+dw+pwg': (23, 'pw+dw+pwg(16) [bottleneck]', 1232, (False, True)),
+        'pwg+dw+pwg': (51, 'pwg(4)+dw+pwg(4) [bottleneck]', 656, (False, True)),
+        'pwg+gc+pwg': (303, 'pwg(4)+gc(8)+pwg(8) [bottleneck]', 672, (False, True)),
+        'pwg+dw+pw+pw': (8, 'pwg(16)+dw+pw+pw [bottleneck]', 1488, (True,)),
+        'pwg+dw+pw+pwg': (96, 'pwg(16)+dw+pw+pwg(16) [bottleneck]', 528, (False, True)),
+        'pwg+dw+pwg+pwg': (236, 'pwg(8)+dw+pwg(2)+pwg(16) [bottleneck]', 464, (False, True)),
+        'pwg+gc+pw+pw': (24, 'pwg(16)+gc(8)+pw+pw [bottleneck]', 1632, (True,)),
+        'pwg+gc+pw+pwg': (266, 'pwg(16)+gc(8)+pw+pwg(16) [bottleneck]', 672, (False, True)),
+        'pwg+gc+pwg+pwg': (706, 'pwg(8)+gc(8)+pwg(4)+pwg(16) [bottleneck]', 544, (False, True)),
+        'pwg+dw+pwg+pw+pw': (18, 'pwg(16)+dw+pwg(8)+pw+pw [bottleneck]', 1520, (True,)),
+        'pwg+dw+pwg+pw+pwg': (176, 'pwg(16)+dw+pwg(8)+pw+pwg(16) [bottleneck]', 560, (False, True)),
+        'pwg+dw+pwg+pwg+pwg': (426, 'pwg(16)+dw+pwg(4)+pwg(4)+pwg(16) [bottleneck]', 400, (False, True)),
+        'pwg+gc+pwg+pw+pw': (30, 'pwg(16)+gc(8)+pwg(8)+pw+pw [bottleneck]', 1664, (True,)),
+        'pwg+gc+pwg+pw+pwg': (292, 'pwg(16)+gc(8)+pwg(8)+pw+pwg(16) [bottleneck]', 704, (False, True)),
+        'pwg+gc+pwg+pwg+pwg': (737, 'pwg(16)+gc(8)+pwg(4)+pwg(8)+pwg(16) [bottleneck]', 512, (False, True)),
+        'pwg+dw+pwg+pwg+pw+pw': (16, 'pwg(16)+dw+pwg(8)+pwg(8)+pw+pw [bottleneck]', 1552, (True,)),
+        'pwg+dw+pwg+pwg+pw+pwg': (142, 'pwg(16)+dw+pwg(8)+pwg(8)+pw+pwg(16) [bottleneck]', 592, (False, True)),
+        'pwg+dw+pwg+pwg+pwg+pwg': (332, 'pwg(16)+dw+pwg(4)+pwg(8)+pwg(8)+pwg(16) [bottleneck]', 400, (False, True)),
+        'pwg+gc+pwg+pwg+pw+pw': (16, 'pwg(16)+gc(8)+pwg(8)+pwg(8)+pw+pw [bottleneck]', 1696, (True,)),
+        'pwg+gc+pwg+pwg+pw+pwg': (145, 'pwg(16)+gc(8)+pwg(8)+pwg(8)+pw+pwg(16) [bottleneck]', 736, (False, True)),
+        'pwg+gc+pwg+pwg+pwg+pwg': (351, 'pwg(16)+gc(8)+pwg(8)+pwg(8)+pwg(8)+pwg(16) [bottleneck]', 512, (False, True)),
+        'pwg+dw+pwg+pwg+pwg+pw+pw': (5, 'pwg(16)+dw+pwg(8)+pwg(8)+pwg(8)+pw+pw [bottleneck]', 1584, (True,)),
+        'pwg+dw+pwg+pwg+pwg+pw+pwg': (42, 'pwg(16)+dw+pwg(8)+pwg(8)+pwg(8)+pw+pwg(16) [bottleneck]', 624, (False, True)),
+        'pwg+dw+pwg+pwg+pwg+pwg+pwg': (95, 'pwg(16)+dw+pwg(8)+pwg(8)+pwg(8)+pwg(8)+pwg(16) [bottleneck]', 400, (False, True)),
+        'pwg+pwg+pwg+pwg+pw+gc+pw': (3, 'pwg(16)+pwg(8)+pwg(8)+pwg(8)+pw+gc(8)+pw [bottleneck]', 1728, (True,)),
+        'pwg+pwg+pwg+pwg+pw+gc+pwg': (26, 'pwg(16)+pwg(8)+pwg(8)+pwg(8)+pw+gc(8)+pwg(16) [bottleneck]', 768, (False, True)),
+        'pwg+pwg+pwg+pwg+pwg+gc+pwg': (61, 'pwg(16)+pwg(8)+pwg(8)+pwg(8)+pwg(8)+gc(8)+pwg(16) [bottleneck]', 544, (False, True)),
+    }
+
+
 @pytest.mark.parametrize(
     "c, f, length",
     [(8, 8, 4), (8, 16, 4), (4, 4, 4), (3, 5, 6), (16, 32, 5), (64, 64, 6)],
