@@ -14,15 +14,15 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__, efficiency, search
 from .efficiency import Family
 from .kernels import LayerSpec, ValidationError
-from .oracles import _input_groups, shuffle_after
 
-if TYPE_CHECKING:  # search and verify do not load the sizer
+if TYPE_CHECKING:  # search and verify load none of these
+    from fractions import Fraction
+
     from . import sizer
 
 SCHEMA_VERSION = 1
@@ -60,6 +60,8 @@ def _positive_int(text: str) -> int:
 
 
 def _ratio_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -317,6 +319,8 @@ def render_dot(layers, name: str = "design") -> str:
     Edges of spatial kernels are green (they also carry spatial context),
     1x1 edges are blue.
     """
+    from .oracles import _input_groups, shuffle_after
+
     safe = name.replace("+", "_")
     out = [f'digraph "{safe}" {{', "  rankdir=LR;", "  node [shape=circle, fontsize=10];"]
     # one column per layer input, then the last layer's output

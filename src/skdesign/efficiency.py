@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import oracles
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
+
+if TYPE_CHECKING:  # loaded only by the functions that use it, as is `oracles`
+    from fractions import Fraction
 
 
 class Family(enum.Enum):
@@ -182,6 +182,8 @@ def ratio(
     Exact rational.  Must equal family_params / (9*C*F) wherever both are
     defined, which the test suite checks as an integer identity.
     """
+    from fractions import Fraction
+
     layers_for(family, c, f, groups)  # group numbers, 4 | F and divisibility
     if family is Family.DW_PW:
         return Fraction(1, f) + Fraction(1, 9)
@@ -204,8 +206,7 @@ def ratio(
     return Fraction(c // m + 4 * m + 9, 36 * c)
 
 
-@dataclass(frozen=True)
-class GroupOptimum:
+class GroupOptimum(NamedTuple):
     continuous: tuple[float, float]
     continuous_condition: str
     discrete: tuple[tuple[int, int], ...]
@@ -214,14 +215,14 @@ class GroupOptimum:
 
     @property
     def gap(self) -> float:
-        """Relative excess of the discrete optimum over the continuous bound."""
-        if self.continuous_bound_params == 0:
-            return 0.0
+        """Relative excess of the discrete optimum over the positive continuous bound."""
         return self.discrete_params / self.continuous_bound_params - 1.0
 
 
 def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
     """Continuous optimum and exact discrete divisor-grid minimizers."""
+    from . import oracles
+
     if not family.has_group_freedom:
         raise ValidationError(f"{family.value} has no group numbers to optimize")
     _check_bottleneck_width(family, f)
@@ -239,8 +240,7 @@ def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
     return GroupOptimum(continuous, condition, grid.minimizers, grid.value, bound)
 
 
-@dataclass(frozen=True)
-class WidthReport:
+class WidthReport(NamedTuple):
     greatest_width_real: float
     width: int
     params_at_width: int
@@ -273,9 +273,9 @@ def _continuous_width(family: Family, p: int, alpha: Fraction) -> tuple[float, s
     return (lo + hi) / 2.0, "alpha*M = N (with K = M*N)"
 
 
-def _min_params_at_width(family: Family, c: int, alpha: Fraction) -> Optional[int]:
-    """Best achievable parameter count at integer width c, or None if
-    infeasible.  With alpha > 0 and c >= 1, a whole F = alpha*c is >= 1."""
+def _min_params_at_width(family: Family, c: int, alpha: Fraction, grid_min) -> Optional[int]:
+    """Best parameter count at integer width c, by `oracles.divisor_grid_min` as `grid_min`,
+    or None if infeasible.  With alpha > 0 and c >= 1, a whole F = alpha*c is >= 1."""
     fa = alpha * c
     if fa.denominator != 1:
         return None
@@ -283,7 +283,7 @@ def _min_params_at_width(family: Family, c: int, alpha: Fraction) -> Optional[in
     try:
         if not family.has_group_freedom:
             return family_params(family, c, f)
-        return oracles.divisor_grid_min(family.value, c, f, constraint="le").value
+        return grid_min(family.value, c, f, constraint="le").value
     except ValidationError:
         return None
 
@@ -296,6 +296,10 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     budget.  Ties between equal-parameter widths resolve to the larger
     width because the scan runs downward.
     """
+    from fractions import Fraction
+
+    from . import oracles
+
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
@@ -306,7 +310,7 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     # feasible width can exceed floor(G); the +1 guards rounding noise
     start = int(math.floor(g_real)) + 1
     for c in range(start, 0, -1):
-        params = _min_params_at_width(family, c, alpha)
+        params = _min_params_at_width(family, c, alpha, oracles.divisor_grid_min)
         if params is not None and params <= budget:
             return WidthReport(g_real, c, params, condition)
     raise UnderBudgetError(

@@ -27,19 +27,18 @@ per layer of spatial size k (stride 1 assumed throughout the calculus).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .kernels import Kind, LayerSpec, ValidationError
+from .kernels import Kind, LayerSpec, ValidationError, checked
 
 
-@dataclass(frozen=True)
-class InfoField:
+@checked
+class InfoField(NamedTuple):
     spatial_x: int
     spatial_y: int
     channels: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.spatial_x < 1 or self.spatial_y < 1:
             raise ValidationError("spatial field extents must be >= 1")
         if self.channels < 1:

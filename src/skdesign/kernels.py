@@ -19,11 +19,26 @@ throughout; whole-model conventions live in `sizer`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
     """A kernel, layer or configuration violates a structural constraint."""
+
+
+def checked(cls: type) -> type:
+    """Make the NamedTuple `cls` vet each value its constructor, `_make` or `_replace` (which
+    calls `_make`) builds with its `_check`.  Values compare and hash as tuples do."""
+    build = cls.__new__
+
+    def new(cls, *args, **kwargs):
+        value = build(cls, *args, **kwargs)
+        value._check()
+        return value
+
+    cls.__new__ = staticmethod(new)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
 class Kind(enum.Enum):
@@ -51,15 +66,15 @@ class Kind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class Kernel:
+@checked
+class Kernel(NamedTuple):
     """One convolution kernel: a kind plus its group number (1 for the
     ungrouped kinds).  The kind fixes the spatial size."""
 
     kind: Kind
     groups: int = 1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind.is_grouped:
             if self.groups < 2:
                 raise ValidationError(
@@ -74,15 +89,15 @@ class Kernel:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+@checked
+class LayerSpec(NamedTuple):
     """A kernel applied at concrete input/output channel counts."""
 
     kernel: Kernel
     in_channels: int
     out_channels: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValidationError("channel counts must be positive")
         kind = self.kernel.kind

@@ -19,10 +19,9 @@ factored graph oracle lives in the tests (`tests/naive.py`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kernels import Kind, LayerSpec, ValidationError
 
@@ -173,8 +172,7 @@ def _subsets_of_size(n: int, size: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class GridMinResult:
+class GridMinResult(NamedTuple):
     minimizers: tuple[tuple[int, int], ...]
     value: int
 

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .efficiency import slot_widths
 from .infofield import InfoField, VerdictKind, step
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, param_count
 
 SK_ALPHABET: tuple[Kind, ...] = (
     Kind.GROUP,
@@ -67,15 +66,15 @@ DEFAULT_DOMINATION_GRID: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+@checked
+class SearchConfig(NamedTuple):
     max_length: int = 6
     reference_channels: int = 64
     reference_out_channels: int = 64
     enable_bottleneck_variants: bool = True
     enable_domination_filter: bool = True
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.max_length < 1:
             raise ValidationError("max_length must be >= 1")
         if self.reference_channels < 1 or self.reference_out_channels < 1:
@@ -107,8 +106,7 @@ def _tiled_words(max_length: int) -> set[tuple[Kind, ...]]:
     }
 
 
-@dataclass(frozen=True)
-class DesignCandidate:
+class DesignCandidate(NamedTuple):
     """The layers of a kernel sequence at concrete group numbers and widths,
     whether they follow the bottleneck plan, and their parameter count."""
 
@@ -150,8 +148,10 @@ def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
     return (False, True) if config.enable_bottleneck_variants else (False,)
 
 
-def _add_kind(multiset: tuple[str, ...], kind: Kind) -> tuple[str, ...]:
-    return tuple(sorted((*multiset, kind.value)))
+def _every_kind(multiset: tuple[str, ...]) -> list[tuple]:
+    """Each kind as a last and as an interior slot after a multiset, which it grows."""
+    grown = {kind: tuple(sorted((*multiset, kind.value))) for kind in SK_ALPHABET}
+    return [(kind, last, grown[kind]) for kind in SK_ALPHABET for last in (True, False)]
 
 
 def _carry(states: dict, key: tuple, count: int, best: Optional[tuple]) -> None:
@@ -163,77 +163,91 @@ def _carry(states: dict, key: tuple, count: int, best: Optional[tuple]) -> None:
     states[key] = count, best
 
 
-def _walk(
-    config: SearchConfig, depth: int, grow: Callable[[tuple, Kind, bool], Optional[tuple]]
-):
-    """Every group assignment of every width plan of the sequences of up to
-    `depth` kinds that `grow` admits, classified against the reference
-    field.  grow(tag, kind, last) is the tag of a prefix extended by `kind`
-    as its last or an interior slot, or None where the walk does not go.
+def _steps(config: SearchConfig, depth: int, start, follow: Callable[[tuple], list]):
+    """The moves of a walk, one slot at a time, over every group assignment
+    of every width plan of the sequences of up to `depth` kinds that
+    follow(tag) spells as slots (kind, last, grown tag).  A state is
+    (bottleneck, width reached, field or dead verdict, tag), with a value,
+    `start` at the first.  A move is (next level, value, next state, kind,
+    last, group choices reaching it, cheapest (price, group number, layer)
+    of them or None where they die); the caller adds it to the next level
+    or, after a last slot, to its ends.  A dead state moves every choice to
+    itself.  The moves are found once per (plan, slot phase, width, state,
+    kind, last): `slot_widths` reads the slot index only on the bottleneck
+    plan, and there only as 0, 1, or 2 and later.  The cheapest choice does
+    not depend on the prefix, as a witness key orders by parameter total,
+    then plan, kind order and group numbers."""
+    c, f = config.reference_channels, config.reference_out_channels
+    reference = config.reference_field
 
-    Returns (valid, verdicts).  `valid` maps the tag of each valid end to
-    [witness count, cheapest witness key, bottleneck flags], where a key is
-    (params, bottleneck, kind order, group numbers, layers): its first four
+    @functools.lru_cache(maxsize=None)
+    def fold(bottleneck, phase, width, state, kind, last):
+        widths = slot_widths(kind, phase, width, last, bottleneck, c, f)
+        choices = _slot_layers(kind, *widths) if widths else ()
+        if isinstance(state, str):
+            return widths, [(state, len(choices), None)] if choices else []
+        moves: dict = {}
+        for layer, price in choices:
+            new, verdict = step(state, layer, reference, last)
+            move = moves.setdefault(new if verdict is None else verdict.value, [0, None])
+            move[0] += 1
+            if verdict is None or verdict is VerdictKind.VALID:
+                option = (price, layer.kernel.groups, layer)
+                move[1] = option if move[1] is None else min(move[1], option)
+        return widths, [(to, n, best) for to, (n, best) in moves.items()]
+
+    level = {(b, c, InfoField.initial(), ()): start for b in _plan_flags(config)}
+    for i in range(depth):
+        below: dict = {}
+        for (b, width, state, tag), value in level.items():
+            for kind, last, after in follow(tag):
+                if not last and i + 1 == depth:
+                    continue
+                widths, moves = fold(b, min(i, 2) if b else 0, width, state, kind, last)
+                for to, n, option in moves:
+                    yield below, value, (b, widths[1], to, after), kind, last, n, option
+        level = below
+
+
+def _walk(config: SearchConfig) -> tuple[dict, dict]:
+    """`_steps` over every sequence, tagged by kind multiset: (valid,
+    verdicts).  `valid` maps the multiset of each valid end to [witness
+    count, cheapest witness key, bottleneck flags], a key being (params,
+    bottleneck, kind order, group numbers, layers), whose first four
     entries rank witnesses as `DesignFamily` states.  `verdicts` counts
     assignments by verdict.
 
-    The walk goes one slot at a time over states (bottleneck, width
-    reached, field or dead verdict, tag).  A live state carries its
-    prefixes' count and cheapest key: the step rules, the later widths and
-    the tag's future depend only on the state, and prefixes at one state
-    have one length, so a shared completion keeps their cost order.  A
-    dead state carries only its count, multiplied by each later slot's
-    number of group choices.  So `step` runs once per (live state, group
-    choice) as an interior slot and once as a last slot, however many
-    sequences share the state.
-    """
-    c, f = config.reference_channels, config.reference_out_channels
-    reference = config.reference_field
+    A live state carries its prefixes' count and cheapest key without the
+    plan: the step rules, the later widths and the multiset's future
+    depend only on the state, and prefixes at one state have one length,
+    so a shared completion keeps their cost order.  A dead state carries
+    only its count and keys the empty multiset, since nothing reads it."""
     valid: dict[tuple, list] = {}
     verdicts: dict[str, int] = {}
-    level = {(b, c, InfoField.initial(), ()): (1, (0, b, (), (), ())) for b in _plan_flags(config)}
-    for i in range(depth):
-        after_level: dict[tuple, tuple[int, Optional[tuple]]] = {}
-        for (bottleneck, width, state, tag), (count, best) in level.items():
-            # each kind as a last slot, and as an interior one below depth
-            for kind, last in itertools.product(SK_ALPHABET, (True, False)[: depth - i]):
-                after = grow(tag, kind, last)
-                if after is None:
-                    continue
-                widths = slot_widths(kind, i, width, last, bottleneck, c, f)
-                choices = _slot_layers(kind, *widths) if widths else ()
-                if not choices:
-                    continue
-                if best is None:  # a dead state: `state` names its verdict
-                    moves = [(state, count * len(choices), None)]
-                else:
-                    moves = []
-                    for layer, price in choices:
-                        new, verdict = step(state, layer, reference, last)
-                        grown = None
-                        if verdict is None or verdict is VerdictKind.VALID:
-                            grown = (
-                                best[0] + price, bottleneck, best[2] + (_KIND_ORDER[kind],),
-                                best[3] + (layer.kernel.groups,), best[4] + (layer,),
-                            )
-                        moves.append((new if verdict is None else verdict.value, count, grown))
-                for moved, n, grown in moves:
-                    if not last:
-                        _carry(after_level, (bottleneck, widths[1], moved, after), n, grown)
-                        continue
-                    # after a last slot every state is a verdict
-                    verdicts[moved] = verdicts.get(moved, 0) + n
-                    if grown is not None:
-                        entry = valid.setdefault(after, [0, grown, set()])
-                        entry[0] += n
-                        entry[1] = min(entry[1], grown)
-                        entry[2].add(bottleneck)
-        level = after_level
+    steps = _steps(config, config.max_length, (1, (0, (), (), ())), _every_kind)
+    for below, (count, best), key, kind, last, n, option in steps:
+        b, out, to, after = key
+        n *= count
+        if last:
+            verdicts[to] = verdicts.get(to, 0) + n
+        if option is None:
+            if not last:
+                _carry(below, (b, out, to, ()), n, None)
+            continue
+        price, g, layer = option
+        grown = (best[0] + price, best[1] + (_KIND_ORDER[kind],), best[2] + (g,), best[3] + (layer,))
+        if not last:
+            _carry(below, key, n, grown)
+            continue
+        grown = (grown[0], b, *grown[1:])
+        entry = valid.setdefault(after, [0, grown, set()])
+        entry[0] += n
+        entry[1] = min(entry[1], grown)
+        entry[2].add(b)
     return valid, verdicts
 
 
-@dataclass(frozen=True)
-class DesignFamily:
+class DesignFamily(NamedTuple):
     """Survivors identical up to ordering, group numbers and bottleneck use:
     how many there are, the cheapest (fewest parameters, then plain before
     bottleneck, then the canonical kind order, then the group numbers), and
@@ -264,16 +278,14 @@ class DesignFamily:
         return self.cheapest.params
 
 
-@dataclass(frozen=True)
-class RemovedFamily:
+class RemovedFamily(NamedTuple):
     name: str
     multiset: tuple[str, ...]
     rule: str
     detail: str
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     config: SearchConfig
     families: tuple[DesignFamily, ...]
     removed: tuple[RemovedFamily, ...]
@@ -294,19 +306,24 @@ def _grid_optimal_params(
     ref = (config.reference_channels, config.reference_out_channels)
     opt = {k: {ref: fam.min_params()} for k, fam in families.items()}
     within = {sub for k in families for r in range(1, len(k)) for sub in itertools.combinations(k, r)}
-
-    def grow(tag, kind, last):
-        after = _add_kind(tag, kind)
-        return after if after in (families if last else within) else None
-
+    follow = {
+        tag: [slot for slot in _every_kind(tag) if slot[2] in (families if slot[1] else within)]
+        for tag in ((), *within)
+    }
     depth = max(map(len, families), default=0)
     for c, f in grid:
         if (c, f) == ref:
             continue
-        probe = replace(config, reference_channels=c, reference_out_channels=f)
-        valid = _walk(probe, depth, grow)[0]
+        # a state carries only its least parameter total; dead ones drop out
+        ends: dict[tuple, int] = {}
+        probe = config._replace(reference_channels=c, reference_out_channels=f)
+        for below, params, key, _, last, _, option in _steps(probe, depth, 0, follow.__getitem__):
+            if option is not None:
+                at, into = (key[3], ends) if last else (key, below)
+                total = params + option[0]
+                into[at] = min(total, into.get(at, total))
         for k in families:
-            opt[k][(c, f)] = valid[k][1][0] if k in valid else None
+            opt[k][(c, f)] = ends.get(k)
     return opt
 
 
@@ -389,15 +406,17 @@ def run_search(config: SearchConfig) -> SearchResult:
     tiled sequences alone gives the dead counts to subtract."""
     raw = raw_sequence_count(config.max_length)
     tiled = _tiled_words(config.max_length)
-    prefixes = {word[:j] for word in tiled for j in range(1, len(word))}
-
-    def tiled_only(tag, kind, last):
-        word = tag + (kind,)
-        return word if word in (tiled if last else prefixes) else None
-
-    valid, verdicts = _walk(config, config.max_length, lambda tag, kind, last: _add_kind(tag, kind))
-    for verdict, n in _walk(config, config.max_length, tiled_only)[1].items():
-        verdicts[verdict] -= n
+    follow: dict[tuple, dict] = {(): {}}
+    for word in tiled:
+        for j, kind in enumerate(word):
+            follow.setdefault(word[:j], {})[kind, j == len(word) - 1, word[: j + 1]] = None
+    valid, verdicts = _walk(config)
+    # a tiled state carries only its count, and a dead one keeps its word
+    for below, count, key, _, last, n, _ in _steps(config, config.max_length, 1, follow.__getitem__):
+        if last:
+            verdicts[key[2]] -= count * n
+        else:
+            below[key] = below.get(key, 0) + count * n
     families = {
         key: DesignFamily(
             key, count, DesignCandidate(best[4], best[1], best[0]), frozenset(flags)

@@ -15,8 +15,6 @@ Two suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import oracles
 from .infofield import InfoField, propagate
 from .kernels import ValidationError
@@ -27,11 +25,20 @@ MIN_CHANNELS = 4
 INFOFIELD_CHANNELS = (MIN_CHANNELS, 8, 12, 16)
 
 
-@dataclass
 class VerifyResult:
-    name: str
-    checked: int = 0
-    counterexamples: list[str] = field(default_factory=list)
+    """A suite's name, cases checked and counterexamples, filled in as the
+    suite runs; mutable, so unhashable."""
+
+    __slots__ = ("name", "checked", "counterexamples")
+    __hash__ = None
+
+    def __init__(self, name: str, checked: int = 0, counterexamples: list[str] | None = None):
+        self.name, self.checked = name, checked
+        self.counterexamples = [] if counterexamples is None else counterexamples
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is VerifyResult
+        return same and all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
     @property
     def passed(self) -> bool:

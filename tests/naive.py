@@ -32,7 +32,7 @@ kernel), `TensorShape`, and one kernel constructor per kind.
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from skdesign.efficiency import slot_widths
@@ -301,7 +301,7 @@ def family_summary(families: Sequence[DesignFamily]) -> dict:
 def search_witnesses(result) -> dict[tuple[str, ...], tuple[DesignCandidate, ...]]:
     """The lister's witness lists of a search result's families, once their
     summary is checked against the search's own."""
-    listed = list_witnesses(replace(result.config, enable_domination_filter=False))[0]
+    listed = list_witnesses(result.config._replace(enable_domination_filter=False))[0]
     if not result.config.enable_domination_filter:
         assert set(listed) == {fam.multiset for fam in result.families}
     witnesses = {fam.multiset: listed[fam.multiset] for fam in result.families}

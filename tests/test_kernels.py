@@ -9,19 +9,12 @@ from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, flop_coun
 
 def _kernel_unchecked(kind: Kind, groups: int) -> Kernel:
     """Build a Kernel bypassing validation."""
-    k = object.__new__(Kernel)
-    object.__setattr__(k, "kind", kind)
-    object.__setattr__(k, "groups", groups)
-    return k
+    return tuple.__new__(Kernel, (kind, groups))
 
 
 def _layer_unchecked(kernel: Kernel, in_channels: int, out_channels: int) -> LayerSpec:
     """Build a LayerSpec bypassing validation."""
-    layer = object.__new__(LayerSpec)
-    object.__setattr__(layer, "kernel", kernel)
-    object.__setattr__(layer, "in_channels", in_channels)
-    object.__setattr__(layer, "out_channels", out_channels)
-    return layer
+    return tuple.__new__(LayerSpec, (kernel, in_channels, out_channels))
 
 
 def test_param_count_standard():

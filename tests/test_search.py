@@ -4,8 +4,6 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import replace
-
 import pytest
 
 from naive import (
@@ -187,7 +185,7 @@ def test_evaluation_ignores_input_order_and_duplicates():
     # same set given reversed, shuffled or twice over classifies the same
     # assignments, each once
     cfg = SearchConfig(reference_channels=8, reference_out_channels=16)
-    sequences = list(enumerate_sequences(replace(cfg, max_length=4)))
+    sequences = list(enumerate_sequences(cfg._replace(max_length=4)))
     shuffled = list(sequences)
     random.Random(15).shuffle(shuffled)
     forms = [sequences, sequences[::-1], shuffled, sequences * 2]
@@ -412,11 +410,14 @@ def test_every_valid_witness_reaches_all_channels_in_the_oracle():
 
 
 def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
-    # one `step` per (live state, group choice) as a last slot and one as an
-    # interior slot: the default search without domination makes 3,989
-    # calls, 2,482 in the walk over kernel multisets and 1,507 in the walk
-    # over the 104 tiled sequences, against the 5,412,926 assignments it
-    # classifies
+    # one `step` per (plan, slot phase, width, field, kind, group choice) as
+    # a last slot and one as an interior slot, in each walk: the default
+    # search without domination makes 1,058 calls, 607 in the walk over
+    # kernel multisets and 451 in the walk over the 104 tiled sequences,
+    # against the 5,412,926 assignments it classifies; the domination
+    # filter's grid walks add 1,069.  Before the walks shared the steps of
+    # states that differ only in their kind multiset, these were 3,989 and
+    # 6,792
     calls = 0
     real_step = search.step
 
@@ -427,8 +428,12 @@ def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(search, "step", counting_step)
     result = run_search(SearchConfig(enable_domination_filter=False))
-    assert calls == 3989
+    assert calls == 1058
     assert dict(result.stage_counts)["candidates_enumerated"] == 5412926
+    calls = 0
+    result = run_search(SearchConfig())
+    assert calls == 2127
+    assert dict(result.stage_counts)["families_after_domination"] == 4
 
 
 def test_family_min_params_is_the_cheapest_witness(default_result):
@@ -541,7 +546,7 @@ def test_max_len_two_keeps_only_pairs():
 def _brute_grid_min(key, c, f, cfg):
     """The fewest parameters of a valid instance of the multiset at
     (C, F), over `concretize` of all its orderings; None where it has none."""
-    probe = replace(cfg, reference_channels=c, reference_out_channels=f)
+    probe = cfg._replace(reference_channels=c, reference_out_channels=f)
     brute = [
         cand.params
         for seq in distinct_orderings(key)
@@ -556,7 +561,7 @@ def test_grid_optimal_params_match_brute_force():
     # against a minimum over `concretize` of all its orderings; the grid
     # holds the reference (64, 64)
     cfg = SearchConfig(max_length=4)
-    result = run_search(replace(cfg, enable_domination_filter=False))
+    result = run_search(cfg._replace(enable_domination_filter=False))
     families = {fam.multiset: fam for fam in result.families}
     grid = DEFAULT_DOMINATION_GRID
     assert (cfg.reference_channels, cfg.reference_out_channels) in grid
@@ -571,7 +576,7 @@ def test_grid_walk_limited_to_some_families_matches_brute_force():
     # given: with a few of them, the others' orderings are never walked,
     # and each given family's minima must still match brute force
     cfg = SearchConfig(max_length=5, reference_channels=16, reference_out_channels=32)
-    result = run_search(replace(cfg, enable_domination_filter=False))
+    result = run_search(cfg._replace(enable_domination_filter=False))
     families = {fam.multiset: fam for fam in result.families}
     grid = [(8, 8), (8, 16), (12, 12), (16, 32)]
     for chosen in (sorted(families)[::4], [k for k in families if len(k) == 4]):

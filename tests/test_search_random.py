@@ -8,8 +8,6 @@ repeatable, and the lister is called uncached, since every draw is a new
 configuration.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings, strategies as st
 
 from naive import enumerate_sequences, family_summary, list_witnesses, summary
@@ -55,7 +53,7 @@ def test_grid_minima_match_the_lister_at_random_points(cfg, grid):
     families = {fam.multiset: fam for fam in run_search(cfg).families}
     opt = _grid_optimal_params(families, grid, cfg)
     for c, f in grid:
-        probe = replace(cfg, reference_channels=c, reference_out_channels=f)
+        probe = cfg._replace(reference_channels=c, reference_out_channels=f)
         listed = _list_witnesses(probe)[0]
         for key in families:
             want = listed[key][0].params if key in listed else None
