@@ -168,15 +168,15 @@ def _steps(config: SearchConfig, depth: int, start, follow: Callable[[tuple], li
     of every width plan of the sequences of up to `depth` kinds that
     follow(tag) spells as slots (kind, last, grown tag).  A state is
     (bottleneck, width reached, field or dead verdict, tag), with a value,
-    `start` at the first.  A move is (next level, value, next state, kind,
-    last, group choices reaching it, cheapest (price, group number, layer)
-    of them or None where they die); the caller adds it to the next level
-    or, after a last slot, to its ends.  A dead state moves every choice to
-    itself.  The moves are found once per (plan, slot phase, width, state,
-    kind, last): `slot_widths` reads the slot index only on the bottleneck
-    plan, and there only as 0, 1, or 2 and later.  The cheapest choice does
-    not depend on the prefix, as a witness key orders by parameter total,
-    then plan, kind order and group numbers."""
+    start(bottleneck) at the first.  A move is (next level, value, next
+    state, kind, last, group choices reaching it, cheapest (price, group
+    number, layer) of them or None where they die); the caller adds it to
+    the next level or, after a last slot, to its ends.  A dead state moves
+    every choice to itself.  The moves are found once per (plan, slot
+    phase, width, state, kind, last): `slot_widths` reads the slot index
+    only on the bottleneck plan, and there only as 0, 1, or 2 and later.
+    The cheapest choice does not depend on the prefix, as a witness key
+    orders by parameter total, then plan, kind order and group numbers."""
     c, f = config.reference_channels, config.reference_out_channels
     reference = config.reference_field
 
@@ -196,11 +196,12 @@ def _steps(config: SearchConfig, depth: int, start, follow: Callable[[tuple], li
                 move[1] = option if move[1] is None else min(move[1], option)
         return widths, [(to, n, best) for to, (n, best) in moves.items()]
 
-    level = {(b, c, InfoField.initial(), ()): start for b in _plan_flags(config)}
+    level = {(b, c, InfoField.initial(), ()): start(b) for b in _plan_flags(config)}
     for i in range(depth):
         below: dict = {}
+        slots = functools.cache(follow)  # once per tag of this level
         for (b, width, state, tag), value in level.items():
-            for kind, last, after in follow(tag):
+            for kind, last, after in slots(tag):
                 if not last and i + 1 == depth:
                     continue
                 widths, moves = fold(b, min(i, 2) if b else 0, width, state, kind, last)
@@ -217,33 +218,31 @@ def _walk(config: SearchConfig) -> tuple[dict, dict]:
     entries rank witnesses as `DesignFamily` states.  `verdicts` counts
     assignments by verdict.
 
-    A live state carries its prefixes' count and cheapest key without the
-    plan: the step rules, the later widths and the multiset's future
-    depend only on the state, and prefixes at one state have one length,
-    so a shared completion keeps their cost order.  A dead state carries
-    only its count and keys the empty multiset, since nothing reads it."""
+    A live state carries its prefixes' count and cheapest key: the step
+    rules, the later widths and the multiset's future depend only on the
+    state, and prefixes at one state have one length, so a shared
+    completion keeps their cost order.  A dead state carries only its
+    count and keys the empty multiset, since nothing reads it."""
     valid: dict[tuple, list] = {}
     verdicts: dict[str, int] = {}
-    steps = _steps(config, config.max_length, (1, (0, (), (), ())), _every_kind)
-    for below, (count, best), key, kind, last, n, option in steps:
-        b, out, to, after = key
+    steps = _steps(config, config.max_length, lambda b: (1, (0, b, (), (), ())), _every_kind)
+    for below, (count, best), (b, out, to, after), kind, last, n, option in steps:
         n *= count
         if last:
             verdicts[to] = verdicts.get(to, 0) + n
-        if option is None:
-            if not last:
-                _carry(below, (b, out, to, ()), n, None)
-            continue
-        price, g, layer = option
-        grown = (best[0] + price, best[1] + (_KIND_ORDER[kind],), best[2] + (g,), best[3] + (layer,))
+        if option is None:  # a dead state keys the empty multiset
+            after, grown = (), None
+        else:
+            price, g, layer = option
+            grown = (best[0] + price, b, best[2] + (_KIND_ORDER[kind],),
+                     best[3] + (g,), best[4] + (layer,))
         if not last:
-            _carry(below, key, n, grown)
-            continue
-        grown = (grown[0], b, *grown[1:])
-        entry = valid.setdefault(after, [0, grown, set()])
-        entry[0] += n
-        entry[1] = min(entry[1], grown)
-        entry[2].add(b)
+            _carry(below, (b, out, to, after), n, grown)
+        elif grown is not None:
+            entry = valid.setdefault(after, [0, grown, set()])
+            entry[0] += n
+            entry[1] = min(entry[1], grown)
+            entry[2].add(b)
     return valid, verdicts
 
 
@@ -306,10 +305,10 @@ def _grid_optimal_params(
     ref = (config.reference_channels, config.reference_out_channels)
     opt = {k: {ref: fam.min_params()} for k, fam in families.items()}
     within = {sub for k in families for r in range(1, len(k)) for sub in itertools.combinations(k, r)}
-    follow = {
-        tag: [slot for slot in _every_kind(tag) if slot[2] in (families if slot[1] else within)]
-        for tag in ((), *within)
-    }
+
+    def follow(tag):
+        return [slot for slot in _every_kind(tag) if slot[2] in (families if slot[1] else within)]
+
     depth = max(map(len, families), default=0)
     for c, f in grid:
         if (c, f) == ref:
@@ -317,7 +316,7 @@ def _grid_optimal_params(
         # a state carries only its least parameter total; dead ones drop out
         ends: dict[tuple, int] = {}
         probe = config._replace(reference_channels=c, reference_out_channels=f)
-        for below, params, key, _, last, _, option in _steps(probe, depth, 0, follow.__getitem__):
+        for below, params, key, _, last, _, option in _steps(probe, depth, lambda b: 0, follow):
             if option is not None:
                 at, into = (key[3], ends) if last else (key, below)
                 total = params + option[0]
@@ -406,13 +405,15 @@ def run_search(config: SearchConfig) -> SearchResult:
     tiled sequences alone gives the dead counts to subtract."""
     raw = raw_sequence_count(config.max_length)
     tiled = _tiled_words(config.max_length)
-    follow: dict[tuple, dict] = {(): {}}
-    for word in tiled:
-        for j, kind in enumerate(word):
-            follow.setdefault(word[:j], {})[kind, j == len(word) - 1, word[: j + 1]] = None
+    prefixes = {word[:j] for word in tiled for j in range(1, len(word))}
+
+    def follow(word):
+        grown = [(kind, last, word + (kind,)) for kind in SK_ALPHABET for last in (True, False)]
+        return [slot for slot in grown if slot[2] in (tiled if slot[1] else prefixes)]
+
     valid, verdicts = _walk(config)
     # a tiled state carries only its count, and a dead one keeps its word
-    for below, count, key, _, last, n, _ in _steps(config, config.max_length, 1, follow.__getitem__):
+    for below, count, key, _, last, n, _ in _steps(config, config.max_length, lambda b: 1, follow):
         if last:
             verdicts[key[2]] -= count * n
         else:

@@ -26,8 +26,7 @@ INFOFIELD_CHANNELS = (MIN_CHANNELS, 8, 12, 16)
 
 
 class VerifyResult:
-    """A suite's name, cases checked and counterexamples, filled in as the
-    suite runs; mutable, so unhashable."""
+    """A suite's name, cases checked and counterexamples; mutable, so unhashable."""
 
     __slots__ = ("name", "checked", "counterexamples")
     __hash__ = None
