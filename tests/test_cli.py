@@ -340,6 +340,35 @@ def test_importing_the_cli_does_not_load_the_sizer():
     assert proc.stdout.strip() == "False"
 
 
+def _loaded_modules(code, *argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv, needed, unloaded",
+    [
+        (["search", "--max-len", "1"], "skdesign.search",
+         {"dataclasses", "fractions", "skdesign.oracles", "skdesign.sizer", "skdesign.verify"}),
+        (["verify", "--c-max", "4", "--len-max", "1"], "skdesign.oracles",
+         {"dataclasses", "fractions", "skdesign.sizer"}),
+    ],
+)
+def test_search_and_verify_load_only_what_they_run(argv, needed, unloaded):
+    # against a bare interpreter's modules, so that what `site` loads on a
+    # host does not count
+    show = "import sys; print(*sys.modules, file=sys.stderr)"
+    bare = _loaded_modules(show)
+    run_it = "import sys; from skdesign.cli import main; assert main(sys.argv[1:]) == 0; " + show
+    added = _loaded_modules(run_it, *argv) - bare
+    assert needed in added
+    assert not added & unloaded, sorted(added & unloaded)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

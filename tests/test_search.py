@@ -283,10 +283,9 @@ def test_search_audit_counts_at_length_10_without_domination():
 
 
 def test_search_at_length_12_without_domination_is_pinned():
-    # taken from the walk that carried every dead state's kind multiset,
-    # before dead states dropped it: stage and verdict counts, and per
-    # family the witness count, cheapest witness, its parameters and the
-    # bottleneck flags
+    # stage and verdict counts, and per family the witness count, cheapest
+    # witness, its parameters and the bottleneck flags, as a walk that keys
+    # every dead state by its kind multiset gives them
     result = run_search(SearchConfig(max_length=12, enable_domination_filter=False))
     assert dict(result.stage_counts) == {
         "sequences_raw": 22_369_620,
@@ -415,9 +414,7 @@ def test_walk_steps_each_field_and_group_choice_at_most_twice(monkeypatch):
     # search without domination makes 1,058 calls, 607 in the walk over
     # kernel multisets and 451 in the walk over the 104 tiled sequences,
     # against the 5,412,926 assignments it classifies; the domination
-    # filter's grid walks add 1,069.  Before the walks shared the steps of
-    # states that differ only in their kind multiset, these were 3,989 and
-    # 6,792
+    # filter's grid walks add 1,069
     calls = 0
     real_step = search.step
 
