@@ -29,10 +29,12 @@ class ValidationError(ValueError):
 def checked(cls: type) -> type:
     """Make the NamedTuple `cls` vet each value its constructor, `_make` or `_replace` (which
     calls `_make`) builds with its `_check`.  Values compare and hash as tuples do."""
-    build = cls.__new__
+    build, size = cls.__new__, len(cls._fields)
 
     def new(cls, *args, **kwargs):
-        value = build(cls, *args, **kwargs)
+        # every field given by position needs no defaults: build the tuple directly
+        full = len(args) == size and not kwargs
+        value = tuple.__new__(cls, args) if full else build(cls, *args, **kwargs)
         value._check()
         return value
 
@@ -75,13 +77,12 @@ class Kernel(NamedTuple):
     groups: int = 1
 
     def _check(self) -> None:
-        if self.kind.is_grouped:
-            if self.groups < 2:
-                raise ValidationError(
-                    f"{self.kind.value} group number must be >= 2, got {self.groups}"
-                )
-        elif self.groups != 1:
-            raise ValidationError(f"{self.kind.value} kernels carry no group number")
+        kind, g = self.kind, self.groups
+        if kind.is_grouped:
+            if g < 2:
+                raise ValidationError(f"{kind.value} group number must be >= 2, got {g}")
+        elif g != 1:
+            raise ValidationError(f"{kind.value} kernels carry no group number")
 
     def __str__(self) -> str:
         if self.kind.is_grouped:
@@ -98,28 +99,23 @@ class LayerSpec(NamedTuple):
     out_channels: int
 
     def _check(self) -> None:
-        if self.in_channels < 1 or self.out_channels < 1:
+        kernel, c_in, c_out = self.kernel, self.in_channels, self.out_channels
+        if c_in < 1 or c_out < 1:
             raise ValidationError("channel counts must be positive")
-        kind = self.kernel.kind
-        g = self.kernel.groups
-        if kind is Kind.DEPTHWISE and self.out_channels != self.in_channels:
+        kind, g = kernel.kind, kernel.groups
+        if kind is Kind.DEPTHWISE and c_out != c_in:
             raise ValidationError(
-                f"depthwise layers preserve the channel count "
-                f"({self.in_channels} -> {self.out_channels} requested)"
+                f"depthwise layers preserve the channel count ({c_in} -> {c_out} requested)"
             )
         # a grouped convolution splits both widths into g equal groups;
         # the ungrouped kinds have g = 1
-        if self.in_channels % g:
+        if c_in % g:
+            raise ValidationError(f"group number {g} does not divide in_channels {c_in}")
+        if c_out % g:
+            raise ValidationError(f"group number {g} does not divide out_channels {c_out}")
+        if kind is Kind.GROUP and g > c_in - 1:
             raise ValidationError(
-                f"group number {g} does not divide in_channels {self.in_channels}"
-            )
-        if self.out_channels % g:
-            raise ValidationError(
-                f"group number {g} does not divide out_channels {self.out_channels}"
-            )
-        if kind is Kind.GROUP and g > self.in_channels - 1:
-            raise ValidationError(
-                f"group number {g} must be <= in_channels-1 ({self.in_channels - 1}); "
+                f"group number {g} must be <= in_channels-1 ({c_in - 1}); "
                 f"one group per channel is the depthwise kind"
             )
 
@@ -127,9 +123,8 @@ class LayerSpec(NamedTuple):
     def fan_in(self) -> int:
         """Input channels each output channel reads: one for depthwise, else
         in_channels / groups."""
-        if self.kernel.kind is Kind.DEPTHWISE:
-            return 1
-        return self.in_channels // self.kernel.groups
+        kernel = self.kernel
+        return 1 if kernel.kind is Kind.DEPTHWISE else self.in_channels // kernel.groups
 
     def __str__(self) -> str:
         return f"{self.kernel}[{self.in_channels}->{self.out_channels}]"
