@@ -23,7 +23,7 @@ from typing import Optional
 from .efficiency import (
     Family, UnderBudgetError, design_kernels, design_name, plan_layers,
 )
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 
 STAGE_COUNT = 4
 STAGE_RESOLUTIONS = (56, 28, 14, 7)
@@ -120,30 +120,33 @@ def depth_of(block: BlockSpec, blocks_per_stage: int) -> int:
     return 1 + STAGE_COUNT * blocks_per_stage * block.kernels_per_block + 1
 
 
-def _layer_params(layer: LayerSpec, conv: Conventions) -> int:
-    p = param_count(layer)
+def _layer_totals(layer: LayerSpec, conv: Conventions, r: int) -> tuple[int, int]:
+    """Parameters and MACs of one layer at output size r x r.  Its weights
+    are counted once: the MACs are `flop_count`'s, one per weight per
+    output position."""
+    weights = param_count(layer)
+    p = weights
     if conv.include_batchnorm:
         p += 2 * layer.out_channels
     if conv.include_bias:
         p += layer.out_channels
-    return p
+    return p, weights * r * r
 
 
-def _block_params(layers: list[LayerSpec], conv: Conventions) -> int:
-    return sum(_layer_params(layer, conv) for layer in layers)
-
-
-def _block_macs(layers: list[LayerSpec], res_in: int, res_out: int) -> int:
-    """MACs of one block; layers before the striding spatial kernel run at
-    the input resolution."""
+def _block_totals(
+    layers: list[LayerSpec], conv: Conventions, res_in: int, res_out: int
+) -> tuple[int, int]:
+    """Parameters and MACs of one block; layers before the striding spatial
+    kernel run at the input resolution."""
     first_spatial = next(
         (i for i, l in enumerate(layers) if l.kernel.kind.is_spatial), 0
     )
-    total = 0
+    params = macs = 0
     for i, layer in enumerate(layers):
         r = res_in if (res_in != res_out and i < first_spatial) else res_out
-        total += flop_count(layer, (r, r))
-    return total
+        p, m = _layer_totals(layer, conv, r)
+        params, macs = params + p, macs + m
+    return params, macs
 
 
 def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
@@ -151,8 +154,7 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     conv = layout.conventions
     w = layout.width
     stem_layer = LayerSpec(Kernel(Kind.STANDARD), 3, w)
-    stem = _layer_params(stem_layer, conv)
-    macs = flop_count(stem_layer, (STEM_RESOLUTION, STEM_RESOLUTION))
+    stem, macs = _layer_totals(stem_layer, conv, STEM_RESOLUTION)
 
     stage_params: list[int] = []
     projections = 0
@@ -174,12 +176,14 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
                 raise ValidationError(
                     f"stage {s + 1}, block {b + 1}: {err}"
                 ) from err
-            total += count * _block_params(layers, conv)
-            macs += count * _block_macs(layers, r_in, res_out)
+            params, block_macs = _block_totals(layers, conv, r_in, res_out)
+            total += count * params
+            macs += count * block_macs
         if s and conv.include_projections:
             proj = LayerSpec(Kernel(Kind.POINTWISE), width_in, width_out)
-            projections += _layer_params(proj, conv)
-            macs += flop_count(proj, (res_out, res_out))
+            params, proj_macs = _layer_totals(proj, conv, res_out)
+            projections += params
+            macs += proj_macs
         stage_params.append(total)
 
     head_width = layout.stage_width(STAGE_COUNT - 1)

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from collections import Counter
+
 import pytest
 
 from naive import (
