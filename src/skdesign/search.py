@@ -14,7 +14,7 @@ maximum length and prunes in three stages:
 
 No sequence is listed.  One level-by-level walk counts the assignments of
 all sequences at once over states (width plan, width reached, field or
-dead verdict, kernel multiset of the prefix); see `_walk`.
+dead verdict, kernel multiset of a live prefix); see `_steps` and `_walk`.
 
 Surviving candidates collapse into design families keyed by their kernel
 multiset: group numbers, orderings and the bottleneck flag are witness

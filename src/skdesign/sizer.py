@@ -138,9 +138,7 @@ def _block_totals(
 ) -> tuple[int, int]:
     """Parameters and MACs of one block; layers before the striding spatial
     kernel run at the input resolution."""
-    first_spatial = next(
-        (i for i, l in enumerate(layers) if l.kernel.kind.is_spatial), 0
-    )
+    first_spatial = next((i for i, l in enumerate(layers) if l.kernel.kind.is_spatial), 0)
     params = macs = 0
     for i, layer in enumerate(layers):
         r = res_in if (res_in != res_out and i < first_spatial) else res_out

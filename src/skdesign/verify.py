@@ -39,6 +39,10 @@ class VerifyResult:
         same = type(other) is VerifyResult
         return same and all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{a}={getattr(self, a)!r}" for a in self.__slots__)
+        return f"VerifyResult({fields})"
+
     @property
     def passed(self) -> bool:
         return not self.counterexamples

@@ -143,3 +143,14 @@ def test_theorem1_rejects_a_c_max_past_the_grid_cap_before_any_grid(monkeypatch)
     monkeypatch.undo()
     assert verify.verify_theorem1(c_max=1025).passed
     assert cli.main(["verify", "--infofield", "--c-max", "2000"]) == cli.EXIT_OK
+
+
+def test_verify_result_compares_by_value_and_stays_mutable():
+    result = verify.VerifyResult("infofield")
+    result.checked += 2
+    result.counterexamples.append("x")
+    assert result == verify.VerifyResult(name="infofield", checked=2, counterexamples=["x"])
+    assert result != verify.VerifyResult("theorem1", 2, ["x"])
+    assert repr(result) == "VerifyResult(name='infofield', checked=2, counterexamples=['x'])"
+    with pytest.raises(TypeError):
+        hash(result)
