@@ -48,7 +48,7 @@ def _pw(c_in, c_out):
          "alpha must be positive"),
         (lambda: greatest_width(Family.DW_PW, 0, 1), UnderBudgetError,
          "budget must be a positive parameter count"),
-        # every builder a checked value type has besides its constructor
+        # each way besides its constructor that a checked value type builds a value
         pytest.param(
             lambda: Kernel(Kind.GROUP, 2)._replace(groups=1), ValidationError,
             "gc group number must be >= 2, got 1", id="Kernel._replace",
