@@ -273,21 +273,6 @@ def _continuous_width(family: Family, p: int, alpha: Fraction) -> tuple[float, s
     return (lo + hi) / 2.0, "alpha*M = N (with K = M*N)"
 
 
-def _min_params_at_width(family: Family, c: int, alpha: Fraction, grid_min) -> Optional[int]:
-    """Best parameter count at integer width c, by `oracles.divisor_grid_min` as `grid_min`,
-    or None if infeasible.  With alpha > 0 and c >= 1, a whole F = alpha*c is >= 1."""
-    fa = alpha * c
-    if fa.denominator != 1:
-        return None
-    f = fa.numerator
-    try:
-        if not family.has_group_freedom:
-            return family_params(family, c, f)
-        return grid_min(family.value, c, f, constraint="le").value
-    except ValidationError:
-        return None
-
-
 def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthReport:
     """Closed-form real greatest width plus the best feasible integer width.
 
@@ -295,6 +280,11 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     for bottleneck families) whose optimal-group parameter count fits the
     budget.  Ties between equal-parameter widths resolve to the larger
     width because the scan runs downward.
+
+    A grouped family's answer never exceeds `oracles.MAX_GRID_CHANNELS` or
+    `MAX_GRID_CHANNELS / alpha`, the widths whose group-pair minimum
+    `oracles.divisor_grid_min` computes: this is defect 1(c), and past that
+    cap the answer is too small.
     """
     from fractions import Fraction
 
@@ -309,9 +299,23 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     # the continuous bound dominates every discrete configuration, so no
     # feasible width can exceed floor(G); the +1 guards rounding noise
     start = int(math.floor(g_real)) + 1
-    for c in range(start, 0, -1):
-        params = _min_params_at_width(family, c, alpha, oracles.divisor_grid_min)
-        if params is not None and params <= budget:
+    if family.has_group_freedom:
+        # defect 1(c), until ROADMAP item 3 gives this module its own
+        # divisor minimum: the grid refuses max(C, F) > MAX_GRID_CHANNELS
+        cap = oracles.MAX_GRID_CHANNELS
+        start = min(start, cap, cap // alpha)
+    # F = alpha*C is whole exactly when C is a multiple of alpha's denominator
+    p, q = alpha.numerator, alpha.denominator
+    for c in range(start - start % q, 0, -q):
+        f = c * p // q
+        try:
+            if family.has_group_freedom:
+                params = oracles.divisor_grid_min(family.value, c, f, constraint="le").value
+            else:
+                params = family_params(family, c, f)
+        except ValidationError:  # no legal design at this width
+            continue
+        if params <= budget:
             return WidthReport(g_real, c, params, condition)
     raise UnderBudgetError(
         f"budget {budget} is below the smallest legal {family.value} design"

@@ -26,16 +26,31 @@ design of the sweep from scratch with `field_of` and
 `reachable_channel_triple`; the prefix-sharing walk of
 `verify.verify_infofield` must give the same result document.
 
+The width scan: `greatest_width_scan` tries every integer width below the
+continuous greatest width, one at a time, and lets each width the divisor
+grid or the family builder refuses go by; `efficiency.greatest_width`,
+which visits only the widths that can answer, must give the same report or
+raise the same error.
+
 Test helpers that `src/` does not need: `trace` (the field after each
 kernel), `TensorShape`, and one kernel constructor per kind.
 """
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
-from skdesign.efficiency import slot_widths
+from skdesign.efficiency import (
+    Family,
+    UnderBudgetError,
+    WidthReport,
+    _continuous_width,
+    family_params,
+    slot_widths,
+)
 from skdesign.infofield import InfoField, VerdictKind, _check_design, field_of, propagate, step
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
 from skdesign.oracles import (
@@ -43,6 +58,7 @@ from skdesign.oracles import (
     _input_groups,
     best_permutation_channel_count,
     check_caps,
+    divisor_grid_min,
     reachable_channel_triple,
     shuffle_after,
 )
@@ -440,3 +456,31 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
                         f"calculus {want}, graph {got}"
                     )
     return result
+
+
+def greatest_width_scan(family: Family, budget: int, alpha: Fraction | int) -> WidthReport:
+    """`efficiency.greatest_width` as a scan down from floor(G) + 1 over
+    every width: a width with F = alpha*C not whole, or one that the divisor
+    grid or the family builder refuses, is passed over."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ValidationError("alpha must be positive")
+    if budget < 1:
+        raise UnderBudgetError("budget must be a positive parameter count")
+    g_real, condition = _continuous_width(family, budget, alpha)
+    for c in range(int(math.floor(g_real)) + 1, 0, -1):
+        fa = alpha * c
+        if fa.denominator != 1:
+            continue
+        try:
+            if family.has_group_freedom:
+                params = divisor_grid_min(family.value, c, fa.numerator, constraint="le").value
+            else:
+                params = family_params(family, c, fa.numerator)
+        except ValidationError:
+            continue
+        if params <= budget:
+            return WidthReport(g_real, c, params, condition)
+    raise UnderBudgetError(
+        f"budget {budget} is below the smallest legal {family.value} design"
+    )

@@ -1,8 +1,10 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from naive import greatest_width_scan
 from skdesign.efficiency import (
     Family,
     UnderBudgetError,
@@ -121,6 +123,32 @@ def test_greatest_width_monotone_in_budget_and_alpha():
         wide = greatest_width(family, 200000, 1).width
         narrow = greatest_width(family, 200000, 4).width
         assert narrow <= wide
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_greatest_width_matches_the_width_by_width_scan(family):
+    # 50 is below the smallest legal design of most (family, alpha) pairs;
+    # at 3,000,000 both grouped families' continuous widths pass the grid cap
+    for budget in (50, 999, 50_000, 123_456, 1_000_000, 3_000_000):
+        for alpha in (1, 2, 4, Fraction(1, 2), Fraction(3, 2), Fraction(5, 4), Fraction(1, 3)):
+            try:
+                want = greatest_width_scan(family, budget, alpha)
+            except ValidationError as err:
+                with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                    greatest_width(family, budget, alpha)
+            else:
+                assert greatest_width(family, budget, alpha) == want, (budget, alpha)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="defect 1(c): grouped answers stop at the divisor grid's 4,096 channels"
+)
+def test_greatest_width_passes_the_grid_cap():
+    # a brute-force divisor scan under the pair rule of `oracles.feasible_pairs`
+    gc = greatest_width(Family.GC_PWG, 30_000_000, 1)
+    pwg = greatest_width(Family.PWG_DW_PWG, 30_000_000, 1)
+    assert (gc.width, gc.params_at_width) == (29_232, 29_992_032)
+    assert (pwg.width, pwg.params_at_width) == (96_064, 29_995_984)
 
 
 def test_greatest_width_under_budget():
