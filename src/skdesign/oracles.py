@@ -34,11 +34,13 @@ def interleave(n: int, groups: int) -> tuple[int, ...]:
     """Group-transpose channel shuffle: position j holds old channel perm[j].
 
     With `groups` rows of n/groups columns, reading the matrix column-wise
-    produces the classic channel-shuffle order.  Identity when groups <= 1
-    or groups does not tile n.
+    produces the classic channel-shuffle order.  Identity when groups <= 1;
+    a group count that does not tile n is refused.
     """
-    if groups <= 1 or n % groups:
+    if groups <= 1:
         return tuple(range(n))
+    if n % groups:
+        raise ValidationError(f"{groups} groups do not tile {n} channels")
     cols = n // groups
     return tuple(r * cols + c for c in range(cols) for r in range(groups))
 

@@ -35,8 +35,9 @@ def test_interleave_is_a_group_transpose():
     assert interleave(8, 4) == (0, 2, 4, 6, 1, 3, 5, 7)
     assert interleave(8, 1) == tuple(range(8))
     assert sorted(interleave(12, 3)) == list(range(12))
-    # a group number that does not tile the width leaves the order alone
-    assert interleave(8, 3) == tuple(range(8))
+    # a group number that does not tile the width is refused
+    with pytest.raises(ValidationError):
+        interleave(8, 3)
     # no shuffle moves channel 0, the one `reach_first` reads
     for n in range(1, 65):
         for g in range(1, n + 1):
