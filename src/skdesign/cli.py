@@ -16,7 +16,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Optional
 
-from . import __version__, efficiency, search
+from . import __version__, efficiency
 from .efficiency import Family
 from .kernels import LayerSpec, ValidationError
 
@@ -88,6 +88,8 @@ def _emit(doc: dict[str, Any], lines: list[str], fmt: str) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from . import search
+
     out_channels = args.out_channels or args.channels
     if args.alpha is not None:
         scaled = args.alpha * args.channels

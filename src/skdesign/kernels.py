@@ -19,6 +19,7 @@ throughout; whole-model conventions live in `sizer`.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple
 
 
@@ -134,6 +135,30 @@ def param_count(layer: LayerSpec) -> int:
     """Exact weight count of one layer (no biases, no normalisation)."""
     k = layer.kernel.kind.size
     return k * k * layer.fan_in * layer.out_channels
+
+
+# the sparse kinds a design composes, in the order sequences are listed
+SK_ALPHABET: tuple[Kind, ...] = (
+    Kind.GROUP,
+    Kind.DEPTHWISE,
+    Kind.POINTWISE,
+    Kind.POINTWISE_GROUP,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def slot_layers(kind: Kind, c_in: int, c_out: int) -> tuple[tuple[LayerSpec, int], ...]:
+    """Every layer of a slot that `LayerSpec` accepts, one per group number,
+    with its parameter count: the search prices kernels and the infofield
+    sweep lists them here and nowhere else."""
+    slots = []
+    for g in range(2, c_in + 1) if kind.is_grouped else (1,):
+        try:
+            layer = LayerSpec(Kernel(kind, g), c_in, c_out)
+        except ValidationError:
+            continue
+        slots.append((layer, param_count(layer)))
+    return tuple(slots)
 
 
 def flop_count(layer: LayerSpec, out_spatial: tuple[int, int]) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import NamedTuple, Sequence
 
 from .kernels import Kind, LayerSpec, ValidationError
@@ -180,7 +181,9 @@ class GridMinResult(NamedTuple):
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The divisors of n, ascending: each d up to isqrt(n) with its pair n // d."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def gc_pwg_params(c: int, f: int, m: int, n: int) -> int:
@@ -205,8 +208,9 @@ def feasible_pairs(
     number divides both widths of its layer.
     """
     if family == "gc+pwg":
-        ms = [d for d in _divisors(c) if 2 <= d <= c - 1]
-        ns = [d for d in _divisors(c) if d >= 2 and f % d == 0]
+        divisors = _divisors(c)
+        ms = [d for d in divisors if 2 <= d <= c - 1]
+        ns = [d for d in divisors if d >= 2 and f % d == 0]
         bound = c
     elif family == "pwg+dw+pwg":
         if f % 4:

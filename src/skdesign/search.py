@@ -14,7 +14,7 @@ maximum length and prunes in three stages:
 
 No sequence is listed.  One level-by-level walk counts the assignments of
 all sequences at once over states (width plan, width reached, field or
-dead verdict, kernel multiset of a live prefix); see `_steps` and `_walk`.
+dead verdict, kernel multiset of a live prefix).
 
 Surviving candidates collapse into design families keyed by their kernel
 multiset: group numbers, orderings and the bottleneck flag are witness
@@ -43,14 +43,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .efficiency import slot_widths
 from .infofield import InfoField, VerdictKind, step
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, param_count
-
-SK_ALPHABET: tuple[Kind, ...] = (
-    Kind.GROUP,
-    Kind.DEPTHWISE,
-    Kind.POINTWISE,
-    Kind.POINTWISE_GROUP,
-)
+from .kernels import SK_ALPHABET, Kind, LayerSpec, ValidationError, checked, slot_layers
 
 # canonical-order tie break: spatial kinds before 1x1 kinds, then lexical
 _KIND_ORDER = {kind: (not kind.is_spatial, kind.value) for kind in Kind}
@@ -128,21 +121,6 @@ class DesignCandidate(NamedTuple):
         return "+".join(str(layer.kernel) for layer in self.layers) + tag
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_layers(kind: Kind, c_in: int, c_out: int) -> tuple[tuple[LayerSpec, int], ...]:
-    """Every layer of a slot that `LayerSpec` accepts, one per group number,
-    with its parameter count: the search prices kernels here and nowhere
-    else."""
-    slots = []
-    for g in range(2, c_in + 1) if kind.is_grouped else (1,):
-        try:
-            layer = LayerSpec(Kernel(kind, g), c_in, c_out)
-        except ValidationError:
-            continue
-        slots.append((layer, param_count(layer)))
-    return tuple(slots)
-
-
 def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
     """Bottleneck flags of the width plans tried: plain, then 1:4 bottleneck."""
     return (False, True) if config.enable_bottleneck_variants else (False,)
@@ -154,28 +132,28 @@ def _every_kind(multiset: tuple[str, ...]) -> list[tuple]:
     return [(kind, last, grown[kind]) for kind in SK_ALPHABET for last in (True, False)]
 
 
-def _carry(states: dict, key: tuple, count: int, best: Optional[tuple]) -> None:
-    """Add `count` prefixes with cheapest key `best` (None: dead) to a state."""
-    old = states.get(key)
-    if old is not None:
-        count += old[0]
-        best = old[1] if best is None else min(old[1], best)
-    states[key] = count, best
+def _walk(
+    config: SearchConfig, depth: int, follow: Callable[[tuple], list], keep_dead_tags: bool
+) -> tuple[dict, dict]:
+    """One slot at a time over every group assignment of every width plan
+    of the sequences of up to `depth` kinds that follow(tag) spells as slots
+    (kind, last, grown tag): (valid, verdicts).  `valid` maps the tag of
+    each valid end to [witness count, cheapest witness key, bottleneck
+    flags], a key being (params, bottleneck, kind order, group numbers,
+    layers), whose first four entries rank witnesses as `DesignFamily`
+    states.  `verdicts` counts assignments by verdict.
 
-
-def _steps(config: SearchConfig, depth: int, start, follow: Callable[[tuple], list]):
-    """The moves of a walk, one slot at a time, over every group assignment
-    of every width plan of the sequences of up to `depth` kinds that
-    follow(tag) spells as slots (kind, last, grown tag).  A state is
-    (bottleneck, width reached, field or dead verdict, tag), with a value,
-    start(bottleneck) at the first.  A move is (next level, value, next
-    state, kind, last, group choices reaching it, cheapest (price, group
-    number, layer) of them or None where they die); the caller adds it to
-    the next level or, after a last slot, to its ends.  A dead state moves
-    every choice to itself.  The moves are found once per (plan, slot
-    phase, width, state, kind, last): `slot_widths` reads the slot index
-    only on the bottleneck plan, and there only as 0, 1, or 2 and later.
-    The cheapest choice does not depend on the prefix, as a witness key
+    A state is (bottleneck, width reached, field or dead verdict, tag) and
+    carries its prefixes' count and cheapest key: the step rules, the later
+    widths and the tag's future depend only on the state, and prefixes at
+    one state have one length, so a shared completion keeps their cost
+    order.  A dead state carries only its count and moves every choice to
+    itself.  It keys the empty tag unless `keep_dead_tags`: a walk keeps
+    them when its tags limit the later kinds and its dead counts are read,
+    and the others save the states.  The moves are found once per (plan,
+    slot phase, width, state, kind, last): `slot_widths` reads the slot
+    index only on the bottleneck plan, and there only as 0, 1, or 2 and
+    later.  The cheapest choice does not depend on the prefix, as a key
     orders by parameter total, then plan, kind order and group numbers."""
     c, f = config.reference_channels, config.reference_out_channels
     reference = config.reference_field
@@ -183,7 +161,7 @@ def _steps(config: SearchConfig, depth: int, start, follow: Callable[[tuple], li
     @functools.lru_cache(maxsize=None)
     def fold(bottleneck, phase, width, state, kind, last):
         widths = slot_widths(kind, phase, width, last, bottleneck, c, f)
-        choices = _slot_layers(kind, *widths) if widths else ()
+        choices = slot_layers(kind, *widths) if widths else ()
         if isinstance(state, str):
             return widths, [(state, len(choices), None)] if choices else []
         moves: dict = {}
@@ -196,53 +174,39 @@ def _steps(config: SearchConfig, depth: int, start, follow: Callable[[tuple], li
                 move[1] = option if move[1] is None else min(move[1], option)
         return widths, [(to, n, best) for to, (n, best) in moves.items()]
 
-    level = {(b, c, InfoField.initial(), ()): start(b) for b in _plan_flags(config)}
+    valid: dict[tuple, list] = {}
+    verdicts: dict[str, int] = {}
+    level = {(b, c, InfoField.initial(), ()): (1, (0, b, (), (), ())) for b in _plan_flags(config)}
     for i in range(depth):
         below: dict = {}
         slots = functools.cache(follow)  # once per tag of this level
-        for (b, width, state, tag), value in level.items():
+        for (b, width, state, tag), (count, best) in level.items():
             for kind, last, after in slots(tag):
                 if not last and i + 1 == depth:
                     continue
                 widths, moves = fold(b, min(i, 2) if b else 0, width, state, kind, last)
                 for to, n, option in moves:
-                    yield below, value, (b, widths[1], to, after), kind, last, n, option
+                    n *= count
+                    if last:
+                        verdicts[to] = verdicts.get(to, 0) + n
+                    if option is None:  # dead: only its count goes on
+                        if not last:
+                            key = b, widths[1], to, (after if keep_dead_tags else ())
+                            below[key] = below.get(key, (0,))[0] + n, None
+                        continue
+                    price, g, layer = option
+                    grown = (best[0] + price, b, best[2] + (_KIND_ORDER[kind],),
+                             best[3] + (g,), best[4] + (layer,))
+                    if last:
+                        entry = valid.setdefault(after, [0, grown, set()])
+                        entry[0] += n
+                        entry[1] = min(entry[1], grown)
+                        entry[2].add(b)
+                    else:
+                        key = b, widths[1], to, after
+                        old = below.get(key)
+                        below[key] = (n, grown) if old is None else (old[0] + n, min(old[1], grown))
         level = below
-
-
-def _walk(config: SearchConfig) -> tuple[dict, dict]:
-    """`_steps` over every sequence, tagged by kind multiset: (valid,
-    verdicts).  `valid` maps the multiset of each valid end to [witness
-    count, cheapest witness key, bottleneck flags], a key being (params,
-    bottleneck, kind order, group numbers, layers), whose first four
-    entries rank witnesses as `DesignFamily` states.  `verdicts` counts
-    assignments by verdict.
-
-    A live state carries its prefixes' count and cheapest key: the step
-    rules, the later widths and the multiset's future depend only on the
-    state, and prefixes at one state have one length, so a shared
-    completion keeps their cost order.  A dead state carries only its
-    count and keys the empty multiset, since nothing reads it."""
-    valid: dict[tuple, list] = {}
-    verdicts: dict[str, int] = {}
-    steps = _steps(config, config.max_length, lambda b: (1, (0, b, (), (), ())), _every_kind)
-    for below, (count, best), (b, out, to, after), kind, last, n, option in steps:
-        n *= count
-        if last:
-            verdicts[to] = verdicts.get(to, 0) + n
-        if option is None:  # a dead state keys the empty multiset
-            after, grown = (), None
-        else:
-            price, g, layer = option
-            grown = (best[0] + price, b, best[2] + (_KIND_ORDER[kind],),
-                     best[3] + (g,), best[4] + (layer,))
-        if not last:
-            _carry(below, (b, out, to, after), n, grown)
-        elif grown is not None:
-            entry = valid.setdefault(after, [0, grown, set()])
-            entry[0] += n
-            entry[1] = min(entry[1], grown)
-            entry[2].add(b)
     return valid, verdicts
 
 
@@ -313,16 +277,10 @@ def _grid_optimal_params(
     for c, f in grid:
         if (c, f) == ref:
             continue
-        # a state carries only its least parameter total; dead ones drop out
-        ends: dict[tuple, int] = {}
         probe = config._replace(reference_channels=c, reference_out_channels=f)
-        for below, params, key, _, last, _, option in _steps(probe, depth, lambda b: 0, follow):
-            if option is not None:
-                at, into = (key[3], ends) if last else (key, below)
-                total = params + option[0]
-                into[at] = min(total, into.get(at, total))
+        valid = _walk(probe, depth, follow, False)[0]
         for k in families:
-            opt[k][(c, f)] = ends.get(k)
+            opt[k][(c, f)] = valid[k][1][0] if k in valid else None
     return opt
 
 
@@ -411,13 +369,10 @@ def run_search(config: SearchConfig) -> SearchResult:
         grown = [(kind, last, word + (kind,)) for kind in SK_ALPHABET for last in (True, False)]
         return [slot for slot in grown if slot[2] in (tiled if slot[1] else prefixes)]
 
-    valid, verdicts = _walk(config)
-    # a tiled state carries only its count, and a dead one keeps its word
-    for below, count, key, _, last, n, _ in _steps(config, config.max_length, lambda b: 1, follow):
-        if last:
-            verdicts[key[2]] -= count * n
-        else:
-            below[key] = below.get(key, 0) + count * n
+    valid, verdicts = _walk(config, config.max_length, _every_kind, False)
+    # a tiled walk's dead state keeps its word, which limits its later kinds
+    for verdict, n in _walk(config, config.max_length, follow, True)[1].items():
+        verdicts[verdict] -= n
     families = {
         key: DesignFamily(
             key, count, DesignCandidate(best[4], best[1], best[0]), frozenset(flags)

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from . import oracles
 from .infofield import InfoField, propagate
-from .kernels import ValidationError
-from .search import SK_ALPHABET, _slot_layers, sequence_name
+from .kernels import SK_ALPHABET, ValidationError, slot_layers
 
 # both suites start at this channel count
 MIN_CHANNELS = 4
@@ -108,7 +107,7 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
         slots = [
             (k, i, layer.kernel.groups, layer)
             for k, kind in enumerate(SK_ALPHABET)
-            for i, (layer, _) in enumerate(_slot_layers(kind, c, c))
+            for i, (layer, _) in enumerate(slot_layers(kind, c, c))
         ]
         oracles.check_caps([slot[3] for slot in slots])
         result.checked += sum(len(slots) ** n for n in range(1, len_max + 1))
@@ -145,7 +144,7 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
                         continue
                 # sorted as itertools.product lists them: by length, kinds, choices
                 ks, choices, groups, _ = zip(*design)
-                seq = sequence_name([SK_ALPHABET[k] for k in ks])
+                seq = "+".join(SK_ALPHABET[k].value for k in ks)
                 text = f"C={c}, {seq} groups={groups}: calculus {want}, graph {shown}"
                 found.append(((len(design), ks, choices), text))
         result.counterexamples += [text for _, text in sorted(found)]

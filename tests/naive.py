@@ -52,7 +52,15 @@ from skdesign.efficiency import (
     slot_widths,
 )
 from skdesign.infofield import InfoField, VerdictKind, _check_design, field_of, propagate, step
-from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
+from skdesign.kernels import (
+    SK_ALPHABET,
+    Kernel,
+    Kind,
+    LayerSpec,
+    ValidationError,
+    param_count,
+    slot_layers,
+)
 from skdesign.oracles import (
     FULL_PERMUTATION_LIMIT,
     _input_groups,
@@ -64,12 +72,10 @@ from skdesign.oracles import (
 )
 from skdesign.search import (
     _KIND_ORDER,
-    SK_ALPHABET,
     DesignCandidate,
     DesignFamily,
     SearchConfig,
     _plan_flags,
-    _slot_layers,
     sequence_name,
 )
 from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
@@ -236,7 +242,7 @@ def evaluate_sequences(
             return None
         width, live, dead = state
         widths = slot_widths(kind, i, width, last, bottleneck, c, f)
-        choices = _slot_layers(kind, *widths) if widths else ()
+        choices = slot_layers(kind, *widths) if widths else ()
         if not choices:
             return None
         dead = {verdict: n * len(choices) for verdict, n in dead.items()}
@@ -436,7 +442,7 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
     for c in channels:
         for length in range(1, len_max + 1):
             for seq in itertools.product(SK_ALPHABET, repeat=length):
-                slots = [_slot_layers(kind, c, c) for kind in seq]
+                slots = [slot_layers(kind, c, c) for kind in seq]
                 for choice in itertools.product(*slots):
                     layers = [layer for layer, _ in choice]
                     calc = field_of(layers, c)

@@ -22,10 +22,9 @@ from skdesign.efficiency import (
     ratio,
 )
 from skdesign.infofield import VerdictKind
-from skdesign.kernels import ValidationError
+from skdesign.kernels import SK_ALPHABET, ValidationError
 from skdesign.oracles import feasible_pairs
 from skdesign.search import (
-    SK_ALPHABET,
     SearchConfig,
     _tiled_words,
     run_search,

@@ -355,7 +355,14 @@ def _loaded_modules(code, *argv):
         (["search", "--max-len", "1"], "skdesign.search",
          {"dataclasses", "fractions", "skdesign.oracles", "skdesign.sizer", "skdesign.verify"}),
         (["verify", "--c-max", "4", "--len-max", "1"], "skdesign.oracles",
-         {"dataclasses", "fractions", "skdesign.sizer"}),
+         {"dataclasses", "fractions", "skdesign.search", "skdesign.sizer"}),
+        (["analyze", "gc+pwg", "--c", "36", "--f", "36"], "skdesign.oracles",
+         {"skdesign.search", "skdesign.verify"}),
+        (["size", "--family", "dw+pw", "--width", "64"], "skdesign.sizer",
+         {"skdesign.search", "skdesign.verify"}),
+        (["width", "--family", "pwg+dw+pwg", "--groups", "4,4", "--budget", "11300000"],
+         "skdesign.sizer", {"skdesign.search", "skdesign.verify"}),
+        (["graph", "dw+pw"], "skdesign.oracles", {"skdesign.search", "skdesign.verify"}),
     ],
 )
 def test_search_and_verify_load_only_what_they_run(argv, needed, unloaded):

@@ -15,6 +15,7 @@ from naive import (
 )
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.oracles import (
+    _divisors,
     _input_groups,
     best_permutation_channel_count,
     divisor_grid_min,
@@ -230,6 +231,11 @@ def test_grid_min_empty_feasible_set():
         divisor_grid_min("gc+pwg", 5, 5)  # prime channel count has no groups
     with pytest.raises(ValidationError):
         divisor_grid_min("gc+pwg", 8192, 8192)  # above the grid cap
+
+
+def test_divisors_pair_up_to_the_square_root_as_trial_division_lists_them():
+    for n in range(1, 5001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_feasible_pairs_obey_constraint_modes():

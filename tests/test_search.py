@@ -24,18 +24,16 @@ from naive import (
 from skdesign import search
 from skdesign.efficiency import Family, family_params, optimal_group_numbers
 from skdesign.infofield import VerdictKind
-from skdesign.kernels import Kind, ValidationError, param_count
+from skdesign.kernels import SK_ALPHABET, Kind, ValidationError, param_count, slot_layers
 from skdesign.oracles import feasible_pairs, reach_first, reach_step
 from skdesign.search import (
     DEFAULT_DOMINATION_GRID,
-    SK_ALPHABET,
     DesignCandidate,
     DesignFamily,
     SearchConfig,
     raw_sequence_count,
     run_search,
     _grid_optimal_params,
-    _slot_layers,
 )
 from skdesign.cli import _known_architectures
 
@@ -592,7 +590,7 @@ def test_slot_group_numbers_match_the_oracle_pairs():
     # keeps its own divisor rule as the independent check: the two must
     # agree on every feasible pair of both grouped families
     def groups(kind, c_in, c_out):
-        return [layer.kernel.groups for layer, _ in _slot_layers(kind, c_in, c_out)]
+        return [layer.kernel.groups for layer, _ in slot_layers(kind, c_in, c_out)]
 
     def pairs(ms, ns, bound):
         return [(m, n) for m in ms for n in ns if m * n <= bound]
