@@ -163,7 +163,10 @@ def plan_layers(family: Family, kernels: Sequence[Kernel], c: int, f: int) -> li
     for i, kernel in enumerate(kernels):
         # never None: each family has every slot of its plan once 4 | F holds
         c_in, width = slot_widths(kernel.kind, i, width, i == end, family.bottlenecked, c, f)
-        layers.append(LayerSpec(kernel, c_in, width))
+        try:
+            layers.append(LayerSpec(kernel, c_in, width))
+        except ValidationError as err:
+            raise ValidationError(f"layer {i + 1} ({kernel}, {c_in} -> {width}): {err}") from err
     return layers
 
 

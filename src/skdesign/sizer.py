@@ -17,6 +17,7 @@ convention set alongside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -213,41 +214,104 @@ def solve_width(
 ) -> SizingReport:
     """Largest feasible width whose model total fits the parameter budget.
 
-    Every width is a candidate, and `model_params` alone decides which are
-    feasible.  Totals grow with width across feasible widths, so the widths
-    that fit are a prefix of the feasible ones.  The search doubles its
-    probe until one does not fit, then bisects; it is exact because each
-    probe stands for the nearest feasible width at or below it.  No width
-    above the budget fits, since the stem alone holds 27 parameters per
-    channel, so the search ends.
+    The closed form relies on two facts of the four-stage layout, and
+    `model_params` is still the only judge of feasibility and of totals.
+    The stage widths are w * 2^s and a block's group numbers are fixed, so
+    each check a layer makes is a divisibility or a lower bound on w: the
+    feasible widths are w0, w0 + m, w0 + 2m, ...  And every layer's count
+    is a product of at most two widths, so on that progression the model
+    total is an exact quadratic in k = (w - w0) / m, read from the totals
+    at k = 0, 1, 2.  The largest k within budget then follows from an
+    integer square root.  w0 and m are found once per block and blocks per
+    stage, by trying widths from 1 up.  The answer and the next feasible
+    width are probed, and a total off the quadratic, an answer over budget
+    or a next width that fits raises RuntimeError: a layout that breaks
+    the structure fails loudly rather than answering short.
     """
     if budget < 1:
         raise UnderBudgetError("budget must be a positive parameter count")
     # checked once here, so a probe's ValidationError means only that the
     # block does not fit its width
     layout = NetworkLayout(1, blocks_per_stage, conventions=conventions)
-    # every probe at or below lo stands for `best` (None: no feasible width
-    # yet) and fits; no probe at or above hi fits, and `over` is the
-    # feasible width at hi once one was found
-    lo, hi = 0, budget + 1
-    best: Optional[SizingReport] = None
-    over: Optional[SizingReport] = None
-    while hi - lo > 1:
-        mid = min(2 * lo + 1, (lo + hi) // 2)
-        report = None
-        for w in range(mid, lo, -1):
-            try:
-                report = model_params(replace(layout, width=w), block)
-                break
-            except ValidationError:
-                continue
-        if report is None or report.total_params <= budget:
-            lo, best = mid, report or best
-        else:
-            hi, over = report.width, report
-    if best is None:
-        smallest = f" ({over.total_params} parameters at width {over.width})" if over else ""
+    lattice = _lattice(layout, block, budget)
+    if lattice is None or lattice[0] > budget:
+        raise UnderBudgetError(f"budget {budget} is below the smallest feasible model")
+    w0, m = lattice
+    where = f"{block.describe()} at widths {w0} + k * {m}"
+
+    def probe(k: int) -> SizingReport:
+        try:
+            return model_params(replace(layout, width=w0 + k * m), block)
+        except ValidationError as err:
+            raise RuntimeError(f"{where}: k = {k} is not feasible: {err}") from err
+
+    t0, t1, t2 = (probe(k).total_params for k in range(3))
+    if t0 > budget:
         raise UnderBudgetError(
-            f"budget {budget} is below the smallest feasible model{smallest}"
+            f"budget {budget} is below the smallest feasible model "
+            f"({t0} parameters at width {w0})"
         )
+    d1, d2 = t1 - t0, t2 - 2 * t1 + t0
+    if d1 < 1 or d2 < 0:
+        raise RuntimeError(f"{where}: totals {t0}, {t1}, {t2} do not grow as a convex quadratic")
+    k = _last_step_within(budget - t0, d1, d2)
+    best, after = probe(k), probe(k + 1)
+    want = t0 + k * d1 + d2 * k * (k - 1) // 2
+    if best.total_params > budget:
+        raise RuntimeError(f"{where}: k = {k} is over budget {budget}")
+    if best.total_params != want:
+        raise RuntimeError(f"{where}: the total at k = {k} is {best.total_params}, not {want}")
+    if after.total_params <= budget:
+        raise RuntimeError(f"{where}: k = {k + 1} also fits budget {budget}")
     return best
+
+
+def _last_step_within(room: int, d1: int, d2: int) -> int:
+    """Largest k >= 0 with k * d1 + d2 * k * (k - 1) / 2 <= room, for
+    room >= 0, d1 >= 1 and d2 >= 0."""
+    if not d2:
+        return room // d1
+    # twice the inequality is d2 k^2 + b k - 2 room <= 0, whose smaller root
+    # is <= 0; the answer is the floor of the larger, (sqrt(D) - b) / (2 d2).
+    # b is whole, so isqrt(D) - b is the floor of sqrt(D) - b, and flooring
+    # that before dividing by the whole 2 d2 changes no floor: no fix-up
+    b = 2 * d1 - d2
+    return (math.isqrt(b * b + 8 * d2 * room) - b) // (2 * d2)
+
+
+# (block, blocks per stage) -> (w0, m), least recently used first.  A
+# BlockSpec hashes by (kind, groups), and the conventions change totals,
+# not which widths are feasible.
+_LATTICES: dict[tuple[BlockSpec, int], tuple[int, int]] = {}
+_LATTICE_CACHE_SIZE = 256
+
+
+def _lattice(layout: NetworkLayout, block: BlockSpec, budget: int) -> Optional[tuple[int, int]]:
+    """(w0, m): the smallest feasible width and the step to the next, or
+    None when no width up to the budget is feasible."""
+    key = (block, layout.blocks_per_stage)
+    found = _LATTICES.pop(key, None)
+    if found is None:
+
+        def feasible(w: int) -> bool:
+            try:
+                model_params(replace(layout, width=w), block)
+            except ValidationError:
+                return False
+            return True
+
+        # the stem alone holds 27 parameters per channel: no width above
+        # the budget fits
+        w0 = next((w for w in range(1, budget + 1) if feasible(w)), None)
+        if w0 is None:
+            return None
+        # w0 is a multiple of the step m, so the next feasible width is at
+        # most 2 * w0
+        w1 = next((w for w in range(w0 + 1, 2 * w0 + 1) if feasible(w)), None)
+        if w1 is None:
+            raise RuntimeError(f"{block.describe()}: no feasible width from {w0} + 1 to 2 * {w0}")
+        found = w0, w1 - w0
+    _LATTICES[key] = found
+    if len(_LATTICES) > _LATTICE_CACHE_SIZE:
+        del _LATTICES[next(iter(_LATTICES))]
+    return found

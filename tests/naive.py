@@ -32,6 +32,13 @@ grid or the family builder refuses go by; `efficiency.greatest_width`,
 which visits only the widths that can answer, must give the same report or
 raise the same error.
 
+The width bisection: `solve_width_bisect` doubles a probe width from 1
+until a model does not fit, then bisects, and each probe stands for the
+nearest width at or below it that `sizer.model_params` accepts, so it
+assumes nothing about which widths are feasible.  `sizer.solve_width`,
+which reads the model total as a quadratic on the feasible widths, must
+give the same report or raise the same error.
+
 Test helpers that `src/` does not need: `trace` (the field after each
 kernel), `TensorShape`, and one kernel constructor per kind.
 """
@@ -39,9 +46,9 @@ kernel), `TensorShape`, and one kernel constructor per kind.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from skdesign.efficiency import (
     Family,
@@ -78,6 +85,7 @@ from skdesign.search import (
     _plan_flags,
     sequence_name,
 )
+from skdesign.sizer import Conventions, NetworkLayout, SizingReport, model_params
 from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
 
 # the node-level walk's input-shape cap
@@ -490,3 +498,41 @@ def greatest_width_scan(family: Family, budget: int, alpha: Fraction | int) -> W
     raise UnderBudgetError(
         f"budget {budget} is below the smallest legal {family.value} design"
     )
+
+
+def solve_width_bisect(
+    budget: int, block, blocks_per_stage: int = 8, conventions: Conventions = Conventions()
+) -> SizingReport:
+    """`sizer.solve_width` as a doubling-and-bisection search over every
+    width.  Totals grow with width across feasible widths, so the widths
+    that fit are a prefix of the feasible ones; a probe that `model_params`
+    refuses stands for the nearest feasible width below it.  No width above
+    the budget fits, since the stem alone holds 27 parameters per channel."""
+    if budget < 1:
+        raise UnderBudgetError("budget must be a positive parameter count")
+    layout = NetworkLayout(1, blocks_per_stage, conventions=conventions)
+    # every probe at or below lo stands for `best` (None: no feasible width
+    # yet) and fits; no probe at or above hi fits, and `over` is the
+    # feasible width at hi once one was found
+    lo, hi = 0, budget + 1
+    best: Optional[SizingReport] = None
+    over: Optional[SizingReport] = None
+    while hi - lo > 1:
+        mid = min(2 * lo + 1, (lo + hi) // 2)
+        report = None
+        for w in range(mid, lo, -1):
+            try:
+                report = model_params(replace(layout, width=w), block)
+                break
+            except ValidationError:
+                continue
+        if report is None or report.total_params <= budget:
+            lo, best = mid, report or best
+        else:
+            hi, over = report.width, report
+    if best is None:
+        smallest = f" ({over.total_params} parameters at width {over.width})" if over else ""
+        raise UnderBudgetError(
+            f"budget {budget} is below the smallest feasible model{smallest}"
+        )
+    return best

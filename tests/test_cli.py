@@ -117,6 +117,33 @@ def test_width_under_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ("100000", "budget 100000 is below the smallest feasible model "
+                   "(176168 parameters at width 8)"),
+        # no width up to the budget is feasible
+        ("5", "budget 5 is below the smallest feasible model"),
+    ],
+)
+def test_width_under_budget_names_the_smallest_model(capsys, budget, message):
+    argv = ["width", "--family", "gc+pwg", "--groups", "4,2", "--budget", budget]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"validation error: {message}\n"
+
+
+def test_size_divisibility_error_names_the_layer(capsys):
+    code, out, err = run(
+        capsys, "size", "--family", "pwg+dw+pwg", "--groups", "4,4", "--width", "20"
+    )
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (
+        "validation error: stage 1, block 1: layer 1 (pwg(4), 20 -> 5): "
+        "group number 4 does not divide out_channels 5\n"
+    )
+
+
 def test_verify_passes_on_small_grids(capsys):
     code, out, _ = run(
         capsys, "verify", "--theorem1", "--infofield", "--c-max", "8", "--len-max", "2"

@@ -1,8 +1,15 @@
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from naive import solve_width_bisect
+from skdesign import sizer
 from skdesign.efficiency import Family, UnderBudgetError, design_kernels, layers_for
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.sizer import (
@@ -12,6 +19,7 @@ from skdesign.sizer import (
     depth_of,
     model_params,
     solve_width,
+    _last_step_within,
 )
 
 NOPROJ = Conventions(include_projections=False)
@@ -82,6 +90,19 @@ def test_model_params_convention_flags_add_parameters():
 def test_model_params_divisibility_error_names_stage():
     with pytest.raises(ValidationError, match="stage 1"):
         model_params(NetworkLayout(63), BlockSpec("gc+pwg", (4, 4)))
+
+
+def test_model_params_divisibility_error_names_the_layer_and_its_widths():
+    # the bottleneck width K = 20 / 4 = 5 is what pwg(4) cannot split
+    want = (
+        "stage 1, block 1: layer 1 (pwg(4), 20 -> 5): "
+        "group number 4 does not divide out_channels 5"
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        model_params(NetworkLayout(20), BlockSpec("pwg+dw+pwg", (4, 4)))
+    want = "stage 1, block 1: layer 2 (pwg(3), 4 -> 4): group number 3 does not divide in_channels 4"
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        model_params(NetworkLayout(4), BlockSpec("gc+pwg", (2, 3)))
 
 
 def test_macs_account_for_resolution():
@@ -187,6 +208,129 @@ def test_solve_width_finds_widths_off_the_smallest_width_lattice():
     report = solve_width(3_000_000, BlockSpec("gc+pwg", (4, 2)), 2, NOPROJ)
     assert report.width == 84
     assert report.total_params <= 3_000_000
+
+
+def test_last_step_within_needs_no_fix_up():
+    # the integer root against a walk up from k = 0
+    for d1 in range(1, 13):
+        for d2 in range(13):
+            k = 0
+            for room in range(300):
+                while (k + 1) * d1 + d2 * (k + 1) * k // 2 <= room:
+                    k += 1
+                assert _last_step_within(room, d1, d2) == k, (room, d1, d2)
+
+
+def _block_strategy():
+    groups = st.one_of(
+        st.tuples(st.integers(2, 32), st.integers(2, 32)),
+        # coprime pairs: smallest feasible widths in the thousands
+        st.sampled_from([(31, 29), (32, 31), (27, 32), (29, 25)]),
+    )
+    return st.one_of(
+        st.sampled_from([BlockSpec("standard"), BlockSpec("dw+pw"), BlockSpec("pw+dw+pw")]),
+        st.builds(BlockSpec, st.sampled_from(["gc+pwg", "pwg+dw+pwg"]), groups),
+    )
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except UnderBudgetError as err:
+        return f"UnderBudgetError: {err}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block=_block_strategy(),
+    blocks=st.integers(1, 16),
+    conventions=st.builds(Conventions, st.booleans(), st.booleans(), st.booleans()),
+    # log-uniform from 1e3, below every smallest model, to 1e10
+    budget=st.integers(0, 1000).map(lambda i: int(1e3 * 1e7 ** (i / 1000))),
+    fresh=st.booleans(),
+)
+# both under-budget messages: the smallest model over budget, and no
+# feasible width up to the budget
+@example(BlockSpec("gc+pwg", (4, 2)), 8, Conventions(), 100_000, True)
+@example(BlockSpec("pwg+dw+pwg", (31, 29)), 1, Conventions(), 1_000, True)
+def test_solve_width_matches_the_bisection(block, blocks, conventions, budget, fresh):
+    if fresh:  # the progression is found again, not read from the cache
+        sizer._LATTICES.clear()
+    want = _outcome(solve_width_bisect, budget, block, blocks, conventions)
+    assert _outcome(solve_width, budget, block, blocks, conventions) == want
+
+
+@pytest.mark.parametrize(
+    "budget, block, width, params",
+    [
+        # the smallest feasible width is 4 * 1024 = 4,096
+        (10**11, BlockSpec("pwg+dw+pwg", (1024, 1024)), 45_056, 86_288_863_232),
+        (10**15, BlockSpec("standard"), 415_800, 999_997_015_386_600),
+    ],
+)
+def test_solve_width_past_the_grid_cap(budget, block, width, params):
+    report = solve_width(budget, block)
+    assert (report.width, report.total_params) == (width, params)
+
+
+def _breaking(real, widths, total=None):
+    """`model_params` that refuses the widths in `widths`, or reports
+    `total` there."""
+
+    def fake(layout, block):
+        if layout.width not in widths:
+            return real(layout, block)
+        if total is None:
+            raise ValidationError("refused")
+        return replace(real(layout, block), total_params=total)
+
+    return fake
+
+
+# standard blocks, one per stage: every width is feasible, and 2,000,000
+# parameters fit width 59 (1,966,942) but not 60 (2,026,020)
+GUARD_BUDGET, GUARD_WIDTH = 2_000_000, 59
+
+
+def _guard_cases(real):
+    return {
+        # only width 1 is feasible
+        "lattice": (
+            _breaking(real, range(2, GUARD_BUDGET + 1)), "no feasible width from 1 \\+ 1 to 2 \\* 1"
+        ),
+        "off-lattice": (_breaking(real, {3}), "k = 2 is not feasible: refused"),
+        "growth": (
+            lambda layout, block: replace(real(layout, block), total_params=8000),
+            "do not grow as a convex quadratic",
+        ),
+        "over-budget": (_breaking(real, {GUARD_WIDTH}, GUARD_BUDGET + 1), "k = 58 is over budget"),
+        "off-quadratic": (
+            _breaking(real, {GUARD_WIDTH}, 1_966_941), "the total at k = 58 is 1966941, not 1966942"
+        ),
+        "next-fits": (_breaking(real, {GUARD_WIDTH + 1}, GUARD_BUDGET), "k = 59 also fits"),
+    }
+
+
+@pytest.mark.parametrize("guard", list(_guard_cases(model_params)))
+def test_solve_width_structure_guard(monkeypatch, guard):
+    # pytest.raises, not assert: the test holds under python -O too
+    fake, message = _guard_cases(model_params)[guard]
+    monkeypatch.setattr(sizer, "_LATTICES", {})
+    monkeypatch.setattr(sizer, "model_params", fake)
+    with pytest.raises(RuntimeError, match=message):
+        solve_width(GUARD_BUDGET, BlockSpec("standard"), 1)
+
+
+def test_solve_width_structure_guards_hold_under_python_O():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_solve_width_structure_guard"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(_guard_cases(model_params))} passed" in proc.stdout
 
 
 def test_solve_width_under_budget():
