@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__, efficiency
 from .efficiency import Family
-from .kernels import LayerSpec, ValidationError
+from .kernels import ValidationError
 
 if TYPE_CHECKING:  # search and verify load none of these
     from fractions import Fraction
@@ -301,7 +301,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     design = efficiency.design_name(args.design)
     c = args.channels
-    layers = [LayerSpec(k, c, c) for k in efficiency.design_kernels(design, args.groups)]
+    kernels = efficiency.design_kernels(design, args.groups)
+    layers = [efficiency.numbered_layer(i, k, c, c) for i, k in enumerate(kernels, 1)]
     dot = render_dot(layers, name=design)
     doc = {
         "command": "graph",

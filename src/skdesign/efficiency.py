@@ -163,11 +163,16 @@ def plan_layers(family: Family, kernels: Sequence[Kernel], c: int, f: int) -> li
     for i, kernel in enumerate(kernels):
         # never None: each family has every slot of its plan once 4 | F holds
         c_in, width = slot_widths(kernel.kind, i, width, i == end, family.bottlenecked, c, f)
-        try:
-            layers.append(LayerSpec(kernel, c_in, width))
-        except ValidationError as err:
-            raise ValidationError(f"layer {i + 1} ({kernel}, {c_in} -> {width}): {err}") from err
+        layers.append(numbered_layer(i + 1, kernel, c_in, width))
     return layers
+
+
+def numbered_layer(number: int, kernel: Kernel, c_in: int, c_out: int) -> LayerSpec:
+    """`LayerSpec(kernel, c_in, c_out)`; a refusal names it as layer `number`."""
+    try:
+        return LayerSpec(kernel, c_in, c_out)
+    except ValidationError as err:
+        raise ValidationError(f"layer {number} ({kernel}, {c_in} -> {c_out}): {err}") from err
 
 
 def family_params(

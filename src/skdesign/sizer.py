@@ -17,6 +17,7 @@ convention set alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -222,21 +223,20 @@ def solve_width(
     is a product of at most two widths, so on that progression the model
     total is an exact quadratic in k = (w - w0) / m, read from the totals
     at k = 0, 1, 2.  The largest k within budget then follows from an
-    integer square root.  w0 and m are found once per block and blocks per
-    stage, by trying widths from 1 up.  The answer and the next feasible
-    width are probed, and a total off the quadratic, an answer over budget
-    or a next width that fits raises RuntimeError: a layout that breaks
-    the structure fails loudly rather than answering short.
+    integer square root.  w0 and m are found once per block, from one
+    feasible width and its divisors (`_lattice`).  The answer and the next
+    feasible width are probed, and a total off the quadratic, an answer
+    over budget or a next width that fits raises RuntimeError: a layout
+    that breaks the structure fails loudly rather than answering short.
     """
     if budget < 1:
         raise UnderBudgetError("budget must be a positive parameter count")
     # checked once here, so a probe's ValidationError means only that the
     # block does not fit its width
     layout = NetworkLayout(1, blocks_per_stage, conventions=conventions)
-    lattice = _lattice(layout, block, budget)
-    if lattice is None or lattice[0] > budget:
+    w0, m = _lattice(block)
+    if w0 > budget:
         raise UnderBudgetError(f"budget {budget} is below the smallest feasible model")
-    w0, m = lattice
     where = f"{block.describe()} at widths {w0} + k * {m}"
 
     def probe(k: int) -> SizingReport:
@@ -279,39 +279,31 @@ def _last_step_within(room: int, d1: int, d2: int) -> int:
     return (math.isqrt(b * b + 8 * d2 * room) - b) // (2 * d2)
 
 
-# (block, blocks per stage) -> (w0, m), least recently used first.  A
-# BlockSpec hashes by (kind, groups), and the conventions change totals,
-# not which widths are feasible.
-_LATTICES: dict[tuple[BlockSpec, int], tuple[int, int]] = {}
-_LATTICE_CACHE_SIZE = 256
+@functools.lru_cache(maxsize=256)
+def _lattice(block: BlockSpec) -> tuple[int, int]:
+    """(w0, m): the smallest feasible width and the step to the next.
+
+    One block per stage decides it: more blocks add only (2^s w, 2^s w), a
+    scaled copy of stage 1's (w, w) that passes each check (w, w) passes,
+    and conventions change totals, not layers."""
+
+    def feasible(w: int) -> bool:
+        try:
+            model_params(NetworkLayout(w, 1), block)
+        except ValidationError:
+            return False
+        return True
+
+    top = 8 * math.prod(block.groups or ())  # a candidate feasible width
+    if not feasible(top):
+        raise RuntimeError(f"{block.describe()}: width {top} is not feasible")
+    # m | top, so top + d for a divisor d is feasible exactly when m | d.  If
+    # none is, w0 = m = top, and solve_width's probe of 2 * top refuses it
+    m = next((d for d in _divisors(top) if feasible(top + d)), top)
+    return next(w for w in range(m, top + 1, m) if feasible(w)), m
 
 
-def _lattice(layout: NetworkLayout, block: BlockSpec, budget: int) -> Optional[tuple[int, int]]:
-    """(w0, m): the smallest feasible width and the step to the next, or
-    None when no width up to the budget is feasible."""
-    key = (block, layout.blocks_per_stage)
-    found = _LATTICES.pop(key, None)
-    if found is None:
-
-        def feasible(w: int) -> bool:
-            try:
-                model_params(replace(layout, width=w), block)
-            except ValidationError:
-                return False
-            return True
-
-        # the stem alone holds 27 parameters per channel: no width above
-        # the budget fits
-        w0 = next((w for w in range(1, budget + 1) if feasible(w)), None)
-        if w0 is None:
-            return None
-        # w0 is a multiple of the step m, so the next feasible width is at
-        # most 2 * w0
-        w1 = next((w for w in range(w0 + 1, 2 * w0 + 1) if feasible(w)), None)
-        if w1 is None:
-            raise RuntimeError(f"{block.describe()}: no feasible width from {w0} + 1 to 2 * {w0}")
-        found = w0, w1 - w0
-    _LATTICES[key] = found
-    if len(_LATTICES) > _LATTICE_CACHE_SIZE:
-        del _LATTICES[next(iter(_LATTICES))]
-    return found
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in reversed(small) if d * d != n]

@@ -197,6 +197,15 @@ def test_graph_grouped_design_needs_groups(capsys):
     assert "color=green" in out
 
 
+def test_graph_divisibility_error_names_the_layer(capsys):
+    code, out, err = run(capsys, "graph", "gc+pwg", "--channels", "1", "--groups", "2,2")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (
+        "validation error: layer 1 (gc(2), 1 -> 1): "
+        "group number 2 does not divide in_channels 1\n"
+    )
+
+
 def test_search_alpha_sets_output_width(capsys):
     code, out, _ = run(
         capsys, "search", "--max-len", "2", "--channels", "32", "--alpha", "2",

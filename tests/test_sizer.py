@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -221,16 +222,49 @@ def test_last_step_within_needs_no_fix_up():
                 assert _last_step_within(room, d1, d2) == k, (room, d1, d2)
 
 
-def _block_strategy():
-    groups = st.one_of(
-        st.tuples(st.integers(2, 32), st.integers(2, 32)),
-        # coprime pairs: smallest feasible widths in the thousands
-        st.sampled_from([(31, 29), (32, 31), (27, 32), (29, 25)]),
-    )
+# coprime pairs: smallest feasible widths in the thousands
+COPRIME_PAIRS = [(31, 29), (32, 31), (27, 32), (29, 25)]
+UNGROUPED = [BlockSpec("standard"), BlockSpec("dw+pw"), BlockSpec("pw+dw+pw")]
+
+
+def _block_strategy(groups=st.tuples(st.integers(2, 32), st.integers(2, 32))):
     return st.one_of(
-        st.sampled_from([BlockSpec("standard"), BlockSpec("dw+pw"), BlockSpec("pw+dw+pw")]),
-        st.builds(BlockSpec, st.sampled_from(["gc+pwg", "pwg+dw+pwg"]), groups),
+        st.sampled_from(UNGROUPED),
+        st.builds(
+            BlockSpec,
+            st.sampled_from(["gc+pwg", "pwg+dw+pwg"]),
+            st.one_of(groups, st.sampled_from(COPRIME_PAIRS)),
+        ),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _feasible_widths(block, blocks=1, conventions=Conventions()):
+    """The widths from 1 to 1,000 that `model_params` accepts."""
+    widths = []
+    for w in range(1, 1001):
+        try:
+            model_params(NetworkLayout(w, blocks, conventions=conventions), block)
+        except ValidationError:
+            continue
+        widths.append(w)
+    return tuple(widths)
+
+
+# the full product, 253 blocks by 40 layouts, is about 10 M calls and
+# minutes; each example sweeps all 1,000 widths of one block and layout
+@settings(max_examples=60, deadline=None)
+@given(
+    block=_block_strategy(st.tuples(st.integers(2, 12), st.integers(2, 12))),
+    blocks=st.sampled_from([1, 2, 3, 8, 16]),
+    conventions=st.builds(Conventions, st.booleans(), st.booleans(), st.booleans()),
+)
+@example(BlockSpec("pwg+dw+pwg", (12, 11)), 16, Conventions(False, True, True))
+@example(BlockSpec("gc+pwg", (32, 31)), 3, Conventions(False, False, False))
+def test_feasible_widths_depend_on_the_block_alone(block, blocks, conventions):
+    # what `_lattice(block)`, judged at one block per stage and the default
+    # conventions, rests on
+    assert _feasible_widths(block, blocks, conventions) == _feasible_widths(block)
 
 
 def _outcome(solve, *args):
@@ -255,7 +289,7 @@ def _outcome(solve, *args):
 @example(BlockSpec("pwg+dw+pwg", (31, 29)), 1, Conventions(), 1_000, True)
 def test_solve_width_matches_the_bisection(block, blocks, conventions, budget, fresh):
     if fresh:  # the progression is found again, not read from the cache
-        sizer._LATTICES.clear()
+        sizer._lattice.cache_clear()
     want = _outcome(solve_width_bisect, budget, block, blocks, conventions)
     assert _outcome(solve_width, budget, block, blocks, conventions) == want
 
@@ -271,6 +305,25 @@ def test_solve_width_matches_the_bisection(block, blocks, conventions, budget, f
 def test_solve_width_past_the_grid_cap(budget, block, width, params):
     report = solve_width(budget, block)
     assert (report.width, report.total_params) == (width, params)
+
+
+def test_solve_width_finds_a_far_lattice_in_few_probes(monkeypatch):
+    # w0 = m = 65,024: a scan from width 1 makes about 130,000 probes
+    calls = []
+
+    def counting(layout, block):
+        calls.append(layout.width)
+        return model_params(layout, block)
+
+    sizer._lattice.cache_clear()
+    monkeypatch.setattr(sizer, "model_params", counting)
+    block = BlockSpec("pwg+dw+pwg", (128, 127))
+    report = solve_width(10**13, block)
+    assert (report.width, report.total_params) == (455_168, 9_240_736_529_920)
+    assert len(calls) <= 40
+    calls.clear()
+    assert solve_width(10**13, block) == report
+    assert len(calls) == 5
 
 
 def _breaking(real, widths, total=None):
@@ -295,9 +348,7 @@ GUARD_BUDGET, GUARD_WIDTH = 2_000_000, 59
 def _guard_cases(real):
     return {
         # only width 1 is feasible
-        "lattice": (
-            _breaking(real, range(2, GUARD_BUDGET + 1)), "no feasible width from 1 \\+ 1 to 2 \\* 1"
-        ),
+        "lattice": (_breaking(real, range(2, GUARD_BUDGET + 1)), "standard: width 8 is not feasible"),
         "off-lattice": (_breaking(real, {3}), "k = 2 is not feasible: refused"),
         "growth": (
             lambda layout, block: replace(real(layout, block), total_params=8000),
@@ -312,10 +363,12 @@ def _guard_cases(real):
 
 
 @pytest.mark.parametrize("guard", list(_guard_cases(model_params)))
-def test_solve_width_structure_guard(monkeypatch, guard):
+def test_solve_width_structure_guard(monkeypatch, request, guard):
     # pytest.raises, not assert: the test holds under python -O too
     fake, message = _guard_cases(model_params)[guard]
-    monkeypatch.setattr(sizer, "_LATTICES", {})
+    # the progression is found through the fake, and forgotten after
+    sizer._lattice.cache_clear()
+    request.addfinalizer(sizer._lattice.cache_clear)
     monkeypatch.setattr(sizer, "model_params", fake)
     with pytest.raises(RuntimeError, match=message):
         solve_width(GUARD_BUDGET, BlockSpec("standard"), 1)
