@@ -19,13 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .efficiency import (
-    Family, UnderBudgetError, design_kernels, design_name, plan_layers,
-)
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
+from .efficiency import Family, UnderBudgetError, design_kernels, design_name, plan_layers
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, param_count
 
 STAGE_COUNT = 4
 STAGE_RESOLUTIONS = (56, 28, 14, 7)
@@ -33,8 +30,7 @@ STEM_RESOLUTION = 112
 NUM_CLASSES = 1000
 
 
-@dataclass(frozen=True)
-class Conventions:
+class Conventions(NamedTuple):
     include_projections: bool = True
     include_batchnorm: bool = False
     include_bias: bool = False
@@ -48,45 +44,51 @@ class Conventions:
         return ", ".join(bits)
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """One block: a standard convolution or a design-family instance."""
+@functools.lru_cache(maxsize=256)
+def _design(
+    kind: str, groups: Optional[tuple[int, int]]
+) -> tuple[Optional[Family], tuple[Kernel, ...]]:
+    """A block's family (None for the standard convolution) and kernels:
+    `BlockSpec` stores neither, and each `model_params` call reads them."""
+    name = design_name(kind)
+    return (None if name == "standard" else Family(name)), tuple(design_kernels(name, groups))
+
+
+def _lay_out(family: Optional[Family], kernels: Sequence[Kernel], c: int, f: int) -> list[LayerSpec]:
+    if family is None:
+        return [LayerSpec(kernels[0], c, f)]
+    return plan_layers(family, kernels, c, f)
+
+
+@checked
+class BlockSpec(NamedTuple):
+    """One block: a standard convolution or a design-family instance, its
+    name in any case."""
 
     kind: str
     groups: Optional[tuple[int, int]] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", design_name(self.kind))
-        # the kernels and the family are resolved here, once, and are not
-        # fields: `model_params` lays a block out twice per stage.  A group
-        # number no kernel accepts would leave no feasible width for
-        # `solve_width` to find, so it is rejected here
-        object.__setattr__(self, "_kernels", tuple(design_kernels(self.kind, self.groups)))
-        family = None if self.kind == "standard" else Family(self.kind)
-        object.__setattr__(self, "_family", family)
-
-    @property
-    def kernels_per_block(self) -> int:
-        return len(self._kernels)
+    def _check(self) -> None:
+        # a group number no kernel accepts would leave `solve_width` no feasible width
+        _design(self.kind, self.groups)
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
-        if self._family is None:
-            return [LayerSpec(self._kernels[0], c, f)]
-        return plan_layers(self._family, self._kernels, c, f)
+        return _lay_out(*_design(*self), c, f)
 
     def describe(self) -> str:
+        name = design_name(self.kind)
         if self.groups is None:
-            return self.kind
-        return f"{self.kind} (M={self.groups[0]}, N={self.groups[1]})"
+            return name
+        return f"{name} (M={self.groups[0]}, N={self.groups[1]})"
 
 
-@dataclass(frozen=True)
-class NetworkLayout:
+@checked
+class NetworkLayout(NamedTuple):
     width: int
     blocks_per_stage: int = 8
     conventions: Conventions = Conventions()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.width < 1:
             raise ValidationError("width must be positive")
         if self.blocks_per_stage < 1:
@@ -96,8 +98,7 @@ class NetworkLayout:
         return self.width * (2 ** stage)
 
 
-@dataclass(frozen=True)
-class SizingReport:
+class SizingReport(NamedTuple):
     width: int
     depth: int
     total_params: int
@@ -119,32 +120,26 @@ class SizingReport:
 
 def depth_of(block: BlockSpec, blocks_per_stage: int) -> int:
     """Counted layers: stem conv + every block kernel + the classifier."""
-    return 1 + STAGE_COUNT * blocks_per_stage * block.kernels_per_block + 1
+    return 1 + STAGE_COUNT * blocks_per_stage * len(_design(*block)[1]) + 1
 
 
-def _layer_totals(layer: LayerSpec, conv: Conventions, r: int) -> tuple[int, int]:
-    """Parameters and MACs of one layer at output size r x r.  Its weights
-    are counted once: the MACs are `flop_count`'s, one per weight per
-    output position."""
+def _layer_totals(layer: LayerSpec, extra: int, r: int) -> tuple[int, int]:
+    """Parameters and MACs of one layer at output size r x r, with `extra`
+    batch-norm and bias parameters per output channel.  Its weights are
+    counted once: the MACs are `flop_count`'s, one per weight per output
+    position."""
     weights = param_count(layer)
-    p = weights
-    if conv.include_batchnorm:
-        p += 2 * layer.out_channels
-    if conv.include_bias:
-        p += layer.out_channels
-    return p, weights * r * r
+    return weights + extra * layer.out_channels, weights * r * r
 
 
-def _block_totals(
-    layers: list[LayerSpec], conv: Conventions, res_in: int, res_out: int
-) -> tuple[int, int]:
+def _block_totals(layers: list[LayerSpec], extra: int, r_in: int, r_out: int) -> tuple[int, int]:
     """Parameters and MACs of one block; layers before the striding spatial
     kernel run at the input resolution."""
     first_spatial = next((i for i, l in enumerate(layers) if l.kernel.kind.is_spatial), 0)
     params = macs = 0
     for i, layer in enumerate(layers):
-        r = res_in if (res_in != res_out and i < first_spatial) else res_out
-        p, m = _layer_totals(layer, conv, r)
+        r = r_in if (r_in != r_out and i < first_spatial) else r_out
+        p, m = _layer_totals(layer, extra, r)
         params, macs = params + p, macs + m
     return params, macs
 
@@ -152,9 +147,11 @@ def _block_totals(
 def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     """Exact whole-model parameter and MAC totals under the layout."""
     conv = layout.conventions
+    # the batch-norm and bias parameters of each output channel of a layer
+    extra = (2 if conv.include_batchnorm else 0) + (1 if conv.include_bias else 0)
+    family, kernels = _design(*block)
     w = layout.width
-    stem_layer = LayerSpec(Kernel(Kind.STANDARD), 3, w)
-    stem, macs = _layer_totals(stem_layer, conv, STEM_RESOLUTION)
+    stem, macs = _layer_totals(LayerSpec(Kernel(Kind.STANDARD), 3, w), extra, STEM_RESOLUTION)
 
     stage_params: list[int] = []
     projections = 0
@@ -171,25 +168,21 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
             if not count:
                 continue
             try:
-                layers = block.layers(c, width_out)
+                layers = _lay_out(family, kernels, c, width_out)
             except ValidationError as err:
-                raise ValidationError(
-                    f"stage {s + 1}, block {b + 1}: {err}"
-                ) from err
-            params, block_macs = _block_totals(layers, conv, r_in, res_out)
+                raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
+            params, block_macs = _block_totals(layers, extra, r_in, res_out)
             total += count * params
             macs += count * block_macs
         if s and conv.include_projections:
             proj = LayerSpec(Kernel(Kind.POINTWISE), width_in, width_out)
-            params, proj_macs = _layer_totals(proj, conv, res_out)
+            params, proj_macs = _layer_totals(proj, extra, res_out)
             projections += params
             macs += proj_macs
         stage_params.append(total)
 
     head_width = layout.stage_width(STAGE_COUNT - 1)
-    head = head_width * NUM_CLASSES
-    if conv.include_bias:
-        head += NUM_CLASSES
+    head = head_width * NUM_CLASSES + (NUM_CLASSES if conv.include_bias else 0)
     macs += head_width * NUM_CLASSES
 
     total_params = stem + sum(stage_params) + projections + head
@@ -208,9 +201,7 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
 
 
 def solve_width(
-    budget: int,
-    block: BlockSpec,
-    blocks_per_stage: int = 8,
+    budget: int, block: BlockSpec, blocks_per_stage: int = 8,
     conventions: Conventions = Conventions(),
 ) -> SizingReport:
     """Largest feasible width whose model total fits the parameter budget.
@@ -241,7 +232,7 @@ def solve_width(
 
     def probe(k: int) -> SizingReport:
         try:
-            return model_params(replace(layout, width=w0 + k * m), block)
+            return model_params(layout._replace(width=w0 + k * m), block)
         except ValidationError as err:
             raise RuntimeError(f"{where}: k = {k} is not feasible: {err}") from err
 

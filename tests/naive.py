@@ -46,7 +46,7 @@ kernel), `TensorShape`, and one kernel constructor per kind.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -522,7 +522,7 @@ def solve_width_bisect(
         report = None
         for w in range(mid, lo, -1):
             try:
-                report = model_params(replace(layout, width=w), block)
+                report = model_params(layout._replace(width=w), block)
                 break
             except ValidationError:
                 continue

@@ -389,16 +389,18 @@ def _loaded_modules(code, *argv):
     "argv, needed, unloaded",
     [
         (["search", "--max-len", "1"], "skdesign.search",
-         {"dataclasses", "fractions", "skdesign.oracles", "skdesign.sizer", "skdesign.verify"}),
+         {"dataclasses", "fractions", "inspect", "skdesign.oracles", "skdesign.sizer",
+          "skdesign.verify"}),
         (["verify", "--c-max", "4", "--len-max", "1"], "skdesign.oracles",
-         {"dataclasses", "fractions", "skdesign.search", "skdesign.sizer"}),
+         {"dataclasses", "fractions", "inspect", "skdesign.search", "skdesign.sizer"}),
         (["analyze", "gc+pwg", "--c", "36", "--f", "36"], "skdesign.oracles",
-         {"skdesign.search", "skdesign.verify"}),
+         {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
         (["size", "--family", "dw+pw", "--width", "64"], "skdesign.sizer",
-         {"skdesign.search", "skdesign.verify"}),
+         {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
         (["width", "--family", "pwg+dw+pwg", "--groups", "4,4", "--budget", "11300000"],
-         "skdesign.sizer", {"skdesign.search", "skdesign.verify"}),
-        (["graph", "dw+pw"], "skdesign.oracles", {"skdesign.search", "skdesign.verify"}),
+         "skdesign.sizer", {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
+        (["graph", "dw+pw"], "skdesign.oracles",
+         {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
     ],
 )
 def test_search_and_verify_load_only_what_they_run(argv, needed, unloaded):
@@ -461,3 +463,25 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
     proc.stderr.close()
     assert proc.wait() == EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+def test_graph_prints_its_table_as_it_is_made():
+    # 25 MB of DOT: joined whole before printing, it peaked at about 110 MB.
+    # A small parent reads the peak through os.wait4, as perfbench does: a
+    # child's ru_maxrss starts at the size of the process that spawned it
+    measure = (
+        "import os, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'skdesign.cli', *sys.argv[1:]]\n"
+        "proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(proc.returncode, usage.ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", measure, "graph", "pw+dw+pw", "--channels", "600"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    assert peak_kib < 30 * 1024

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -161,7 +160,7 @@ def test_a_group_tuple_of_the_wrong_length_is_a_validation_error(groups):
 def test_block_layers_are_the_family_layers_and_add_no_field():
     # `BlockSpec` resolves its design once; what it lays out must still be
     # what `layers_for` builds, also for a copy with other group numbers
-    assert [f.name for f in fields(BlockSpec)] == ["kind", "groups"]
+    assert BlockSpec._fields == ("kind", "groups")
     for block in SCAN_BLOCKS:
         for c, f in ((32, 32), (16, 32)):
             if block.kind == "standard":
@@ -169,7 +168,7 @@ def test_block_layers_are_the_family_layers_and_add_no_field():
             else:
                 want = layers_for(Family(block.kind), c, f, block.groups)
             assert block.layers(c, f) == want, (block, c, f)
-    regrouped = replace(BlockSpec("gc+pwg", (4, 2)), groups=(2, 4))
+    regrouped = BlockSpec("gc+pwg", (4, 2))._replace(groups=(2, 4))
     assert regrouped.layers(16, 16) == layers_for(Family.GC_PWG, 16, 16, (2, 4))
 
 
@@ -335,7 +334,7 @@ def _breaking(real, widths, total=None):
             return real(layout, block)
         if total is None:
             raise ValidationError("refused")
-        return replace(real(layout, block), total_params=total)
+        return real(layout, block)._replace(total_params=total)
 
     return fake
 
@@ -351,7 +350,7 @@ def _guard_cases(real):
         "lattice": (_breaking(real, range(2, GUARD_BUDGET + 1)), "standard: width 8 is not feasible"),
         "off-lattice": (_breaking(real, {3}), "k = 2 is not feasible: refused"),
         "growth": (
-            lambda layout, block: replace(real(layout, block), total_params=8000),
+            lambda layout, block: real(layout, block)._replace(total_params=8000),
             "do not grow as a convex quadratic",
         ),
         "over-budget": (_breaking(real, {GUARD_WIDTH}, GUARD_BUDGET + 1), "k = 58 is over budget"),

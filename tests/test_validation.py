@@ -81,6 +81,18 @@ def _pw(c_in, c_out):
             lambda: SearchConfig._make((6, 64, 0, True, True)), ValidationError,
             "reference channel counts must be positive", id="SearchConfig._make",
         ),
+        pytest.param(
+            lambda: sizer.NetworkLayout(8)._replace(width=0), ValidationError,
+            "width must be positive", id="NetworkLayout._replace",
+        ),
+        pytest.param(
+            lambda: sizer.NetworkLayout._make((8, 0, sizer.Conventions())), ValidationError,
+            "blocks_per_stage must be >= 1", id="NetworkLayout._make",
+        ),
+        pytest.param(
+            lambda: sizer.BlockSpec("gc+pwg", (4, 2))._replace(groups=(4,)), ValidationError,
+            "gc+pwg needs group numbers (M, N), got (4,)", id="BlockSpec._replace",
+        ),
     ],
 )
 def test_each_check_raises_its_own_message(call, error, message):
@@ -107,6 +119,8 @@ def test_no_field_of_a_value_type_can_be_assigned():
         family.cheapest, family, RemovedFamily("dw+pw", ("dw", "pw"), "rule", "detail"),
         result, optimal_group_numbers(Family.GC_PWG, 8, 8),
         greatest_width(Family.DW_PW, 1000, 1), divisor_grid_min("gc+pwg", 8, 8),
+        sizer.Conventions(), sizer.BlockSpec("gc+pwg", (4, 2)), sizer.NetworkLayout(8),
+        sizer.model_params(sizer.NetworkLayout(8), sizer.BlockSpec("gc+pwg", (4, 2))),
     ]
     for value in values:
         for name in value._fields:
