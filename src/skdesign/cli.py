@@ -323,7 +323,7 @@ def render_dot(layers, name: str = "design") -> str:
     return "\n".join(dot_lines(layers, name))
 
 
-def dot_lines(layers, name: str = "design") -> Iterator[str]:
+def dot_lines(layers, name: str) -> Iterator[str]:
     """DOT drawing of channel connectivity at one spatial slice, line by line.
 
     One node per (layer, channel); edges into each output channel from the
