@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .efficiency import Family, UnderBudgetError, design_kernels, design_name, plan_layers
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, param_count
@@ -54,12 +54,6 @@ def _design(
     return (None if name == "standard" else Family(name)), tuple(design_kernels(name, groups))
 
 
-def _lay_out(family: Optional[Family], kernels: Sequence[Kernel], c: int, f: int) -> list[LayerSpec]:
-    if family is None:
-        return [LayerSpec(kernels[0], c, f)]
-    return plan_layers(family, kernels, c, f)
-
-
 @checked
 class BlockSpec(NamedTuple):
     """One block: a standard convolution or a design-family instance, its
@@ -73,7 +67,10 @@ class BlockSpec(NamedTuple):
         _design(self.kind, self.groups)
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
-        return _lay_out(*_design(*self), c, f)
+        family, kernels = _design(*self)
+        if family is None:
+            return [LayerSpec(kernels[0], c, f)]
+        return plan_layers(family, kernels, c, f)
 
     def describe(self) -> str:
         name = design_name(self.kind)
@@ -132,16 +129,19 @@ def _layer_totals(layer: LayerSpec, extra: int, r: int) -> tuple[int, int]:
     return weights + extra * layer.out_channels, weights * r * r
 
 
-def _block_totals(layers: list[LayerSpec], extra: int, r_in: int, r_out: int) -> tuple[int, int]:
-    """Parameters and MACs of one block; layers before the striding spatial
-    kernel run at the input resolution."""
+@functools.lru_cache(maxsize=1024, typed=True)
+def _block_counts(block: BlockSpec, c: int, f: int) -> tuple[int, int, int]:
+    """A block's weights at (C, F) before its first spatial kernel, the one
+    that strides, and from it on, and its layers' output channels; the
+    layers before that kernel run at the block's input resolution.  Cached
+    because every solve probes the same shapes at its block's basis widths,
+    by type too, since a width of 8.0 equals 8; a layout that fails raises
+    and is not cached."""
+    layers = block.layers(c, f)
     first_spatial = next((i for i, l in enumerate(layers) if l.kernel.kind.is_spatial), 0)
-    params = macs = 0
-    for i, layer in enumerate(layers):
-        r = r_in if (r_in != r_out and i < first_spatial) else r_out
-        p, m = _layer_totals(layer, extra, r)
-        params, macs = params + p, macs + m
-    return params, macs
+    weights = [param_count(layer) for layer in layers]
+    outs = sum(layer.out_channels for layer in layers)
+    return sum(weights[:first_spatial]), sum(weights[first_spatial:]), outs
 
 
 def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
@@ -149,7 +149,6 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     conv = layout.conventions
     # the batch-norm and bias parameters of each output channel of a layer
     extra = (2 if conv.include_batchnorm else 0) + (1 if conv.include_bias else 0)
-    family, kernels = _design(*block)
     w = layout.width
     stem, macs = _layer_totals(LayerSpec(Kernel(Kind.STANDARD), 3, w), extra, STEM_RESOLUTION)
 
@@ -168,12 +167,11 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
             if not count:
                 continue
             try:
-                layers = _lay_out(family, kernels, c, width_out)
+                pre, post, outs = _block_counts(block, c, width_out)
             except ValidationError as err:
                 raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
-            params, block_macs = _block_totals(layers, extra, r_in, res_out)
-            total += count * params
-            macs += count * block_macs
+            total += count * (pre + post + extra * outs)
+            macs += count * (pre * r_in * r_in + post * res_out * res_out)
         if s and conv.include_projections:
             proj = LayerSpec(Kernel(Kind.POINTWISE), width_in, width_out)
             params, proj_macs = _layer_totals(proj, extra, res_out)

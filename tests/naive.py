@@ -39,6 +39,11 @@ assumes nothing about which widths are feasible.  `sizer.solve_width`,
 which reads the model total as a quadratic on the feasible widths, must
 give the same report or raise the same error.
 
+The layer-by-layer model count: `model_params_by_layer` lays out every
+block of every stage and sums its layers one by one, each at its own
+output resolution; `sizer.model_params`, which reads each block shape's
+counts from a cache, must give the same report or raise the same error.
+
 Test helpers that `src/` does not need: `trace` (the field after each
 kernel), `TensorShape`, and one kernel constructor per kind.
 """
@@ -85,7 +90,17 @@ from skdesign.search import (
     _plan_flags,
     sequence_name,
 )
-from skdesign.sizer import Conventions, NetworkLayout, SizingReport, model_params
+from skdesign.sizer import (
+    NUM_CLASSES,
+    STAGE_COUNT,
+    STAGE_RESOLUTIONS,
+    STEM_RESOLUTION,
+    Conventions,
+    NetworkLayout,
+    SizingReport,
+    depth_of,
+    model_params,
+)
 from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
 
 # the node-level walk's input-shape cap
@@ -536,3 +551,51 @@ def solve_width_bisect(
             f"budget {budget} is below the smallest feasible model{smallest}"
         )
     return best
+
+
+def model_params_by_layer(layout: NetworkLayout, block) -> SizingReport:
+    """`sizer.model_params` with every block laid out and every layer
+    counted on its own.  A layer before a strided block's first spatial
+    kernel runs at the block's input resolution."""
+    conv = layout.conventions
+    extra = 2 * conv.include_batchnorm + conv.include_bias
+
+    def counts(layer: LayerSpec, r: int) -> tuple[int, int]:
+        weights = param_count(layer)
+        return weights + extra * layer.out_channels, weights * r * r
+
+    stem, macs = counts(LayerSpec(Kernel(Kind.STANDARD), 3, layout.width), STEM_RESOLUTION)
+    stages, projections = [], 0
+    for s in range(STAGE_COUNT):
+        f, r_out = layout.stage_width(s), STAGE_RESOLUTIONS[s]
+        stage = 0
+        for b in range(layout.blocks_per_stage):
+            first = s and not b
+            c, r_in = (layout.stage_width(s - 1), STAGE_RESOLUTIONS[s - 1]) if first else (f, r_out)
+            try:
+                layers = block.layers(c, f)
+            except ValidationError as err:
+                raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
+            spatial = [layer.kernel.kind.is_spatial for layer in layers]
+            strided = spatial.index(True) if True in spatial else 0
+            for i, layer in enumerate(layers):
+                p, m = counts(layer, r_in if i < strided else r_out)
+                stage, macs = stage + p, macs + m
+        if s and conv.include_projections:
+            p, m = counts(LayerSpec(Kernel(Kind.POINTWISE), layout.stage_width(s - 1), f), r_out)
+            projections, macs = projections + p, macs + m
+        stages.append(stage)
+    head_width = layout.stage_width(STAGE_COUNT - 1)
+    head = head_width * NUM_CLASSES + NUM_CLASSES * conv.include_bias
+    return SizingReport(
+        width=layout.width,
+        depth=depth_of(block, layout.blocks_per_stage),
+        total_params=stem + sum(stages) + projections + head,
+        total_macs=macs + head_width * NUM_CLASSES,
+        stem_params=stem,
+        stage_params=tuple(stages),
+        projection_params=projections,
+        head_params=head,
+        conventions=conv,
+        block=block.describe(),
+    )

@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from naive import solve_width_bisect
+from naive import model_params_by_layer, solve_width_bisect
 from skdesign import sizer
 from skdesign.efficiency import Family, UnderBudgetError, design_kernels, layers_for
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
@@ -23,6 +24,23 @@ from skdesign.sizer import (
 )
 
 NOPROJ = Conventions(include_projections=False)
+
+
+def _forget():
+    """Empty the sizer's caches: each block's progression and each block
+    shape's counts."""
+    sizer._lattice.cache_clear()
+    sizer._block_counts.cache_clear()
+
+
+@pytest.fixture
+def forget():
+    """Run on empty sizer caches and leave them empty, so that no fake or
+    counter reads an entry another test made, and no later test reads one
+    made through a fake."""
+    _forget()
+    yield
+    _forget()
 
 
 def test_depth_examples():
@@ -287,8 +305,8 @@ def _outcome(solve, *args):
 @example(BlockSpec("gc+pwg", (4, 2)), 8, Conventions(), 100_000, True)
 @example(BlockSpec("pwg+dw+pwg", (31, 29)), 1, Conventions(), 1_000, True)
 def test_solve_width_matches_the_bisection(block, blocks, conventions, budget, fresh):
-    if fresh:  # the progression is found again, not read from the cache
-        sizer._lattice.cache_clear()
+    if fresh:  # the progression and the block counts are found again
+        _forget()
     want = _outcome(solve_width_bisect, budget, block, blocks, conventions)
     assert _outcome(solve_width, budget, block, blocks, conventions) == want
 
@@ -306,7 +324,7 @@ def test_solve_width_past_the_grid_cap(budget, block, width, params):
     assert (report.width, report.total_params) == (width, params)
 
 
-def test_solve_width_finds_a_far_lattice_in_few_probes(monkeypatch):
+def test_solve_width_finds_a_far_lattice_in_few_probes(monkeypatch, forget):
     # w0 = m = 65,024: a scan from width 1 makes about 130,000 probes
     calls = []
 
@@ -314,7 +332,6 @@ def test_solve_width_finds_a_far_lattice_in_few_probes(monkeypatch):
         calls.append(layout.width)
         return model_params(layout, block)
 
-    sizer._lattice.cache_clear()
     monkeypatch.setattr(sizer, "model_params", counting)
     block = BlockSpec("pwg+dw+pwg", (128, 127))
     report = solve_width(10**13, block)
@@ -323,6 +340,73 @@ def test_solve_width_finds_a_far_lattice_in_few_probes(monkeypatch):
     calls.clear()
     assert solve_width(10**13, block) == report
     assert len(calls) == 5
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except (UnderBudgetError, ValidationError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@st.composite
+def _widths(draw, block):
+    """Any width to 512, most of them infeasible for a grouped block, or a
+    multiple of 8 * M * N, which every block accepts."""
+    unit = 8 * math.prod(block.groups or ())
+    return draw(st.one_of(st.integers(1, 512), st.integers(1, 4).map(lambda k: k * unit)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block_width=_block_strategy(st.tuples(st.integers(2, 16), st.integers(2, 16))).flatmap(
+        lambda block: st.tuples(st.just(block), _widths(block))
+    ),
+    blocks=st.integers(1, 16),
+    conventions=st.builds(Conventions, st.booleans(), st.booleans(), st.booleans()),
+    budget=st.integers(0, 1000).map(lambda i: int(1e3 * 1e7 ** (i / 1000))),
+)
+def test_cached_block_counts_change_no_answer(block_width, blocks, conventions, budget):
+    # on the caches earlier examples left, on empty ones, on warm ones and
+    # laid out layer by layer: the same reports and the same error text,
+    # stage, block and layer included
+    block, width = block_width
+    layout = NetworkLayout(width, blocks, conventions)
+    calls = [(model_params, layout, block), (solve_width, budget, block, blocks, conventions)]
+    before = [_answer(*call) for call in calls]
+    _forget()
+    cold = [_answer(*call) for call in calls]
+    assert before == cold
+    assert [_answer(*call) for call in calls] == cold
+    assert _answer(model_params_by_layer, layout, block) == cold[0]
+
+
+def test_an_int_width_reads_no_counts_laid_out_at_a_float_one(forget):
+    # 8.0 == 8 and both hash alike; the float counts must not reach 8
+    block = BlockSpec("gc+pwg", (2, 2))
+    model_params(NetworkLayout(8.0, 1), block)
+    report = model_params(NetworkLayout(8, 1), block)
+    assert [type(p) for p in report.stage_params] == [int] * 4
+
+
+@pytest.mark.parametrize("block", [*UNGROUPED, BlockSpec("gc+pwg", (4, 2)), BlockSpec("pwg+dw+pwg", (31, 29))])
+def test_a_second_solve_lays_out_only_its_answer_and_the_next_width(monkeypatch, forget, block):
+    # a solve probes its block's basis widths w0, w0 + m and w0 + 2m, the
+    # same for every budget, blocks per stage and convention set, then the
+    # answer and the width after it; a block has at most 7 shapes (C, F)
+    shapes = []
+    lay_out = BlockSpec.layers
+
+    def counting(self, c, f):
+        shapes.append((c, f))
+        return lay_out(self, c, f)
+
+    monkeypatch.setattr(BlockSpec, "layers", counting)
+    solve_width(10**10, block, 2)
+    assert len(shapes) >= 3 * 7
+    shapes.clear()
+    solve_width(3 * 10**10, block, 16, Conventions(False, True, True))
+    assert 0 < len(shapes) <= 2 * 7
 
 
 def _breaking(real, widths, total=None):
@@ -362,12 +446,10 @@ def _guard_cases(real):
 
 
 @pytest.mark.parametrize("guard", list(_guard_cases(model_params)))
-def test_solve_width_structure_guard(monkeypatch, request, guard):
+def test_solve_width_structure_guard(monkeypatch, forget, guard):
     # pytest.raises, not assert: the test holds under python -O too
     fake, message = _guard_cases(model_params)[guard]
-    # the progression is found through the fake, and forgotten after
-    sizer._lattice.cache_clear()
-    request.addfinalizer(sizer._lattice.cache_clear)
+    # the progression is found through the fake, and `forget` forgets it after
     monkeypatch.setattr(sizer, "model_params", fake)
     with pytest.raises(RuntimeError, match=message):
         solve_width(GUARD_BUDGET, BlockSpec("standard"), 1)
