@@ -318,11 +318,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def render_dot(layers, name: str = "design") -> str:
-    """The DOT text of `dot_lines`."""
-    return "\n".join(dot_lines(layers, name))
-
-
 def dot_lines(layers, name: str) -> Iterator[str]:
     """DOT drawing of channel connectivity at one spatial slice, line by line.
 

@@ -234,7 +234,7 @@ def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
     if not family.has_group_freedom:
         raise ValidationError(f"{family.value} has no group numbers to optimize")
     _check_bottleneck_width(family, f)
-    grid = oracles.divisor_grid_min(family.value, c, f, constraint="le")
+    grid = oracles.divisor_grid_min(family.value, c, f)
     if family is Family.GC_PWG:
         n = math.sqrt(f) / 3.0
         continuous, condition = (c / n, n), "M*N = C and N = sqrt(F)/3"
@@ -318,7 +318,7 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
         f = c * p // q
         try:
             if family.has_group_freedom:
-                params = oracles.divisor_grid_min(family.value, c, f, constraint="le").value
+                params = oracles.divisor_grid_min(family.value, c, f).value
             else:
                 params = family_params(family, c, f)
         except ValidationError:  # no legal design at this width

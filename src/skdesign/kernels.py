@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from typing import NamedTuple
 
 
@@ -159,6 +160,12 @@ def slot_layers(kind: Kind, c_in: int, c_out: int) -> tuple[tuple[LayerSpec, int
             continue
         slots.append((layer, param_count(layer)))
     return tuple(slots)
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending: each d up to isqrt(n) with its pair n // d."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def flop_count(layer: LayerSpec, out_spatial: tuple[int, int]) -> int:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt
 from typing import NamedTuple, Sequence
 
-from .kernels import Kind, LayerSpec, ValidationError
+from .kernels import Kind, LayerSpec, ValidationError, divisors
 
 MAX_ORACLE_CHANNELS = 16
 MAX_GRID_CHANNELS = 4096
@@ -180,12 +179,6 @@ class GridMinResult(NamedTuple):
     value: int
 
 
-def _divisors(n: int) -> list[int]:
-    """The divisors of n, ascending: each d up to isqrt(n) with its pair n // d."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
 def gc_pwg_params(c: int, f: int, m: int, n: int) -> int:
     """9*C^2/M + C*F/N: grouped spatial kernel at width C, grouped 1x1 to F."""
     return 9 * c * c // m + c * f // n
@@ -208,16 +201,16 @@ def feasible_pairs(
     number divides both widths of its layer.
     """
     if family == "gc+pwg":
-        divisors = _divisors(c)
-        ms = [d for d in divisors if 2 <= d <= c - 1]
-        ns = [d for d in divisors if d >= 2 and f % d == 0]
+        ds = divisors(c)
+        ms = [d for d in ds if 2 <= d <= c - 1]
+        ns = [d for d in ds if d >= 2 and f % d == 0]
         bound = c
     elif family == "pwg+dw+pwg":
         if f % 4:
             raise ValidationError(f"bottleneck width requires 4 | F, got F={f}")
         k = f // 4
-        ms = [d for d in _divisors(c) if d >= 2 and k % d == 0]
-        ns = [d for d in _divisors(k) if d >= 2]
+        ms = [d for d in divisors(c) if d >= 2 and k % d == 0]
+        ns = [d for d in divisors(k) if d >= 2]
         bound = k
     else:
         raise ValidationError(f"family {family!r} has no group freedom")
@@ -232,9 +225,9 @@ def feasible_pairs(
     return pairs
 
 
-def divisor_grid_min(objective: str, c: int, f: int, constraint: str = "le") -> GridMinResult:
+def divisor_grid_min(objective: str, c: int, f: int) -> GridMinResult:
     """Exhaustive minimum of a family's exact integer parameter count over
-    its feasible group pairs.
+    its group pairs within the information-field bound (`feasible_pairs`' "le").
 
     `objective` is the family name, "gc+pwg" or "pwg+dw+pwg".  Returns every
     minimizer.
@@ -244,7 +237,7 @@ def divisor_grid_min(objective: str, c: int, f: int, constraint: str = "le") -> 
     if objective not in ("gc+pwg", "pwg+dw+pwg"):
         raise ValidationError(f"unknown objective {objective!r}")
     fn = gc_pwg_params if objective == "gc+pwg" else pwg_dw_pwg_params
-    pairs = feasible_pairs(objective, c, f, constraint)
+    pairs = feasible_pairs(objective, c, f, "le")
     if not pairs:
         raise ValidationError(f"no feasible (M, N) pairs for C={c}, F={f}")
     values = [(fn(c, f, m, n), (m, n)) for m, n in pairs]

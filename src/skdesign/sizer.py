@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .efficiency import Family, UnderBudgetError, design_kernels, design_name, plan_layers
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, param_count
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, divisors, param_count
 
 STAGE_COUNT = 4
 STAGE_RESOLUTIONS = (56, 28, 14, 7)
@@ -86,6 +86,9 @@ class NetworkLayout(NamedTuple):
     conventions: Conventions = Conventions()
 
     def _check(self) -> None:
+        for name, value in zip(self._fields, self[:2]):
+            if not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.width < 1:
             raise ValidationError("width must be positive")
         if self.blocks_per_stage < 1:
@@ -129,14 +132,13 @@ def _layer_totals(layer: LayerSpec, extra: int, r: int) -> tuple[int, int]:
     return weights + extra * layer.out_channels, weights * r * r
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
+@functools.lru_cache(maxsize=1024)
 def _block_counts(block: BlockSpec, c: int, f: int) -> tuple[int, int, int]:
     """A block's weights at (C, F) before its first spatial kernel, the one
     that strides, and from it on, and its layers' output channels; the
     layers before that kernel run at the block's input resolution.  Cached
-    because every solve probes the same shapes at its block's basis widths,
-    by type too, since a width of 8.0 equals 8; a layout that fails raises
-    and is not cached."""
+    because every solve probes the same shapes at its block's basis widths;
+    a layout that fails raises and is not cached."""
     layers = block.layers(c, f)
     first_spatial = next((i for i, l in enumerate(layers) if l.kernel.kind.is_spatial), 0)
     weights = [param_count(layer) for layer in layers]
@@ -288,11 +290,6 @@ def _lattice(block: BlockSpec) -> tuple[int, int]:
         raise RuntimeError(f"{block.describe()}: width {top} is not feasible")
     # m | top, so top + d for a divisor d is feasible exactly when m | d.  If
     # none is, w0 = m = top, and solve_width's probe of 2 * top refuses it
-    m = next((d for d in _divisors(top) if feasible(top + d)), top)
+    m = next((d for d in divisors(top) if feasible(top + d)), top)
     return next(w for w in range(m, top + 1, m) if feasible(w)), m
 
-
-def _divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, ascending."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
-    return small + [n // d for d in reversed(small) if d * d != n]

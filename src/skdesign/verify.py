@@ -15,6 +15,8 @@ Two suites:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import oracles
 from .infofield import InfoField, propagate
 from .kernels import SK_ALPHABET, ValidationError, slot_layers
@@ -22,25 +24,17 @@ from .kernels import SK_ALPHABET, ValidationError, slot_layers
 # both suites start at this channel count
 MIN_CHANNELS = 4
 INFOFIELD_CHANNELS = (MIN_CHANNELS, 8, 12, 16)
+# the infofield walk recurses once per layer, well under the interpreter's
+# recursion limit
+MAX_INFOFIELD_LENGTH = 256
 
 
-class VerifyResult:
-    """A suite's name, cases checked and counterexamples; mutable, so unhashable."""
+class VerifyResult(NamedTuple):
+    """A suite's name, cases checked and counterexamples; the list makes it unhashable."""
 
-    __slots__ = ("name", "checked", "counterexamples")
-    __hash__ = None
-
-    def __init__(self, name: str, checked: int = 0, counterexamples: list[str] | None = None):
-        self.name, self.checked = name, checked
-        self.counterexamples = [] if counterexamples is None else counterexamples
-
-    def __eq__(self, other: object) -> bool:
-        same = type(other) is VerifyResult
-        return same and all(getattr(self, a) == getattr(other, a) for a in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{a}={getattr(self, a)!r}" for a in self.__slots__)
-        return f"VerifyResult({fields})"
+    name: str
+    checked: int
+    counterexamples: list[str]
 
     @property
     def passed(self) -> bool:
@@ -76,18 +70,16 @@ def verify_theorem1(c_max: int = 64) -> VerifyResult:
             f"c_max {c_max} is past the theorem1 suite's cap: it checks F = 4C on "
             f"grids of at most {oracles.MAX_GRID_CHANNELS} channels, so C is at most {c_top}"
         )
-    result = VerifyResult("theorem1")
-    for c in range(MIN_CHANNELS, c_max + 1, 2):
-        for f in (c, 2 * c, 4 * c):
-            grid = oracles.divisor_grid_min("gc+pwg", c, f, constraint="le")
-            result.checked += 1
-            bad = [(m, n) for m, n in grid.minimizers if m * n != c]
-            if bad:
-                result.counterexamples.append(
-                    f"C={c}, F={f}: minimizers {bad} have M*N != C "
-                    f"(min value {grid.value})"
-                )
-    return result
+    cases = [(c, f) for c in range(MIN_CHANNELS, c_max + 1, 2) for f in (c, 2 * c, 4 * c)]
+    counterexamples = []
+    for c, f in cases:
+        grid = oracles.divisor_grid_min("gc+pwg", c, f)
+        bad = [(m, n) for m, n in grid.minimizers if m * n != c]
+        if bad:
+            counterexamples.append(
+                f"C={c}, F={f}: minimizers {bad} have M*N != C (min value {grid.value})"
+            )
+    return VerifyResult("theorem1", len(cases), counterexamples)
 
 
 def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
@@ -95,13 +87,15 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
 
     A design's verdict and those of its extensions depend only on the state
     its prefix reaches: the calculus field, the oracle's extent, and the
-    oracle's reach in the order the next layer reads it.  So one level loop
-    per channel count checks each distinct (state, slot) pair of each depth
-    once, with one `propagate`, one `reach_first` and, below the last depth,
-    one `reach_step`; a disagreement is expanded to every design whose
-    prefix reaches that state."""
+    oracle's reach in the order the next layer reads it.  So a depth-first
+    walk per channel count, memoized by (state, layers left), checks each
+    distinct pair once (`_failing`) and lists the failing designs below it."""
     _check_c_max(c_max)
-    result = VerifyResult("infofield")
+    if len_max > MAX_INFOFIELD_LENGTH:
+        raise ValidationError(
+            f"len_max {len_max} is past the infofield suite's cap of {MAX_INFOFIELD_LENGTH}"
+        )
+    checked, counterexamples = 0, []
     for c in (c for c in INFOFIELD_CHANNELS if c <= c_max):
         # (kind index, choice index, group, layer)
         slots = [
@@ -110,56 +104,47 @@ def verify_infofield(c_max: int = 16, len_max: int = 4) -> VerifyResult:
             for i, (layer, _) in enumerate(slot_layers(kind, c, c))
         ]
         oracles.check_caps([slot[3] for slot in slots])
-        result.checked += sum(len(slots) ** n for n in range(1, len_max + 1))
-        # levels[d] maps each state reached by d layers to the
-        # (state at d - 1, slot) edges into it
-        levels = [{(InfoField.initial(), 1, tuple(1 << j for j in range(c))): []}]
-        failing = []
-        for depth in range(1, len_max + 1):
-            below = {}
-            for state in levels[-1]:
-                calc, extent, reach = state
-                for slot in slots:
-                    layer = slot[3]
-                    new = propagate(calc, layer, c)
-                    grown = extent + layer.kernel.kind.size - 1
-                    want = (new.spatial_x, new.spatial_y, new.channels)
-                    got = (grown, grown, oracles.reach_first(reach, layer).bit_count())
-                    if got != want:
-                        failing.append((depth - 1, state, slot, want, got))
-                    if depth < len_max:
-                        key = (new, grown, oracles.reach_step(reach, layer))
-                        below.setdefault(key, []).append((state, slot))
-            levels.append(below)
+        checked += sum(len(slots) ** n for n in range(1, len_max + 1))
+        start = (InfoField.initial(), 1, tuple(1 << j for j in range(c)))
+        failing = _failing(c, slots, start, len_max, {}) if len_max > 0 else []
         found = []
-        for level, state, slot, want, got in failing:
-            for prefix in _prefixes(levels, level, state):
-                design = prefix + (slot,)
-                shown = got
-                if c <= oracles.FULL_PERMUTATION_LIMIT:
-                    # the best permutation depends on the layers, not the state
-                    best = oracles.best_permutation_channel_count([s[3] for s in design])
-                    shown = (got[0], got[1], best)
-                    if shown == want:
-                        continue
-                # sorted as itertools.product lists them: by length, kinds, choices
-                ks, choices, groups, _ = zip(*design)
-                seq = "+".join(SK_ALPHABET[k].value for k in ks)
-                text = f"C={c}, {seq} groups={groups}: calculus {want}, graph {shown}"
-                found.append(((len(design), ks, choices), text))
-        result.counterexamples += [text for _, text in sorted(found)]
-    return result
+        for design, want, got in failing:
+            if c <= oracles.FULL_PERMUTATION_LIMIT:
+                # the best permutation depends on the layers, not the state
+                best = oracles.best_permutation_channel_count([s[3] for s in design])
+                got = (got[0], got[1], best)
+                if got == want:
+                    continue
+            # sorted as itertools.product lists them: by length, kinds, choices
+            ks, choices, groups, _ = zip(*design)
+            seq = "+".join(SK_ALPHABET[k].value for k in ks)
+            text = f"C={c}, {seq} groups={groups}: calculus {want}, graph {got}"
+            found.append(((len(design), ks, choices), text))
+        counterexamples += [text for _, text in sorted(found)]
+    return VerifyResult("infofield", checked, counterexamples)
 
 
-def _prefixes(levels: list[dict], depth: int, state: tuple) -> list[tuple]:
-    """Every slot sequence that reaches `state` after `depth` layers."""
-    prefixes = []
-    stack = [(depth, state, ())]
-    while stack:
-        depth, state, suffix = stack.pop()
-        if not depth:
-            prefixes.append(suffix)
-            continue
-        for parent, slot in levels[depth][state]:
-            stack.append((depth - 1, parent, (slot,) + suffix))
-    return prefixes
+def _failing(c: int, slots: list, state: tuple, left: int, memo: dict) -> list[tuple]:
+    """Every design of 1 to `left` slots from `state` whose last layer's
+    calculus and graph triples differ, as (slots, calculus, graph).  Each
+    (state, left) pair is checked once: one `propagate` and one `reach_first`
+    per slot, and one `reach_step` while layers are left below it."""
+    key = (state, left)
+    if key in memo:
+        return memo[key]
+    calc, extent, reach = state
+    failing = []
+    for slot in slots:
+        layer = slot[3]
+        new = propagate(calc, layer, c)
+        grown = extent + layer.kernel.kind.size - 1
+        want = (new.spatial_x, new.spatial_y, new.channels)
+        got = (grown, grown, oracles.reach_first(reach, layer).bit_count())
+        if got != want:
+            failing.append(((slot,), want, got))
+        if left > 1:
+            below = (new, grown, oracles.reach_step(reach, layer))
+            for design, w, g in _failing(c, slots, below, left - 1, memo):
+                failing.append(((slot,) + design, w, g))
+    memo[key] = failing
+    return failing

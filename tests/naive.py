@@ -460,7 +460,7 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
     """The infofield sweep with every design built from scratch, in
     `itertools.product` order."""
     _check_c_max(c_max)
-    result = VerifyResult("infofield")
+    checked, counterexamples = 0, []
     channels = [c for c in INFOFIELD_CHANNELS if c <= c_max]
     for c in channels:
         for length in range(1, len_max + 1):
@@ -471,7 +471,7 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
                     calc = field_of(layers, c)
                     want = (calc.spatial_x, calc.spatial_y, calc.channels)
                     got = reachable_channel_triple(layers)
-                    result.checked += 1
+                    checked += 1
                     if got == want:
                         continue
                     if c <= FULL_PERMUTATION_LIMIT:
@@ -480,11 +480,11 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
                             continue
                         got = (got[0], got[1], best)
                     groups = tuple(layer.kernel.groups for layer in layers)
-                    result.counterexamples.append(
+                    counterexamples.append(
                         f"C={c}, {sequence_name(seq)} groups={groups}: "
                         f"calculus {want}, graph {got}"
                     )
-    return result
+    return VerifyResult("infofield", checked, counterexamples)
 
 
 def greatest_width_scan(family: Family, budget: int, alpha: Fraction | int) -> WidthReport:
@@ -503,7 +503,7 @@ def greatest_width_scan(family: Family, budget: int, alpha: Fraction | int) -> W
             continue
         try:
             if family.has_group_freedom:
-                params = divisor_grid_min(family.value, c, fa.numerator, constraint="le").value
+                params = divisor_grid_min(family.value, c, fa.numerator).value
             else:
                 params = family_params(family, c, fa.numerator)
         except ValidationError:

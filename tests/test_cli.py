@@ -16,8 +16,8 @@ from skdesign.cli import (
     EXIT_ORACLE,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    dot_lines,
     main,
-    render_dot,
 )
 from skdesign.kernels import Kernel, Kind, LayerSpec
 from skdesign.oracles import _input_groups, shuffle_after
@@ -255,7 +255,8 @@ def test_graph_edges_are_the_reads_through_the_interleave():
                         perm = tuple(range(layer.in_channels))
                     for ch, reads in enumerate(_input_groups(layer)):
                         expected.update((li, perm[src], ch) for src in reads)
-                edges = re.findall(r"t(\d+)_c(\d+) -> t\d+_c(\d+)", render_dot(list(design)))
+                dot = "\n".join(dot_lines(design, "design"))
+                edges = re.findall(r"t(\d+)_c(\d+) -> t\d+_c(\d+)", dot)
                 assert {tuple(map(int, e)) for e in edges} == expected, design
 
 

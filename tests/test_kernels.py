@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from naive import TensorShape, depthwise, group_conv, pointwise, pointwise_group, standard
-from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
+from skdesign.kernels import (
+    Kernel,
+    Kind,
+    LayerSpec,
+    ValidationError,
+    divisors,
+    flop_count,
+    param_count,
+)
 
 
 def _kernel_unchecked(kind: Kind, groups: int) -> Kernel:
@@ -124,3 +132,8 @@ def test_param_count_multiplicative_in_out_channels(layer):
         return  # depthwise cost is independent of F by construction
     doubled = LayerSpec(layer.kernel, layer.in_channels, layer.out_channels * 2)
     assert param_count(doubled) == 2 * param_count(layer)
+
+
+def test_divisors_pair_up_to_the_square_root_as_trial_division_lists_them():
+    for n in range(1, 5001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n

@@ -15,7 +15,6 @@ from naive import (
 )
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.oracles import (
-    _divisors,
     _input_groups,
     best_permutation_channel_count,
     divisor_grid_min,
@@ -216,7 +215,7 @@ def test_grid_min_product_condition_at_36():
 
 
 def test_grid_min_bottleneck_family():
-    res = divisor_grid_min("pwg+dw+pwg", 64, 64, constraint="eq")
+    res = divisor_grid_min("pwg+dw+pwg", 64, 64)
     assert res.minimizers == ((4, 4),)
     assert res.value == pwg_dw_pwg_params(64, 64, 4, 4) == 656
 
@@ -231,11 +230,6 @@ def test_grid_min_empty_feasible_set():
         divisor_grid_min("gc+pwg", 5, 5)  # prime channel count has no groups
     with pytest.raises(ValidationError):
         divisor_grid_min("gc+pwg", 8192, 8192)  # above the grid cap
-
-
-def test_divisors_pair_up_to_the_square_root_as_trial_division_lists_them():
-    for n in range(1, 5001):
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
 
 def test_feasible_pairs_obey_constraint_modes():

@@ -381,12 +381,12 @@ def test_cached_block_counts_change_no_answer(block_width, blocks, conventions, 
     assert _answer(model_params_by_layer, layout, block) == cold[0]
 
 
-def test_an_int_width_reads_no_counts_laid_out_at_a_float_one(forget):
-    # 8.0 == 8 and both hash alike; the float counts must not reach 8
-    block = BlockSpec("gc+pwg", (2, 2))
-    model_params(NetworkLayout(8.0, 1), block)
-    report = model_params(NetworkLayout(8, 1), block)
-    assert [type(p) for p in report.stage_params] == [int] * 4
+def test_layout_refuses_a_width_or_block_count_that_is_not_an_int():
+    # a float would be priced with float totals, and share cached counts with its int
+    cases = [(8.0, 1, "width"), (8.5, 1, "width"), (8, 2.0, "blocks_per_stage")]
+    for width, blocks, name in cases:
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            NetworkLayout(width, blocks)
 
 
 @pytest.mark.parametrize("block", [*UNGROUPED, BlockSpec("gc+pwg", (4, 2)), BlockSpec("pwg+dw+pwg", (31, 29))])

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from naive import verify_infofield_per_design
@@ -109,8 +112,8 @@ def test_prefix_walk_propagates_once_per_state_and_slot(monkeypatch):
 def test_theorem1_reports_a_minimizer_off_the_product_condition(monkeypatch, capsys):
     real = oracles.divisor_grid_min
 
-    def off_at_c6_f12(objective, c, f, constraint="le"):
-        grid = real(objective, c, f, constraint)
+    def off_at_c6_f12(objective, c, f):
+        grid = real(objective, c, f)
         if (c, f) == (6, 12):
             return oracles.GridMinResult(grid.minimizers + ((2, 2),), grid.value)
         return grid
@@ -145,12 +148,67 @@ def test_theorem1_rejects_a_c_max_past_the_grid_cap_before_any_grid(monkeypatch)
     assert cli.main(["verify", "--infofield", "--c-max", "2000"]) == cli.EXIT_OK
 
 
-def test_verify_result_compares_by_value_and_stays_mutable():
-    result = verify.VerifyResult("infofield")
-    result.checked += 2
-    result.counterexamples.append("x")
+def test_verify_result_compares_by_value_and_is_unhashable():
+    result = verify.VerifyResult("infofield", 2, ["x"])
     assert result == verify.VerifyResult(name="infofield", checked=2, counterexamples=["x"])
     assert result != verify.VerifyResult("theorem1", 2, ["x"])
     assert repr(result) == "VerifyResult(name='infofield', checked=2, counterexamples=['x'])"
     with pytest.raises(TypeError):
         hash(result)
+
+
+def test_walk_peak_memory_stays_under_the_per_level_edge_lists():
+    # the walk keeps one entry per (state, layers left); the per-level edge
+    # lists it replaced peaked at 2.9 MB here
+    verify_infofield(16, 2)  # fill the slot and read-mask caches
+    tracemalloc.start()
+    try:
+        assert verify_infofield(16, 24).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_walk_states_are_freed_without_a_cyclic_gc_pass(monkeypatch):
+    # the memo and the states in it must go when the sweep returns, by
+    # reference counting alone
+    def alive():
+        return sum(isinstance(o, InfoField) for o in gc.get_objects())
+
+    seen, calls = [], 0
+    real = verify.propagate
+
+    def counting_propagate(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 1_000:
+            seen.append(alive())
+        return real(*args)
+
+    monkeypatch.setattr(verify, "propagate", counting_propagate)
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        assert verify_infofield().passed
+        assert seen[0] > before
+        assert alive() == before
+    finally:
+        gc.enable()
+
+
+def test_infofield_rejects_a_len_max_past_the_walk_cap_before_any_work(monkeypatch, capsys):
+    def no_propagate(*args):
+        raise AssertionError("a layer was propagated")
+
+    monkeypatch.setattr(verify, "propagate", no_propagate)
+    cap = verify.MAX_INFOFIELD_LENGTH
+    with pytest.raises(ValidationError, match=f"cap of {cap}"):
+        verify_infofield(len_max=cap + 1)
+    code = cli.main(["verify", "--infofield", "--len-max", str(cap + 1)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_VALIDATION
+    assert err == (
+        f"validation error: len_max {cap + 1} is past the infofield suite's cap of {cap}\n"
+    )
