@@ -274,6 +274,8 @@ def _continuous_width(family: Family, p: int, alpha: Fraction) -> tuple[float, s
         hi *= 2.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:  # adjacent floats: no later step moves a bound
+            break
         if cost(mid) < p:
             lo = mid
         else:

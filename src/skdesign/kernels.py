@@ -147,13 +147,15 @@ SK_ALPHABET: tuple[Kind, ...] = (
 )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def slot_layers(kind: Kind, c_in: int, c_out: int) -> tuple[tuple[LayerSpec, int], ...]:
     """Every layer of a slot that `LayerSpec` accepts, one per group number,
     with its parameter count: the search prices kernels and the infofield
-    sweep lists them here and nowhere else."""
+    sweep lists them here and nowhere else.  A group number divides both
+    widths, so the candidates are the divisors of their gcd from 2 up; one
+    search fills fewer than 100 entries."""
     slots = []
-    for g in range(2, c_in + 1) if kind.is_grouped else (1,):
+    for g in divisors(math.gcd(c_in, c_out))[1:] if kind.is_grouped else (1,):
         try:
             layer = LayerSpec(Kernel(kind, g), c_in, c_out)
         except ValidationError:

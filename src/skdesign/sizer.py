@@ -28,6 +28,15 @@ STAGE_COUNT = 4
 STAGE_RESOLUTIONS = (56, 28, 14, 7)
 STEM_RESOLUTION = 112
 NUM_CLASSES = 1000
+STEM_AREA = STEM_RESOLUTION ** 2
+# per stage, the output area of its first block's layers before the striding
+# kernel, and of every other layer of the stage
+STAGE_AREAS = tuple(
+    (STAGE_RESOLUTIONS[max(s - 1, 0)] ** 2, r * r) for s, r in enumerate(STAGE_RESOLUTIONS)
+)
+
+# the kernels of the 3x3 stem and of the 1x1 projection shortcuts
+_STEM, _PROJECTION = Kernel(Kind.STANDARD), Kernel(Kind.POINTWISE)
 
 
 class Conventions(NamedTuple):
@@ -87,15 +96,13 @@ class NetworkLayout(NamedTuple):
 
     def _check(self) -> None:
         for name, value in zip(self._fields, self[:2]):
-            if not isinstance(value, int):
+            # a bool is an int that hashes as 0 or 1, and would be priced as one
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.width < 1:
             raise ValidationError("width must be positive")
         if self.blocks_per_stage < 1:
             raise ValidationError("blocks_per_stage must be >= 1")
-
-    def stage_width(self, stage: int) -> int:
-        return self.width * (2 ** stage)
 
 
 class SizingReport(NamedTuple):
@@ -123,74 +130,71 @@ def depth_of(block: BlockSpec, blocks_per_stage: int) -> int:
     return 1 + STAGE_COUNT * blocks_per_stage * len(_design(*block)[1]) + 1
 
 
-def _layer_totals(layer: LayerSpec, extra: int, r: int) -> tuple[int, int]:
-    """Parameters and MACs of one layer at output size r x r, with `extra`
-    batch-norm and bias parameters per output channel.  Its weights are
-    counted once: the MACs are `flop_count`'s, one per weight per output
-    position."""
-    weights = param_count(layer)
-    return weights + extra * layer.out_channels, weights * r * r
+def _counts(layers: list[LayerSpec]) -> tuple[int, int, int]:
+    """The weights of `layers` before their first spatial kernel, the one
+    that strides, and from it on, and their output channels; the layers
+    before that kernel run at a strided block's input resolution."""
+    pre = post = outs = 0
+    for layer in layers:
+        # every layer has weights, so post > 0 once a spatial kernel is counted
+        if post or layer.kernel.kind.is_spatial:
+            post += param_count(layer)
+        else:
+            pre += param_count(layer)
+        outs += layer.out_channels
+    # with no spatial kernel, nothing strides
+    return (pre, post, outs) if post else (0, pre, outs)
 
 
-@functools.lru_cache(maxsize=1024)
-def _block_counts(block: BlockSpec, c: int, f: int) -> tuple[int, int, int]:
-    """A block's weights at (C, F) before its first spatial kernel, the one
-    that strides, and from it on, and its layers' output channels; the
-    layers before that kernel run at the block's input resolution.  Cached
-    because every solve probes the same shapes at its block's basis widths;
-    a layout that fails raises and is not cached."""
-    layers = block.layers(c, f)
-    first_spatial = next((i for i, l in enumerate(layers) if l.kernel.kind.is_spatial), 0)
-    weights = [param_count(layer) for layer in layers]
-    outs = sum(layer.out_channels for layer in layers)
-    return sum(weights[:first_spatial]), sum(weights[first_spatial:]), outs
+@functools.lru_cache(maxsize=512)
+def _layout(block: BlockSpec, width: int, followers: bool) -> tuple[int, ...]:
+    """The `_counts` of the stem, then of each stage's first block, its
+    followers' block (zeros without followers) and its projection shortcut
+    (zeros at stage 1), in one flat tuple.  Cached because every solve
+    probes the same widths and conventions change no layer; a layout that
+    fails raises, naming the stage and block, and is not cached."""
+    counts = [0, param_count(LayerSpec(_STEM, 3, width)), width]
+    for s in range(STAGE_COUNT):
+        f = width << s
+        c = f >> 1 if s else f
+        for b, c_in in enumerate((c, f) if followers else (c,)):
+            try:
+                counts += _counts(block.layers(c_in, f))
+            except ValidationError as err:
+                raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
+        counts += () if followers else (0, 0, 0)
+        counts += (0, param_count(LayerSpec(_PROJECTION, c, f)), f) if s else (0, 0, 0)
+    return tuple(counts)
 
 
 def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
-    """Exact whole-model parameter and MAC totals under the layout."""
-    conv = layout.conventions
+    """Exact whole-model parameter and MAC totals under the layout: sums
+    over the width's cached `_layout`, which no convention changes."""
+    w, blocks, conv = layout
+    projected, batchnorm, bias = conv
     # the batch-norm and bias parameters of each output channel of a layer
-    extra = (2 if conv.include_batchnorm else 0) + (1 if conv.include_bias else 0)
-    w = layout.width
-    stem, macs = _layer_totals(LayerSpec(Kernel(Kind.STANDARD), 3, w), extra, STEM_RESOLUTION)
-
+    extra = (2 if batchnorm else 0) + (1 if bias else 0)
+    counts = _layout(block, w, blocks > 1)
+    followers = blocks - 1
+    stem, macs = counts[1] + extra * counts[2], counts[1] * STEM_AREA
     stage_params: list[int] = []
     projections = 0
-    for s in range(STAGE_COUNT):
-        width_out = layout.stage_width(s)
-        width_in = layout.stage_width(s - 1) if s else w
-        res_out = STAGE_RESOLUTIONS[s]
-        res_in = STAGE_RESOLUTIONS[s - 1] if s else res_out
-        total = 0
-        # the first block enters at the previous stage's width and
-        # resolution; its B - 1 followers are identical, so each is built once
-        runs = ((1, width_in, res_in), (layout.blocks_per_stage - 1, width_out, res_out))
-        for b, (count, c, r_in) in enumerate(runs):
-            if not count:
-                continue
-            try:
-                pre, post, outs = _block_counts(block, c, width_out)
-            except ValidationError as err:
-                raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
-            total += count * (pre + post + extra * outs)
-            macs += count * (pre * r_in * r_in + post * res_out * res_out)
-        if s and conv.include_projections:
-            proj = LayerSpec(Kernel(Kind.POINTWISE), width_in, width_out)
-            params, proj_macs = _layer_totals(proj, extra, res_out)
-            projections += params
-            macs += proj_macs
-        stage_params.append(total)
+    for s, (area_in, area_out) in enumerate(STAGE_AREAS):
+        pre, post, outs, pre2, post2, outs2, _, proj, proj_outs = counts[3 + 9 * s : 12 + 9 * s]
+        follower = pre2 + post2
+        stage_params.append(pre + post + extra * outs + followers * (follower + extra * outs2))
+        macs += pre * area_in + (post + followers * follower) * area_out
+        if projected:
+            projections += proj + extra * proj_outs
+            macs += proj * area_out
 
-    head_width = layout.stage_width(STAGE_COUNT - 1)
-    head = head_width * NUM_CLASSES + (NUM_CLASSES if conv.include_bias else 0)
-    macs += head_width * NUM_CLASSES
-
-    total_params = stem + sum(stage_params) + projections + head
+    head_width = w << (STAGE_COUNT - 1)
+    head = head_width * NUM_CLASSES + (NUM_CLASSES if bias else 0)
     return SizingReport(
         width=w,
-        depth=depth_of(block, layout.blocks_per_stage),
-        total_params=total_params,
-        total_macs=macs,
+        depth=depth_of(block, blocks),
+        total_params=stem + sum(stage_params) + projections + head,
+        total_macs=macs + head_width * NUM_CLASSES,
         stem_params=stem,
         stage_params=tuple(stage_params),
         projection_params=projections,

@@ -5,7 +5,11 @@ sequence under each width plan, priced layer by layer, and
 `evaluate_candidate` classifies one candidate alone with `classify`, a
 plain fold of `infofield.step` over its layers.  The width plans are
 written out whole here and the group numbers found by trying `LayerSpec`,
-so a fault in the search's own plans or slot choices shows.
+so a fault in the search's own plans or slot choices shows.  The slot
+lister `trial_slot_layers` tries every group number from 2 to the input
+width the same way, for the witness lister and the infofield sweep below;
+`kernels.slot_layers`, which tries only the divisors of gcd(c_in, c_out),
+must list the same layers.
 
 The witness lister: `evaluate_sequences` walks a set of sequences one by
 one in lexicographic order, sharing the steps of common prefixes, and
@@ -32,6 +36,10 @@ grid or the family builder refuses go by; `efficiency.greatest_width`,
 which visits only the widths that can answer, must give the same report or
 raise the same error.
 
+The continuous width bisection: `pwg_sandwich_width_bisect` runs all 200
+steps; `efficiency._continuous_width`, which stops once the two bounds are
+adjacent floats, must return the same float.
+
 The width bisection: `solve_width_bisect` doubles a probe width from 1
 until a model does not fit, then bisects, and each probe stands for the
 nearest width at or below it that `sizer.model_params` accepts, so it
@@ -41,8 +49,9 @@ give the same report or raise the same error.
 
 The layer-by-layer model count: `model_params_by_layer` lays out every
 block of every stage and sums its layers one by one, each at its own
-output resolution; `sizer.model_params`, which reads each block shape's
-counts from a cache, must give the same report or raise the same error.
+output resolution; `sizer.model_params`, which reads the counts of the
+stem, each stage's two block shapes and its projection from one cached
+layout per width, must give the same report or raise the same error.
 
 Test helpers that `src/` does not need: `trace` (the field after each
 kernel), `TensorShape`, and one kernel constructor per kind.
@@ -71,7 +80,6 @@ from skdesign.kernels import (
     LayerSpec,
     ValidationError,
     param_count,
-    slot_layers,
 )
 from skdesign.oracles import (
     FULL_PERMUTATION_LIMIT,
@@ -161,6 +169,14 @@ def _group_numbers(kind: Kind, c_in: int, c_out: int) -> tuple[int, ...]:
             continue
         accepted.append(g)
     return tuple(accepted)
+
+
+@functools.lru_cache(maxsize=None)
+def trial_slot_layers(kind: Kind, c_in: int, c_out: int) -> tuple[tuple[LayerSpec, int], ...]:
+    """`kernels.slot_layers` by trial: every group number `_group_numbers`
+    accepts, with the layer's parameter count."""
+    layers = (LayerSpec(Kernel(kind, g), c_in, c_out) for g in _group_numbers(kind, c_in, c_out))
+    return tuple((layer, param_count(layer)) for layer in layers)
 
 
 def concretize(
@@ -265,7 +281,7 @@ def evaluate_sequences(
             return None
         width, live, dead = state
         widths = slot_widths(kind, i, width, last, bottleneck, c, f)
-        choices = slot_layers(kind, *widths) if widths else ()
+        choices = trial_slot_layers(kind, *widths) if widths else ()
         if not choices:
             return None
         dead = {verdict: n * len(choices) for verdict, n in dead.items()}
@@ -465,7 +481,7 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
     for c in channels:
         for length in range(1, len_max + 1):
             for seq in itertools.product(SK_ALPHABET, repeat=length):
-                slots = [slot_layers(kind, c, c) for kind in seq]
+                slots = [trial_slot_layers(kind, c, c) for kind in seq]
                 for choice in itertools.product(*slots):
                     layers = [layer for layer, _ in choice]
                     calc = field_of(layers, c)
@@ -485,6 +501,26 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
                         f"calculus {want}, graph {got}"
                     )
     return VerifyResult("infofield", checked, counterexamples)
+
+
+def pwg_sandwich_width_bisect(p: int, alpha: Fraction | int) -> float:
+    """The continuous pwg+dw+pwg greatest width of
+    `efficiency._continuous_width`, bisected for all 200 steps."""
+    a = float(alpha)
+
+    def cost(c: float) -> float:
+        return (a / 4.0) * c * (9.0 + 4.0 * math.sqrt(c))
+
+    lo, hi = 0.0, 1.0
+    while cost(hi) < p:
+        hi *= 2.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if cost(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def greatest_width_scan(family: Family, budget: int, alpha: Fraction | int) -> WidthReport:
@@ -565,13 +601,14 @@ def model_params_by_layer(layout: NetworkLayout, block) -> SizingReport:
         return weights + extra * layer.out_channels, weights * r * r
 
     stem, macs = counts(LayerSpec(Kernel(Kind.STANDARD), 3, layout.width), STEM_RESOLUTION)
+    widths = [layout.width * 2**s for s in range(STAGE_COUNT)]
     stages, projections = [], 0
     for s in range(STAGE_COUNT):
-        f, r_out = layout.stage_width(s), STAGE_RESOLUTIONS[s]
+        f, r_out = widths[s], STAGE_RESOLUTIONS[s]
         stage = 0
         for b in range(layout.blocks_per_stage):
             first = s and not b
-            c, r_in = (layout.stage_width(s - 1), STAGE_RESOLUTIONS[s - 1]) if first else (f, r_out)
+            c, r_in = (widths[s - 1], STAGE_RESOLUTIONS[s - 1]) if first else (f, r_out)
             try:
                 layers = block.layers(c, f)
             except ValidationError as err:
@@ -582,10 +619,10 @@ def model_params_by_layer(layout: NetworkLayout, block) -> SizingReport:
                 p, m = counts(layer, r_in if i < strided else r_out)
                 stage, macs = stage + p, macs + m
         if s and conv.include_projections:
-            p, m = counts(LayerSpec(Kernel(Kind.POINTWISE), layout.stage_width(s - 1), f), r_out)
+            p, m = counts(LayerSpec(Kernel(Kind.POINTWISE), widths[s - 1], f), r_out)
             projections, macs = projections + p, macs + m
         stages.append(stage)
-    head_width = layout.stage_width(STAGE_COUNT - 1)
+    head_width = widths[-1]
     head = head_width * NUM_CLASSES + NUM_CLASSES * conv.include_bias
     return SizingReport(
         width=layout.width,

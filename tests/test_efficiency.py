@@ -3,11 +3,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from naive import greatest_width_scan
+from naive import greatest_width_scan, pwg_sandwich_width_bisect
 from skdesign.efficiency import (
     Family,
     UnderBudgetError,
+    _continuous_width,
     family_params,
     greatest_width,
     layers_for,
@@ -138,6 +140,20 @@ def test_greatest_width_matches_the_width_by_width_scan(family):
                     greatest_width(family, budget, alpha)
             else:
                 assert greatest_width(family, budget, alpha) == want, (budget, alpha)
+
+
+@given(
+    # log-uniform from 1 to 1e13
+    budget=st.integers(0, 1300).map(lambda i: int(10 ** (i / 100))),
+    alpha=st.fractions(min_value=Fraction(1, 16), max_value=16, max_denominator=16),
+)
+@example(1, Fraction(1, 16))
+@example(10**13, 16)
+def test_continuous_pwg_sandwich_width_stops_at_the_bisection_fixed_point(budget, alpha):
+    # the bisection ends once no step can move a bound; every step it skips
+    # would have left both bounds where they were
+    width, _ = _continuous_width(Family.PWG_DW_PWG, budget, alpha)
+    assert width == pwg_sandwich_width_bisect(budget, alpha)
 
 
 @pytest.mark.xfail(

@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from naive import TensorShape, depthwise, group_conv, pointwise, pointwise_group, standard
+from naive import (
+    TensorShape,
+    depthwise,
+    group_conv,
+    pointwise,
+    pointwise_group,
+    standard,
+    trial_slot_layers,
+)
 from skdesign.kernels import (
     Kernel,
     Kind,
@@ -12,6 +20,7 @@ from skdesign.kernels import (
     divisors,
     flop_count,
     param_count,
+    slot_layers,
 )
 
 
@@ -137,3 +146,17 @@ def test_param_count_multiplicative_in_out_channels(layer):
 def test_divisors_pair_up_to_the_square_root_as_trial_division_lists_them():
     for n in range(1, 5001):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
+# widths to 4,096 with many common divisors (products of 2, 3 and 5), and any width
+_SMOOTH = sorted(
+    n for n in (2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6)) if n <= 4096
+)
+_slot_widths = st.one_of(st.sampled_from(_SMOOTH), st.integers(1, 1200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(Kind)), c_in=_slot_widths, c_out=_slot_widths)
+def test_slot_layers_list_every_group_number_that_trial_finds(kind, c_in, c_out):
+    # only the divisors of gcd(c_in, c_out) are tried; `LayerSpec` still judges each
+    assert slot_layers(kind, c_in, c_out) == trial_slot_layers(kind, c_in, c_out)

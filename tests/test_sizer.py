@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import re
@@ -27,10 +28,10 @@ NOPROJ = Conventions(include_projections=False)
 
 
 def _forget():
-    """Empty the sizer's caches: each block's progression and each block
-    shape's counts."""
+    """Empty the sizer's caches: each block's progression and each width's
+    layout."""
     sizer._lattice.cache_clear()
-    sizer._block_counts.cache_clear()
+    sizer._layout.cache_clear()
 
 
 @pytest.fixture
@@ -357,56 +358,109 @@ def _widths(draw, block):
     return draw(st.one_of(st.integers(1, 512), st.integers(1, 4).map(lambda k: k * unit)))
 
 
+ALL_CONVENTIONS = [Conventions(*flags) for flags in itertools.product((False, True), repeat=3)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     block_width=_block_strategy(st.tuples(st.integers(2, 16), st.integers(2, 16))).flatmap(
         lambda block: st.tuples(st.just(block), _widths(block))
     ),
-    blocks=st.integers(1, 16),
-    conventions=st.builds(Conventions, st.booleans(), st.booleans(), st.booleans()),
+    blocks=st.integers(2, 16),
+    conventions=st.sampled_from(ALL_CONVENTIONS),
     budget=st.integers(0, 1000).map(lambda i: int(1e3 * 1e7 ** (i / 1000))),
 )
 def test_cached_block_counts_change_no_answer(block_width, blocks, conventions, budget):
-    # on the caches earlier examples left, on empty ones, on warm ones and
-    # laid out layer by layer: the same reports and the same error text,
-    # stage, block and layer included
+    # one block per stage and more, under every convention set: on the
+    # caches earlier examples left, on empty ones, on warm ones and laid out
+    # layer by layer, the same reports and the same error text, stage,
+    # block and layer included
     block, width = block_width
-    layout = NetworkLayout(width, blocks, conventions)
-    calls = [(model_params, layout, block), (solve_width, budget, block, blocks, conventions)]
-    before = [_answer(*call) for call in calls]
+    layouts = [NetworkLayout(width, b, conv) for b in (1, blocks) for conv in ALL_CONVENTIONS]
+    want = [_answer(model_params_by_layer, layout, block) for layout in layouts]
+    assert [_answer(model_params, layout, block) for layout in layouts] == want
+    cold = []
+    for layout in layouts:
+        _forget()
+        cold.append(_answer(model_params, layout, block))
+    assert cold == want
+    assert [_answer(model_params, layout, block) for layout in layouts] == want
+    solve = (solve_width, budget, block, blocks, conventions)
+    before = _answer(*solve)
     _forget()
-    cold = [_answer(*call) for call in calls]
-    assert before == cold
-    assert [_answer(*call) for call in calls] == cold
-    assert _answer(model_params_by_layer, layout, block) == cold[0]
+    assert _answer(*solve) == before
+    assert _answer(*solve) == before
 
 
 def test_layout_refuses_a_width_or_block_count_that_is_not_an_int():
     # a float would be priced with float totals, and share cached counts with its int
-    cases = [(8.0, 1, "width"), (8.5, 1, "width"), (8, 2.0, "blocks_per_stage")]
+    # a bool would be priced as 0 or 1, and share cached layouts with it
+    cases = [
+        (8.0, 1, "width"), (8.5, 1, "width"), (8, 2.0, "blocks_per_stage"),
+        (True, 1, "width"), (True, True, "width"), (8, True, "blocks_per_stage"),
+        (8, False, "blocks_per_stage"),
+    ]
     for width, blocks, name in cases:
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
             NetworkLayout(width, blocks)
+    with pytest.raises(ValidationError, match="^blocks_per_stage must be an integer, got True$"):
+        solve_width(10**6, BlockSpec("dw+pw"), blocks_per_stage=True)
 
 
 @pytest.mark.parametrize("block", [*UNGROUPED, BlockSpec("gc+pwg", (4, 2)), BlockSpec("pwg+dw+pwg", (31, 29))])
 def test_a_second_solve_lays_out_only_its_answer_and_the_next_width(monkeypatch, forget, block):
     # a solve probes its block's basis widths w0, w0 + m and w0 + 2m, the
-    # same for every budget, blocks per stage and convention set, then the
-    # answer and the width after it; a block has at most 7 shapes (C, F)
-    shapes = []
-    lay_out = BlockSpec.layers
+    # same for every budget, blocks per stage above 1 and convention set,
+    # then the answer and the width after it; each width is laid out once
+    widths = []
+    build = sizer.LayerSpec
 
-    def counting(self, c, f):
-        shapes.append((c, f))
-        return lay_out(self, c, f)
+    def counting(kernel, c_in, c_out):
+        if kernel is sizer._STEM:  # one stem per layout
+            widths.append(c_out)
+        return build(kernel, c_in, c_out)
 
-    monkeypatch.setattr(BlockSpec, "layers", counting)
-    solve_width(10**10, block, 2)
-    assert len(shapes) >= 3 * 7
-    shapes.clear()
-    solve_width(3 * 10**10, block, 16, Conventions(False, True, True))
-    assert 0 < len(shapes) <= 2 * 7
+    monkeypatch.setattr(sizer, "LayerSpec", counting)
+    w0, m = sizer._lattice(block)
+    first = solve_width(10**10, block, 2)
+    widths.clear()
+    second = solve_width(3 * 10**10, block, 16, Conventions(False, True, True))
+    second_widths = [second.width, second.width + m]
+    assert widths == second_widths
+    widths.clear()
+    # every width both solves probed is cached, at any blocks per stage above 1
+    for width in (w0, w0 + m, w0 + 2 * m, first.width, first.width + m, *second_widths):
+        model_params(NetworkLayout(width, 3), block)
+    assert widths == []
+
+
+def test_a_warm_model_params_lays_out_nothing(monkeypatch, forget):
+    # conventions and blocks per stage above 1 change only the arithmetic
+    # over one cached layout per width
+    block = BlockSpec("pwg+dw+pwg", (4, 4))
+    layouts = [NetworkLayout(64, b, conv) for b in (2, 16) for conv in ALL_CONVENTIONS]
+    want = [model_params(layout, block) for layout in layouts]
+
+    def refuse(*args):
+        raise AssertionError("a warm model_params laid out a layer")
+
+    for name in ("plan_layers", "param_count", "LayerSpec", "Kernel"):
+        monkeypatch.setattr(sizer, name, refuse)
+    assert [model_params(layout, block) for layout in layouts] == want
+
+
+def test_a_failing_width_is_not_cached(forget):
+    block = BlockSpec("pwg+dw+pwg", (4, 4))
+    model_params(NetworkLayout(64, 2), block)
+    size = sizer._layout.cache_info().currsize
+    want = (
+        "stage 1, block 1: layer 1 (pwg(4), 20 -> 5): "
+        "group number 4 does not divide out_channels 5"
+    )
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            model_params(NetworkLayout(20, 2), block)
+    assert sizer._layout.cache_info().currsize == size
 
 
 def _breaking(real, widths, total=None):
