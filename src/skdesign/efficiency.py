@@ -26,10 +26,15 @@ import enum
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, param_count
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, divisors, param_count
 
-if TYPE_CHECKING:  # loaded only by the functions that use it, as is `oracles`
+if TYPE_CHECKING:  # loaded only by the functions that use it
     from fractions import Fraction
+
+# defect 1(c): `greatest_width` scans a grouped family only at widths with
+# max(C, F) <= this, the divisor-grid oracle's cap, so past it the answer is
+# too small.  ROADMAP item 3 lifts it once the benchmark bounds its caches.
+GROUPED_WIDTH_CAP = 4096
 
 
 class Family(enum.Enum):
@@ -227,14 +232,53 @@ class GroupOptimum(NamedTuple):
         return self.discrete_params / self.continuous_bound_params - 1.0
 
 
-def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
-    """Continuous optimum and exact discrete divisor-grid minimizers."""
-    from . import oracles
+def group_pair_min(family: Family, c: int, f: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Least exact parameter count of a grouped family at (C, F) over its
+    legal group pairs (M, N), and every pair reaching it, ascending.
 
+    Legal pairs are those of `oracles.feasible_pairs`' "le" rule, with the
+    bound B = C for gc+pwg and B = K = F/4 for pwg+dw+pwg: for gc+pwg,
+    M | C with 2 <= M <= C - 1 and N >= 2 dividing gcd(C, F); for
+    pwg+dw+pwg, M >= 2 dividing gcd(C, K) and N >= 2 dividing K; and
+    M*N <= B.  Both counts are a*(C/M) + F*(B/N) + d, so at a fixed M the
+    count falls strictly as N grows and only the largest legal N <= B/M can
+    be a minimizer.  That N falls as M grows, so one pointer walks down the
+    N divisors while M walks up.  `oracles.divisor_grid_min` prices every
+    pair and is this minimum's check.
+    """
     if not family.has_group_freedom:
         raise ValidationError(f"{family.value} has no group numbers to optimize")
     _check_bottleneck_width(family, f)
-    grid = oracles.divisor_grid_min(family.value, c, f)
+    if family is Family.GC_PWG:
+        # 9*(C/M)*C + (C/N)*F
+        bound, a, d = c, 9 * c, 0
+        ms, ns = divisors(c)[1:-1], divisors(math.gcd(c, f))[1:]
+    else:
+        # pwg+dw+pwg: (C/M)*K + 9*K + (K/N)*F
+        bound = f // 4
+        a, d = bound, 9 * bound
+        ms, ns = divisors(math.gcd(c, bound))[1:], divisors(bound)[1:]
+    best, minimizers = 0, []
+    j = len(ns) - 1
+    for m in ms:
+        while j >= 0 and m * ns[j] > bound:
+            j -= 1
+        if j < 0:  # no N fits this M, nor any larger one
+            break
+        n = ns[j]
+        value = a * (c // m) + f * (bound // n)
+        if not minimizers or value < best:
+            best, minimizers = value, [(m, n)]
+        elif value == best:
+            minimizers.append((m, n))
+    if not minimizers:
+        raise ValidationError(f"no feasible (M, N) pairs for C={c}, F={f}")
+    return best + d, tuple(minimizers)
+
+
+def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
+    """Continuous optimum and exact discrete minimizers (`group_pair_min`)."""
+    value, minimizers = group_pair_min(family, c, f)
     if family is Family.GC_PWG:
         n = math.sqrt(f) / 3.0
         continuous, condition = (c / n, n), "M*N = C and N = sqrt(F)/3"
@@ -245,7 +289,7 @@ def optimal_group_numbers(family: Family, c: int, f: int) -> GroupOptimum:
         continuous, condition = (m, k / m), "M*N = K and M = sqrt(C)/2"
         # K*(C/M + 4M + 9) at the K = M*N boundary, minimized at M = sqrt(C)/2
         bound = k * (4.0 * math.sqrt(c) + 9.0)
-    return GroupOptimum(continuous, condition, grid.minimizers, grid.value, bound)
+    return GroupOptimum(continuous, condition, minimizers, value, bound)
 
 
 class WidthReport(NamedTuple):
@@ -291,14 +335,12 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     budget.  Ties between equal-parameter widths resolve to the larger
     width because the scan runs downward.
 
-    A grouped family's answer never exceeds `oracles.MAX_GRID_CHANNELS` or
-    `MAX_GRID_CHANNELS / alpha`, the widths whose group-pair minimum
-    `oracles.divisor_grid_min` computes: this is defect 1(c), and past that
-    cap the answer is too small.
+    A grouped family's width is priced at its `group_pair_min`, but the
+    scan starts at most at `GROUPED_WIDTH_CAP` or `GROUPED_WIDTH_CAP / alpha`
+    channels: this is defect 1(c), and past that cap the answer is too
+    small.
     """
     from fractions import Fraction
-
-    from . import oracles
 
     alpha = Fraction(alpha)
     if alpha <= 0:
@@ -309,18 +351,15 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     # the continuous bound dominates every discrete configuration, so no
     # feasible width can exceed floor(G); the +1 guards rounding noise
     start = int(math.floor(g_real)) + 1
-    if family.has_group_freedom:
-        # defect 1(c), until ROADMAP item 3 gives this module its own
-        # divisor minimum: the grid refuses max(C, F) > MAX_GRID_CHANNELS
-        cap = oracles.MAX_GRID_CHANNELS
-        start = min(start, cap, cap // alpha)
+    if family.has_group_freedom:  # defect 1(c)
+        start = min(start, GROUPED_WIDTH_CAP, GROUPED_WIDTH_CAP // alpha)
     # F = alpha*C is whole exactly when C is a multiple of alpha's denominator
     p, q = alpha.numerator, alpha.denominator
     for c in range(start - start % q, 0, -q):
         f = c * p // q
         try:
             if family.has_group_freedom:
-                params = oracles.divisor_grid_min(family.value, c, f).value
+                params = group_pair_min(family, c, f)[0]
             else:
                 params = family_params(family, c, f)
         except ValidationError:  # no legal design at this width

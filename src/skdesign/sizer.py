@@ -39,10 +39,17 @@ STAGE_AREAS = tuple(
 _STEM, _PROJECTION = Kernel(Kind.STANDARD), Kernel(Kind.POINTWISE)
 
 
+@checked
 class Conventions(NamedTuple):
     include_projections: bool = True
     include_batchnorm: bool = False
     include_bias: bool = False
+
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
+            # any other value would be priced by its truthiness
+            if value is not True and value is not False:
+                raise ValidationError(f"conventions: {name} must be a bool, got {value!r}")
 
     def describe(self) -> str:
         bits = [
@@ -103,6 +110,8 @@ class NetworkLayout(NamedTuple):
             raise ValidationError("width must be positive")
         if self.blocks_per_stage < 1:
             raise ValidationError("blocks_per_stage must be >= 1")
+        if not isinstance(self.conventions, Conventions):
+            raise ValidationError(f"conventions must be a Conventions, got {self.conventions!r}")
 
 
 class SizingReport(NamedTuple):

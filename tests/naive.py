@@ -36,6 +36,12 @@ grid or the family builder refuses go by; `efficiency.greatest_width`,
 which visits only the widths that can answer, must give the same report or
 raise the same error.
 
+The group-pair scan: `group_pair_scan` finds every legal group pair
+(M, N) of a grouped family by trial division, up to any width, and prices
+each layer by layer; `efficiency.group_pair_min`, which prices one N per
+M, must give the same minimum and minimizers or raise the same error.
+Below the divisor grid's cap `oracles.divisor_grid_min` checks it too.
+
 The continuous width bisection: `pwg_sandwich_width_bisect` runs all 200
 steps; `efficiency._continuous_width`, which stops once the two bounds are
 adjacent floats, must return the same float.
@@ -549,6 +555,30 @@ def greatest_width_scan(family: Family, budget: int, alpha: Fraction | int) -> W
     raise UnderBudgetError(
         f"budget {budget} is below the smallest legal {family.value} design"
     )
+
+
+def group_pair_scan(family: Family, c: int, f: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """`efficiency.group_pair_min` as a scan over every pair (M, N) of whole
+    numbers from 2 up: legal under the rule of `oracles.feasible_pairs`
+    within the bound M*N <= B (C for gc+pwg, K = F/4 for pwg+dw+pwg), and
+    priced by `family_params`, layer by layer."""
+    if family is Family.GC_PWG:
+        bound = c
+        ms = [m for m in range(2, c) if c % m == 0]
+        ns = [n for n in range(2, c + 1) if c % n == 0 and f % n == 0]
+    else:
+        if f % 4:
+            raise ValidationError(f"bottleneck families require 4 | F, got F={f}")
+        bound = f // 4
+        ms = [m for m in range(2, c + 1) if c % m == 0 and bound % m == 0]
+        ns = [n for n in range(2, bound + 1) if bound % n == 0]
+    priced = [
+        (family_params(family, c, f, (m, n)), (m, n)) for m in ms for n in ns if m * n <= bound
+    ]
+    if not priced:
+        raise ValidationError(f"no feasible (M, N) pairs for C={c}, F={f}")
+    best = min(value for value, _ in priced)
+    return best, tuple(pair for value, pair in priced if value == best)
 
 
 def solve_width_bisect(

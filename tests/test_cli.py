@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from naive import _group_numbers
+from naive import _group_numbers, group_pair_scan
 from skdesign.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_OK,
@@ -19,6 +19,7 @@ from skdesign.cli import (
     dot_lines,
     main,
 )
+from skdesign.efficiency import Family
 from skdesign.kernels import Kernel, Kind, LayerSpec
 from skdesign.oracles import _input_groups, shuffle_after
 
@@ -75,6 +76,18 @@ def test_analyze_pwg_sandwich_continuous_m(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["optimal_groups"]["continuous"]["M"] == pytest.approx(4.0)
+
+
+def test_analyze_answers_past_the_grid_cap(capsys):
+    # the divisor-grid oracle refuses more than 4,096 channels; analyze does not use it
+    code, out, err = run(
+        capsys, "analyze", "gc+pwg", "--c", "8192", "--f", "8192", "--format", "json"
+    )
+    assert code == EXIT_OK, err
+    opt = json.loads(out)["optimal_groups"]
+    value, minimizers = group_pair_scan(Family.GC_PWG, 8192, 8192)
+    assert (opt["discrete_params"], opt["discrete"]) == (value, [list(p) for p in minimizers])
+    assert (value, minimizers) == (4_456_448, ((256, 32),))
 
 
 def test_analyze_validation_error(capsys):
@@ -394,8 +407,9 @@ def _loaded_modules(code, *argv):
           "skdesign.verify"}),
         (["verify", "--c-max", "4", "--len-max", "1"], "skdesign.oracles",
          {"dataclasses", "fractions", "inspect", "skdesign.search", "skdesign.sizer"}),
-        (["analyze", "gc+pwg", "--c", "36", "--f", "36"], "skdesign.oracles",
-         {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
+        # efficiency prices group pairs itself; `ratio` loads the exact rationals
+        (["analyze", "gc+pwg", "--c", "36", "--f", "36"], "fractions",
+         {"dataclasses", "inspect", "skdesign.oracles", "skdesign.search", "skdesign.verify"}),
         (["size", "--family", "dw+pw", "--width", "64"], "skdesign.sizer",
          {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
         (["width", "--family", "pwg+dw+pwg", "--groups", "4,4", "--budget", "11300000"],

@@ -1,24 +1,29 @@
+import functools
+import inspect
 import math
 import re
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from naive import greatest_width_scan, pwg_sandwich_width_bisect
+from naive import greatest_width_scan, group_pair_scan, pwg_sandwich_width_bisect
+from skdesign import efficiency
 from skdesign.efficiency import (
     Family,
     UnderBudgetError,
     _continuous_width,
     family_params,
     greatest_width,
+    group_pair_min,
     layers_for,
     optimal_group_numbers,
     ratio,
     theorem1_condition,
 )
 from skdesign.kernels import ValidationError, param_count
-from skdesign.oracles import feasible_pairs
+from skdesign.oracles import MAX_GRID_CHANNELS, divisor_grid_min, feasible_pairs
 
 
 def test_ratio_examples():
@@ -154,6 +159,84 @@ def test_continuous_pwg_sandwich_width_stops_at_the_bisection_fixed_point(budget
     # would have left both bounds where they were
     width, _ = _continuous_width(Family.PWG_DW_PWG, budget, alpha)
     assert width == pwg_sandwich_width_bisect(budget, alpha)
+
+
+GROUPED = [Family.GC_PWG, Family.PWG_DW_PWG]
+
+
+def _outcome(price, family, c, f):
+    """`price(family, c, f)` as (value, minimizers), or the refusal's
+    message; the oracle words a bottleneck width that 4 does not divide in
+    its own way, so only the fault it names is kept."""
+    try:
+        return price(family, c, f)
+    except ValidationError as err:
+        message = str(err)
+        return message[message.index("4 | F"):] if "4 | F" in message else message
+
+
+def _grid(family, c, f):
+    result = divisor_grid_min(family.value, c, f)
+    return result.value, result.minimizers
+
+
+@st.composite
+def _widths(draw, top):
+    """(C, F) up to `top`: C often a product of small primes, so that it has
+    many divisors, and F a small multiple or fraction of C or any width."""
+    smooth = st.lists(st.sampled_from((2, 3, 5, 7)), max_size=20).map(
+        lambda ps: functools.reduce(lambda n, p: n * p if n * p <= top else n, ps, 1)
+    )
+    c = draw(st.one_of(smooth, st.integers(1, top)))
+    num, den = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 1), (4, 1), (3, 4)]))
+    f = draw(st.one_of(st.just(min(top, max(1, c * num // den))), st.integers(1, top)))
+    return c, f
+
+
+@given(family=st.sampled_from(GROUPED), widths=_widths(MAX_GRID_CHANNELS))
+@example(Family.GC_PWG, (36, 36))
+@example(Family.GC_PWG, (5, 5))
+@example(Family.PWG_DW_PWG, (64, 62))
+@example(Family.PWG_DW_PWG, (4096, 4096))
+def test_group_pair_min_matches_the_divisor_grid(family, widths):
+    # the value, every minimizer in order, and each refusal
+    c, f = widths
+    assert _outcome(group_pair_min, family, c, f) == _outcome(_grid, family, c, f)
+
+
+@given(family=st.sampled_from(GROUPED), widths=_widths(1 << 16))
+@example(Family.GC_PWG, (8192, 8192))
+@example(Family.GC_PWG, (29_232, 29_232))
+@example(Family.PWG_DW_PWG, (96_064, 96_064))
+def test_group_pair_min_matches_the_all_pairs_scan_past_the_grid_cap(family, widths):
+    c, f = widths
+    assume(max(c, f) > MAX_GRID_CHANNELS)
+    assert _outcome(group_pair_min, family, c, f) == _outcome(group_pair_scan, family, c, f)
+
+
+def _mutant(old, new):
+    """`group_pair_min` with the one line `old` of its source replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(group_pair_min))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(efficiency))
+    exec(source.replace(old, new), namespace)
+    return namespace["group_pair_min"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n = ns[j]", "n = ns[0]"),  # prices the smallest N of each M
+        ("minimizers.append((m, n))", "pass"),  # drops every later tie
+    ],
+    ids=["smallest-n", "dropped-tie"],
+)
+def test_the_grid_check_catches_an_injected_fault(old, new):
+    mutant = _mutant(old, new)
+    points = [(family, c, f) for family in GROUPED for c in range(1, 130) for f in (c, 2 * c, 4 * c)]
+    for price in (group_pair_min, mutant):
+        wrong = [p for p in points if _outcome(price, *p) != _outcome(_grid, *p)]
+        assert bool(wrong) is (price is mutant), wrong[:3]
 
 
 @pytest.mark.xfail(

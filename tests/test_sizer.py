@@ -407,6 +407,26 @@ def test_layout_refuses_a_width_or_block_count_that_is_not_an_int():
         solve_width(10**6, BlockSpec("dw+pw"), blocks_per_stage=True)
 
 
+@pytest.mark.parametrize(
+    "conventions, message",
+    [
+        # neither unpacks into three flags
+        (lambda: None, "conventions must be a Conventions, got None"),
+        (lambda: (True, False), "conventions must be a Conventions, got (True, False)"),
+        # a flag that is not a bool would be priced by its truthiness
+        (lambda: Conventions("no", 0, 0), "conventions: include_projections must be a bool, got 'no'"),
+        (lambda: Conventions(True, 1), "conventions: include_batchnorm must be a bool, got 1"),
+        (lambda: NOPROJ._replace(include_bias=None), "conventions: include_bias must be a bool, got None"),
+    ],
+)
+def test_layout_refuses_conventions_that_are_not_three_flags(conventions, message):
+    block = BlockSpec("standard")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        model_params(NetworkLayout(8, 1, conventions()), block)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        solve_width(10**6, block, 1, conventions())
+
+
 @pytest.mark.parametrize("block", [*UNGROUPED, BlockSpec("gc+pwg", (4, 2)), BlockSpec("pwg+dw+pwg", (31, 29))])
 def test_a_second_solve_lays_out_only_its_answer_and_the_next_width(monkeypatch, forget, block):
     # a solve probes its block's basis widths w0, w0 + m and w0 + 2m, the

@@ -90,6 +90,10 @@ def _pw(c_in, c_out):
             "blocks_per_stage must be >= 1", id="NetworkLayout._make",
         ),
         pytest.param(
+            lambda: sizer.Conventions._make((True, False, "yes")), ValidationError,
+            "conventions: include_bias must be a bool, got 'yes'", id="Conventions._make",
+        ),
+        pytest.param(
             lambda: sizer.BlockSpec("gc+pwg", (4, 2))._replace(groups=(4,)), ValidationError,
             "gc+pwg needs group numbers (M, N), got (4,)", id="BlockSpec._replace",
         ),
