@@ -18,7 +18,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 from . import __version__, efficiency
-from .efficiency import Family
+from .efficiency import FAMILIES, Family
 from .kernels import ValidationError
 
 if TYPE_CHECKING:  # search and verify load none of these
@@ -157,13 +157,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_FAMILIES = {f.value: f for f in Family}
-
-
 def _known_architectures(name: str, groups=None) -> list[str]:
     """Architectures a search family's witness coincides with: those of the
     closed-form family of the same name, none for any other family."""
-    family = _FAMILIES.get(name)
+    family = FAMILIES.get(name)
     return sorted(family.known_architectures(groups)) if family else []
 
 
@@ -302,9 +299,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    design = efficiency.design_name(args.design)
-    c = args.channels
-    kernels = efficiency.design_kernels(design, args.groups)
+    _, kernels = efficiency.resolve_design(args.design, args.groups)
+    design, c = args.design.lower(), args.channels  # a name that resolved
     layers = [efficiency.numbered_layer(i, k, c, c) for i, k in enumerate(kernels, 1)]
     # the table is printed as it is made: it grows with the square of the width
     lines = dot_lines(layers, name=design)

@@ -82,8 +82,9 @@ class Family(enum.Enum):
         return Family(design_name(name, DESIGN_NAMES[1:]))
 
 
-# the kinds of every design a command names: the standard convolution,
-# then the families
+# the family of each name, and the kinds of every design a command names:
+# the standard convolution, then the families
+FAMILIES = {f.value: f for f in Family}
 DESIGN_KINDS = {"standard": (Kind.STANDARD,), **{f.value: f.kinds for f in Family}}
 DESIGN_NAMES = tuple(DESIGN_KINDS)
 
@@ -97,24 +98,29 @@ def design_name(name: str, names: Sequence[str] = DESIGN_NAMES) -> str:
     return key
 
 
-def design_kernels(name: str, groups: Optional[tuple[int, int]] = None) -> list[Kernel]:
-    """The kernels of the design `name`, a key of `DESIGN_KINDS`.
+def resolve_design(
+    name: str, groups: Optional[tuple[int, int]] = None
+) -> tuple[Optional[Family], tuple[Kernel, ...]]:
+    """The family (None for the standard convolution) and the kernels of
+    the design `name`, in any case.
 
     A design with grouped kernels requires groups=(M, N), exactly two
     numbers, handed to its grouped kernels in order; any other design takes
     none.
     """
-    kinds = DESIGN_KINDS[name]
+    name = design_name(name)
+    family, kinds = FAMILIES.get(name), DESIGN_KINDS[name]
     if any(k.is_grouped for k in kinds):
         if groups is None:
             raise ValidationError(f"{name} needs group numbers (M, N)")
         if len(groups) != 2:
             raise ValidationError(f"{name} needs group numbers (M, N), got {tuple(groups)}")
         numbers = iter(groups)
-        return [Kernel(k, next(numbers)) if k.is_grouped else Kernel(k) for k in kinds]
+        kernels = (Kernel(k, next(numbers)) if k.is_grouped else Kernel(k) for k in kinds)
+        return family, tuple(kernels)
     if groups is not None:
         raise ValidationError(f"{name} carries no group numbers")
-    return [Kernel(k) for k in kinds]
+    return family, tuple(map(Kernel, kinds))
 
 
 class UnderBudgetError(ValidationError):
@@ -153,15 +159,20 @@ def layers_for(
 ) -> list[LayerSpec]:
     """Concrete layer stack of a family at channel counts (C, F).
 
-    Grouped families require groups=(M, N), as `design_kernels` builds
+    Grouped families require groups=(M, N), as `resolve_design` builds
     them.  Bottleneck families use K = F/4 and require 4 | F.
     """
-    return plan_layers(family, design_kernels(family.value, groups), c, f)
+    return plan_layers(*resolve_design(family.value, groups), c, f)
 
 
-def plan_layers(family: Family, kernels: Sequence[Kernel], c: int, f: int) -> list[LayerSpec]:
-    """The family's kernels, as `design_kernels` builds them, laid out at
-    channel counts (C, F) on the family's width plan."""
+def plan_layers(
+    family: Optional[Family], kernels: Sequence[Kernel], c: int, f: int
+) -> list[LayerSpec]:
+    """A design's family and kernels, as `resolve_design` returns them, laid
+    out at channel counts (C, F): the standard convolution as one C -> F
+    layer, a family on its width plan."""
+    if family is None:
+        return [LayerSpec(kernels[0], c, f)]
     _check_bottleneck_width(family, f)
     layers = []
     width, end = c, len(kernels) - 1

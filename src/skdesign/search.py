@@ -127,33 +127,30 @@ def _plan_flags(config: SearchConfig) -> tuple[bool, ...]:
 
 
 def _every_kind(multiset: tuple[str, ...]) -> list[tuple]:
-    """Each kind as a last and as an interior slot after a multiset, which it grows."""
+    """Each kind as a last and as an interior slot growing a multiset; no dead tag."""
     grown = {kind: tuple(sorted((*multiset, kind.value))) for kind in SK_ALPHABET}
-    return [(kind, last, grown[kind]) for kind in SK_ALPHABET for last in (True, False)]
+    return [(kind, last, grown[kind], ()) for kind in SK_ALPHABET for last in (True, False)]
 
 
-def _walk(
-    config: SearchConfig, depth: int, follow: Callable[[tuple], list], keep_dead_tags: bool
-) -> tuple[dict, dict]:
+def _walk(config: SearchConfig, depth: int, follow: Callable[[tuple], list]) -> tuple[dict, dict]:
     """One slot at a time over every group assignment of every width plan
     of the sequences of up to `depth` kinds that follow(tag) spells as slots
-    (kind, last, grown tag): (valid, verdicts).  `valid` maps the tag of
-    each valid end to [witness count, cheapest witness key, bottleneck
-    flags], a key being (params, bottleneck, kind order, group numbers,
-    layers), whose first four entries rank witnesses as `DesignFamily`
-    states.  `verdicts` counts assignments by verdict.
+    (kind, last, grown tag, dead tag): (valid, verdicts).  `valid` maps the
+    tag of each valid end to [witness count, cheapest witness key,
+    bottleneck flags], a key being (params, bottleneck, kind order, group
+    numbers, layers), whose first four entries rank witnesses as
+    `DesignFamily` states.  `verdicts` counts assignments by verdict.
 
     A state is (bottleneck, width reached, field or dead verdict, tag) and
     carries its prefixes' count and cheapest key: the step rules, the later
     widths and the tag's future depend only on the state, and prefixes at
     one state have one length, so a shared completion keeps their cost
-    order.  A dead state carries only its count and moves every choice to
-    itself.  It keys the empty tag unless `keep_dead_tags`: a walk keeps
-    them when its tags limit the later kinds and its dead counts are read,
-    and the others save the states.  The moves are found once per (plan,
-    slot phase, width, state, kind, last): `slot_widths` reads the slot
-    index only on the bottleneck plan, and there only as 0, 1, or 2 and
-    later.  The cheapest choice does not depend on the prefix, as a key
+    order.  A dead state carries only its count, moves every choice to
+    itself and keys the slot's dead tag: the grown tag when the tags limit
+    the later kinds and the dead counts are read, else () to save states.
+    The moves are found once per (plan, slot phase, width, state, kind,
+    last): `slot_widths` reads the slot index only on the bottleneck plan,
+    and there only as 0, 1, or 2 and later.  The cheapest choice does not depend on the prefix, as a key
     orders by parameter total, then plan, kind order and group numbers."""
     c, f = config.reference_channels, config.reference_out_channels
     reference = config.reference_field
@@ -181,7 +178,7 @@ def _walk(
         below: dict = {}
         slots = functools.cache(follow)  # once per tag of this level
         for (b, width, state, tag), (count, best) in level.items():
-            for kind, last, after in slots(tag):
+            for kind, last, after, dead in slots(tag):
                 if not last and i + 1 == depth:
                     continue
                 widths, moves = fold(b, min(i, 2) if b else 0, width, state, kind, last)
@@ -191,7 +188,7 @@ def _walk(
                         verdicts[to] = verdicts.get(to, 0) + n
                     if option is None:  # dead: only its count goes on
                         if not last:
-                            key = b, widths[1], to, (after if keep_dead_tags else ())
+                            key = b, widths[1], to, dead
                             below[key] = below.get(key, (0,))[0] + n, None
                         continue
                     price, g, layer = option
@@ -278,7 +275,7 @@ def _grid_optimal_params(
         if (c, f) == ref:
             continue
         probe = config._replace(reference_channels=c, reference_out_channels=f)
-        valid = _walk(probe, depth, follow, False)[0]
+        valid = _walk(probe, depth, follow)[0]
         for k in families:
             opt[k][(c, f)] = valid[k][1][0] if k in valid else None
     return opt
@@ -323,8 +320,9 @@ def _apply_domination(
         # cheaper at optimal group assignment at every configuration where
         # this family is feasible at all
         rivals = [b for b in pool if b != k and len(b) <= len(k)]
+        # never empty: the family's cheapest witness prices the search's (C, F)
         feasible_cfgs = [cfg for cfg in grid if opt[k][cfg] is not None]
-        if rivals and feasible_cfgs:
+        if rivals:
             beaten = all(
                 any(
                     opt[b][cfg] is not None and opt[b][cfg] < opt[k][cfg]
@@ -366,12 +364,12 @@ def run_search(config: SearchConfig) -> SearchResult:
     prefixes = {word[:j] for word in tiled for j in range(1, len(word))}
 
     def follow(word):
+        # a dead state keeps its word, which limits its later kinds
         grown = [(kind, last, word + (kind,)) for kind in SK_ALPHABET for last in (True, False)]
-        return [slot for slot in grown if slot[2] in (tiled if slot[1] else prefixes)]
+        return [(*slot, slot[2]) for slot in grown if slot[2] in (tiled if slot[1] else prefixes)]
 
-    valid, verdicts = _walk(config, config.max_length, _every_kind, False)
-    # a tiled walk's dead state keeps its word, which limits its later kinds
-    for verdict, n in _walk(config, config.max_length, follow, True)[1].items():
+    valid, verdicts = _walk(config, config.max_length, _every_kind)
+    for verdict, n in _walk(config, config.max_length, follow)[1].items():
         verdicts[verdict] -= n
     families = {
         key: DesignFamily(

@@ -21,7 +21,7 @@ import functools
 import math
 from typing import NamedTuple, Optional
 
-from .efficiency import Family, UnderBudgetError, design_kernels, design_name, plan_layers
+from .efficiency import UnderBudgetError, plan_layers, resolve_design
 from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, divisors, param_count
 
 STAGE_COUNT = 4
@@ -60,14 +60,9 @@ class Conventions(NamedTuple):
         return ", ".join(bits)
 
 
-@functools.lru_cache(maxsize=256)
-def _design(
-    kind: str, groups: Optional[tuple[int, int]]
-) -> tuple[Optional[Family], tuple[Kernel, ...]]:
-    """A block's family (None for the standard convolution) and kernels:
-    `BlockSpec` stores neither, and each `model_params` call reads them."""
-    name = design_name(kind)
-    return (None if name == "standard" else Family(name)), tuple(design_kernels(name, groups))
+# a block's family (None for the standard convolution) and kernels:
+# `BlockSpec` stores neither, and each `model_params` call reads them
+_design = functools.lru_cache(maxsize=256)(resolve_design)
 
 
 @checked
@@ -83,13 +78,10 @@ class BlockSpec(NamedTuple):
         _design(self.kind, self.groups)
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
-        family, kernels = _design(*self)
-        if family is None:
-            return [LayerSpec(kernels[0], c, f)]
-        return plan_layers(family, kernels, c, f)
+        return plan_layers(*_design(*self), c, f)
 
     def describe(self) -> str:
-        name = design_name(self.kind)
+        name = self.kind.lower()  # a name `_check` resolved
         if self.groups is None:
             return name
         return f"{name} (M={self.groups[0]}, N={self.groups[1]})"
@@ -140,9 +132,10 @@ def depth_of(block: BlockSpec, blocks_per_stage: int) -> int:
 
 
 def _counts(layers: list[LayerSpec]) -> tuple[int, int, int]:
-    """The weights of `layers` before their first spatial kernel, the one
+    """The weights of a block's `layers` before its spatial kernel, the one
     that strides, and from it on, and their output channels; the layers
-    before that kernel run at a strided block's input resolution."""
+    before that kernel run at a strided block's input resolution.  Every
+    design has exactly one spatial kernel."""
     pre = post = outs = 0
     for layer in layers:
         # every layer has weights, so post > 0 once a spatial kernel is counted
@@ -151,8 +144,7 @@ def _counts(layers: list[LayerSpec]) -> tuple[int, int, int]:
         else:
             pre += param_count(layer)
         outs += layer.out_channels
-    # with no spatial kernel, nothing strides
-    return (pre, post, outs) if post else (0, pre, outs)
+    return pre, post, outs
 
 
 @functools.lru_cache(maxsize=512)

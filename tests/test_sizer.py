@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from naive import model_params_by_layer, solve_width_bisect
 from skdesign import sizer
-from skdesign.efficiency import Family, UnderBudgetError, design_kernels, layers_for
+from skdesign.efficiency import DESIGN_KINDS, Family, UnderBudgetError, layers_for, resolve_design
 from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.sizer import (
     BlockSpec,
@@ -169,11 +169,27 @@ def test_a_group_tuple_of_the_wrong_length_is_a_validation_error(groups):
     # dropped without a word
     fault = r"gc\+pwg needs group numbers \(M, N\), got"
     with pytest.raises(ValidationError, match=fault):
-        design_kernels("gc+pwg", groups)
+        resolve_design("gc+pwg", groups)
     with pytest.raises(ValidationError, match=fault):
         layers_for(Family.GC_PWG, 16, 16, groups)
     with pytest.raises(ValidationError, match=fault):
         BlockSpec("gc+pwg", groups)
+
+
+def test_every_named_design_has_exactly_one_spatial_kernel():
+    # `_counts` splits a block at its one spatial kernel, the one that strides
+    for name, kinds in DESIGN_KINDS.items():
+        assert sum(kind.is_spatial for kind in kinds) == 1, name
+
+
+def test_a_design_name_resolves_in_any_case_to_its_family_and_kernels():
+    assert resolve_design("Standard") == (None, (Kernel(Kind.STANDARD),))
+    assert resolve_design("GC+pwg", (4, 2)) == (
+        Family.GC_PWG, (Kernel(Kind.GROUP, 4), Kernel(Kind.POINTWISE_GROUP, 2))
+    )
+    assert resolve_design("pw+DW+pw") == (
+        Family.PW_DW_PW, (Kernel(Kind.POINTWISE), Kernel(Kind.DEPTHWISE), Kernel(Kind.POINTWISE))
+    )
 
 
 def test_block_layers_are_the_family_layers_and_add_no_field():
