@@ -17,8 +17,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
-from . import __version__, efficiency
-from .efficiency import FAMILIES, Family
+from . import __version__
 from .kernels import ValidationError
 
 if TYPE_CHECKING:  # search and verify load none of these
@@ -92,6 +91,7 @@ def _emit(doc: dict[str, Any], lines: Iterable[str], fmt: str) -> None:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from . import search
+    from .efficiency import known_architectures
 
     out_channels = args.out_channels or args.channels
     if args.alpha is not None:
@@ -110,7 +110,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         enable_domination_filter=not args.no_domination,
     )
     result = search.run_search(config)
-    known = [_known_architectures(f.name, f.cheapest.group_numbers) for f in result.families]
+    known = [known_architectures(f.name, f.cheapest.group_numbers) for f in result.families]
     doc: dict[str, Any] = {
         "command": "search",
         "config": {
@@ -157,15 +157,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _known_architectures(name: str, groups=None) -> list[str]:
-    """Architectures a search family's witness coincides with: those of the
-    closed-form family of the same name, none for any other family."""
-    family = FAMILIES.get(name)
-    return sorted(family.known_architectures(groups)) if family else []
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    family = Family.parse(args.family)
+    from . import efficiency
+
+    family = efficiency.Family.parse(args.family)
     c, f = args.c, args.f
     doc: dict[str, Any] = {
         "command": "analyze",
@@ -206,7 +201,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"  groups M={groups[0]}, N={groups[1]}: M*N "
             f"{'=' if ok else '!='} intermediate channels {k}"
         )
-    known = sorted(family.known_architectures(groups))
+    known = efficiency.known_architectures(family.value, groups)
     doc["known_architectures"] = known
     if known:
         lines.append(f"  coincides with: {', '.join(known)}")
@@ -299,9 +294,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    _, kernels = efficiency.resolve_design(args.design, args.groups)
-    design, c = args.design.lower(), args.channels  # a name that resolved
-    layers = [efficiency.numbered_layer(i, k, c, c) for i, k in enumerate(kernels, 1)]
+    from .efficiency import plan_layers, resolve_design
+
+    c = args.channels
+    # the layout that every other command prices, at C = F
+    layers = plan_layers(*resolve_design(args.design, args.groups), c, c)
+    design = args.design.lower()  # a name that resolved
     # the table is printed as it is made: it grows with the square of the width
     lines = dot_lines(layers, name=design)
     doc = {

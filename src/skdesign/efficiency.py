@@ -54,28 +54,6 @@ class Family(enum.Enum):
         self.has_group_freedom = any(kind.is_grouped for kind in self.kinds)
         self.bottlenecked = len(self.kinds) == 3
 
-    def known_architectures(
-        self, groups: Optional[tuple[int, int]] = None
-    ) -> frozenset[str]:
-        """Architectures an instance coincides with or specializes.
-
-        The depthwise/pointwise pair is the building block of MobileNet and
-        Xception.  The grouped pair would meet it at its M = C, N = 1
-        boundary, but `Kernel` admits neither group number there (M = C is
-        the depthwise kind, N = 1 the pointwise kind), so no grouped-pair
-        instance reports them.  The bottlenecked pointwise sandwich is the
-        extreme case of ResNeXt where the cardinality equals the bottleneck
-        width.  The grouped sandwich with equal group numbers (M, N) is
-        ShuffleNet's unit.
-        """
-        if self is Family.DW_PW:
-            return frozenset({"MobileNet", "Xception"})
-        if self is Family.PW_DW_PW:
-            return frozenset({"ResNeXt-extreme"})
-        if self is Family.PWG_DW_PWG and groups and groups[0] == groups[1]:
-            return frozenset({"ShuffleNet"})
-        return frozenset()
-
     @staticmethod
     def parse(name: str) -> "Family":
         """The family `name` names, in any case."""
@@ -179,16 +157,29 @@ def plan_layers(
     for i, kernel in enumerate(kernels):
         # never None: each family has every slot of its plan once 4 | F holds
         c_in, width = slot_widths(kernel.kind, i, width, i == end, family.bottlenecked, c, f)
-        layers.append(numbered_layer(i + 1, kernel, c_in, width))
+        try:
+            layers.append(LayerSpec(kernel, c_in, width))
+        except ValidationError as err:
+            raise ValidationError(f"layer {i + 1} ({kernel}, {c_in} -> {width}): {err}") from err
     return layers
 
 
-def numbered_layer(number: int, kernel: Kernel, c_in: int, c_out: int) -> LayerSpec:
-    """`LayerSpec(kernel, c_in, c_out)`; a refusal names it as layer `number`."""
-    try:
-        return LayerSpec(kernel, c_in, c_out)
-    except ValidationError as err:
-        raise ValidationError(f"layer {number} ({kernel}, {c_in} -> {c_out}): {err}") from err
+def known_architectures(name: str, groups: Optional[tuple[int, int]] = None) -> list[str]:
+    """Architectures an instance of the family `name` at group numbers
+    `groups` coincides with or specializes, sorted; none for any other name.
+
+    The depthwise/pointwise pair is the building block of MobileNet and
+    Xception.  The grouped pair would meet it at its M = C, N = 1
+    boundary, but `Kernel` admits neither group number there (M = C is
+    the depthwise kind, N = 1 the pointwise kind), so no grouped-pair
+    instance reports them.  The bottlenecked pointwise sandwich is the
+    extreme case of ResNeXt where the cardinality equals the bottleneck
+    width.  The grouped sandwich with equal group numbers (M, N) is
+    ShuffleNet's unit.
+    """
+    if name == "pwg+dw+pwg":
+        return ["ShuffleNet"] if groups and groups[0] == groups[1] else []
+    return {"dw+pw": ["MobileNet", "Xception"], "pw+dw+pw": ["ResNeXt-extreme"]}.get(name, [])
 
 
 def family_params(

@@ -45,6 +45,15 @@ def checked(cls: type) -> type:
     return cls
 
 
+def check_integers(value: tuple, fields: slice) -> None:
+    """Refuse the checked value `value` if one of its `fields` holds anything
+    but an int: a bool is an int that hashes as 0 or 1, and 8.0 would be
+    priced as 8."""
+    for name, x in zip(value._fields[fields], value[fields]):
+        if type(x) is not int:
+            raise ValidationError(f"{name} must be an integer, got {x!r}")
+
+
 class Kind(enum.Enum):
     """A kernel kind and its fixed properties: `is_spatial` (k x k, else
     1x1), `size` (that k, or 1) and `is_grouped` (carries a group number)."""
@@ -80,6 +89,8 @@ class Kernel(NamedTuple):
 
     def _check(self) -> None:
         kind, g = self.kind, self.groups
+        if type(g) is not int:
+            check_integers(self, slice(1, 2))
         if kind.is_grouped:
             if g < 2:
                 raise ValidationError(f"{kind.value} group number must be >= 2, got {g}")
@@ -102,6 +113,9 @@ class LayerSpec(NamedTuple):
 
     def _check(self) -> None:
         kernel, c_in, c_out = self.kernel, self.in_channels, self.out_channels
+        # type tests first and alone: every layer the sizer or a sweep builds runs them
+        if type(c_in) is not int or type(c_out) is not int:
+            check_integers(self, slice(1, 3))
         if c_in < 1 or c_out < 1:
             raise ValidationError("channel counts must be positive")
         kind, g = kernel.kind, kernel.groups
@@ -147,7 +161,9 @@ SK_ALPHABET: tuple[Kind, ...] = (
 )
 
 
-@functools.lru_cache(maxsize=256)
+# typed: 8.0 == 8, and an entry for float widths, where `LayerSpec` accepts
+# nothing, must not answer for whole ones
+@functools.lru_cache(maxsize=256, typed=True)
 def slot_layers(kind: Kind, c_in: int, c_out: int) -> tuple[tuple[LayerSpec, int], ...]:
     """Every layer of a slot that `LayerSpec` accepts, one per group number,
     with its parameter count: the search prices kernels and the infofield

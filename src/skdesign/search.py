@@ -43,7 +43,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .efficiency import slot_widths
 from .infofield import InfoField, VerdictKind, step
-from .kernels import SK_ALPHABET, Kind, LayerSpec, ValidationError, checked, slot_layers
+from .kernels import (
+    SK_ALPHABET, Kind, LayerSpec, ValidationError, check_integers, checked, slot_layers,
+)
 
 # canonical-order tie break: spatial kinds before 1x1 kinds, then lexical
 _KIND_ORDER = {kind: (not kind.is_spatial, kind.value) for kind in Kind}
@@ -68,6 +70,7 @@ class SearchConfig(NamedTuple):
     enable_domination_filter: bool = True
 
     def _check(self) -> None:
+        check_integers(self, slice(3))
         if self.max_length < 1:
             raise ValidationError("max_length must be >= 1")
         if self.reference_channels < 1 or self.reference_out_channels < 1:

@@ -22,7 +22,9 @@ import math
 from typing import NamedTuple, Optional
 
 from .efficiency import UnderBudgetError, plan_layers, resolve_design
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, checked, divisors, param_count
+from .kernels import (
+    Kernel, Kind, LayerSpec, ValidationError, check_integers, checked, divisors, param_count,
+)
 
 STAGE_COUNT = 4
 STAGE_RESOLUTIONS = (56, 28, 14, 7)
@@ -94,10 +96,7 @@ class NetworkLayout(NamedTuple):
     conventions: Conventions = Conventions()
 
     def _check(self) -> None:
-        for name, value in zip(self._fields, self[:2]):
-            # a bool is an int that hashes as 0 or 1, and would be priced as one
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, slice(2))
         if self.width < 1:
             raise ValidationError("width must be positive")
         if self.blocks_per_stage < 1:

@@ -19,8 +19,8 @@ from skdesign.cli import (
     dot_lines,
     main,
 )
-from skdesign.efficiency import Family
-from skdesign.kernels import Kernel, Kind, LayerSpec
+from skdesign.efficiency import DESIGN_KINDS, Family, plan_layers, resolve_design
+from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError
 from skdesign.oracles import _input_groups, shuffle_after
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -203,11 +203,33 @@ def test_graph_standard_is_complete_bipartite(capsys):
 
 
 def test_graph_grouped_design_needs_groups(capsys):
-    code, _, err = run(capsys, "graph", "pwg+dw+pwg", "--channels", "4")
+    code, _, err = run(capsys, "graph", "pwg+dw+pwg", "--channels", "8")
     assert code == EXIT_VALIDATION
-    code, out, _ = run(capsys, "graph", "pwg+dw+pwg", "--channels", "4", "--groups", "2,2")
+    code, out, _ = run(capsys, "graph", "pwg+dw+pwg", "--channels", "8", "--groups", "2,2")
     assert code == EXIT_OK
     assert "color=green" in out
+    # at 4 channels the bottleneck is K = 1 wide, which pwg(2) does not divide
+    code, out, err = run(capsys, "graph", "pwg+dw+pwg", "--channels", "4", "--groups", "2,2")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (
+        "validation error: layer 1 (pwg(2), 4 -> 1): "
+        "group number 2 does not divide out_channels 1\n"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_KINDS))
+@pytest.mark.parametrize("c", [8, 16, 32])
+def test_graph_draws_the_layout_the_other_commands_price(capsys, name, c):
+    groups = (2, 2) if any(kind.is_grouped for kind in DESIGN_KINDS[name]) else None
+    layers = plan_layers(*resolve_design(name, groups), c, c)
+    argv = ["graph", name, "--channels", str(c)]
+    code, out, err = run(capsys, *argv, *(["--groups", "2,2"] if groups else []))
+    assert code == EXIT_OK, err
+    drawn = [
+        len(re.findall(r"t\d+_c\d+ \[label=", cluster))
+        for cluster in out.split("subgraph cluster_")[1:]
+    ]
+    assert drawn == [layer.in_channels for layer in layers] + [layers[-1].out_channels]
 
 
 def test_graph_divisibility_error_names_the_layer(capsys):
@@ -252,6 +274,19 @@ def test_search_alpha_that_is_no_ratio_is_a_usage_error(capsys, alpha):
 
 
 def test_graph_edges_are_the_reads_through_the_interleave():
+    def check(design):
+        expected = set()
+        for li, layer in enumerate(design):
+            if li:
+                perm = shuffle_after(design[li - 1])
+            else:
+                perm = tuple(range(layer.in_channels))
+            for ch, reads in enumerate(_input_groups(layer)):
+                expected.update((li, perm[src], ch) for src in reads)
+        dot = "\n".join(dot_lines(design, "design"))
+        edges = re.findall(r"t(\d+)_c(\d+) -> t\d+_c(\d+)", dot)
+        assert {tuple(map(int, e)) for e in edges} == expected, design
+
     for c in (4, 8, 12):
         legal = [
             LayerSpec(Kernel(kind, g), c, c)
@@ -260,17 +295,19 @@ def test_graph_edges_are_the_reads_through_the_interleave():
         ]
         for n in (1, 2):
             for design in itertools.product(legal, repeat=n):
-                expected = set()
-                for li, layer in enumerate(design):
-                    if li:
-                        perm = shuffle_after(design[li - 1])
-                    else:
-                        perm = tuple(range(layer.in_channels))
-                    for ch, reads in enumerate(_input_groups(layer)):
-                        expected.update((li, perm[src], ch) for src in reads)
-                dot = "\n".join(dot_lines(design, "design"))
-                edges = re.findall(r"t(\d+)_c(\d+) -> t\d+_c(\d+)", dot)
-                assert {tuple(map(int, e)) for e in edges} == expected, design
+                check(design)
+    # the layouts `graph` draws, whose width changes between layers
+    for name, kinds in DESIGN_KINDS.items():
+        for c, f in ((8, 8), (8, 16), (16, 8), (12, 24)):
+            pairs = [None]
+            if any(kind.is_grouped for kind in kinds):
+                pairs = [(m, n) for m in range(2, c) for n in range(2, f)]
+            for groups in pairs:
+                try:
+                    layers = plan_layers(*resolve_design(name, groups), c, f)
+                except ValidationError:  # no such layout at these widths
+                    continue
+                check(layers)
 
 
 def _readme_commands():
@@ -317,6 +354,9 @@ def test_analyze_and_size_name_the_bottleneck_width_fault_alike(capsys):
     assert out == ""
     code, _, err = run(capsys, "size", "--family", "pw+dw+pw", "--width", "62")
     assert code == EXIT_VALIDATION
+    assert "bottleneck families require 4 | F" in err
+    code, out, err = run(capsys, "graph", "pw+dw+pw", "--channels", "6")
+    assert (code, out) == (EXIT_VALIDATION, "")
     assert "bottleneck families require 4 | F" in err
 
 
@@ -406,7 +446,8 @@ def _loaded_modules(code, *argv):
          {"dataclasses", "fractions", "inspect", "skdesign.oracles", "skdesign.sizer",
           "skdesign.verify"}),
         (["verify", "--c-max", "4", "--len-max", "1"], "skdesign.oracles",
-         {"dataclasses", "fractions", "inspect", "skdesign.search", "skdesign.sizer"}),
+         {"dataclasses", "fractions", "inspect", "skdesign.efficiency", "skdesign.search",
+          "skdesign.sizer"}),
         # efficiency prices group pairs itself; `ratio` loads the exact rationals
         (["analyze", "gc+pwg", "--c", "36", "--f", "36"], "fractions",
          {"dataclasses", "inspect", "skdesign.oracles", "skdesign.search", "skdesign.verify"}),
@@ -416,6 +457,10 @@ def _loaded_modules(code, *argv):
          "skdesign.sizer", {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
         (["graph", "dw+pw"], "skdesign.oracles",
          {"dataclasses", "inspect", "skdesign.search", "skdesign.verify"}),
+        # argparse prints the version before any command runs
+        (["--version"], "argparse",
+         {"dataclasses", "fractions", "inspect", "skdesign.efficiency", "skdesign.oracles",
+          "skdesign.search", "skdesign.sizer", "skdesign.verify"}),
     ],
 )
 def test_search_and_verify_load_only_what_they_run(argv, needed, unloaded):
@@ -467,7 +512,7 @@ def test_star_import_binds_every_exported_name():
 
 def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    # several MB of DOT, far more than a pipe holds
+    # 1.5 MB of DOT, far more than a pipe holds
     proc = subprocess.Popen(
         [sys.executable, "-m", "skdesign.cli", "graph", "pw+dw+pw", "--channels", "300"],
         env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -481,7 +526,8 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
 
 
 def test_graph_prints_its_table_as_it_is_made():
-    # 25 MB of DOT: joined whole before printing, it peaked at about 110 MB.
+    # 26 MB of DOT: joined whole before printing, such a drawing peaked at
+    # about 110 MB.
     # A small parent reads the peak through os.wait4, as perfbench does: a
     # child's ru_maxrss starts at the size of the process that spawned it
     measure = (
@@ -494,7 +540,7 @@ def test_graph_prints_its_table_as_it_is_made():
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", measure, "graph", "pw+dw+pw", "--channels", "600"],
+        [sys.executable, "-c", measure, "graph", "standard", "--channels", "850"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     code, peak_kib = map(int, proc.stdout.split())

@@ -160,3 +160,9 @@ _slot_widths = st.one_of(st.sampled_from(_SMOOTH), st.integers(1, 1200))
 def test_slot_layers_list_every_group_number_that_trial_finds(kind, c_in, c_out):
     # only the divisors of gcd(c_in, c_out) are tried; `LayerSpec` still judges each
     assert slot_layers(kind, c_in, c_out) == trial_slot_layers(kind, c_in, c_out)
+
+
+def test_slot_layers_for_float_widths_do_not_answer_for_whole_ones():
+    # 8.0 == 8 and hashes alike; `LayerSpec` accepts no float width
+    assert slot_layers(Kind.POINTWISE, 8.0, 8.0) == ()
+    assert slot_layers(Kind.POINTWISE, 8, 8) == ((LayerSpec(Kernel(Kind.POINTWISE), 8, 8), 64),)

@@ -22,7 +22,7 @@ from naive import (
     summary,
 )
 from skdesign import search
-from skdesign.efficiency import Family, family_params, optimal_group_numbers
+from skdesign.efficiency import Family, family_params, known_architectures, optimal_group_numbers
 from skdesign.infofield import VerdictKind
 from skdesign.kernels import SK_ALPHABET, Kind, ValidationError, param_count, slot_layers
 from skdesign.oracles import feasible_pairs, reach_first, reach_step
@@ -35,7 +35,6 @@ from skdesign.search import (
     run_search,
     _grid_optimal_params,
 )
-from skdesign.cli import _known_architectures
 
 GC, DW, PW, PWG = Kind.GROUP, Kind.DEPTHWISE, Kind.POINTWISE, Kind.POINTWISE_GROUP
 
@@ -614,15 +613,15 @@ def test_gc_pwg_dw_never_survives_with_all_kernels_contributing():
 
 
 def test_identify_known(default_result):
-    # the lookup `search` prints: by family name in the closed-form table
+    # the lookup `search` and `analyze` print: by family name
     result = default_result
     fams = {f.name: f for f in result.families}
-    assert _known_architectures(fams["pwg+dw+pwg"].name, (4, 4)) == ["ShuffleNet"]
-    assert _known_architectures(fams["pwg+dw+pwg"].name, (8, 2)) == []
-    assert _known_architectures(fams["pw+dw+pw"].name) == ["ResNeXt-extreme"]
-    assert _known_architectures(fams["dw+pw"].name) == ["MobileNet", "Xception"]
-    assert _known_architectures(fams["gc+pwg"].name, (2, 2)) == []
-    assert _known_architectures("gc+pw+pwg", (2, 2)) == []
+    assert known_architectures(fams["pwg+dw+pwg"].name, (4, 4)) == ["ShuffleNet"]
+    assert known_architectures(fams["pwg+dw+pwg"].name, (8, 2)) == []
+    assert known_architectures(fams["pw+dw+pw"].name) == ["ResNeXt-extreme"]
+    assert known_architectures(fams["dw+pw"].name) == ["MobileNet", "Xception"]
+    assert known_architectures(fams["gc+pwg"].name, (2, 2)) == []
+    assert known_architectures("gc+pw+pwg", (2, 2)) == []
 
 
 def test_config_validation():

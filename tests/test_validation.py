@@ -13,7 +13,7 @@ from skdesign.efficiency import (
     optimal_group_numbers,
 )
 from skdesign.infofield import InfoField
-from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count
+from skdesign.kernels import Kernel, Kind, LayerSpec, ValidationError, flop_count, param_count
 from skdesign.oracles import (
     best_permutation_channel_count,
     divisor_grid_min,
@@ -48,6 +48,42 @@ def _pw(c_in, c_out):
          "alpha must be positive"),
         (lambda: greatest_width(Family.DW_PW, 0, 1), UnderBudgetError,
          "budget must be a positive parameter count"),
+        # library callers: a value type holds whole numbers only
+        pytest.param(
+            lambda: run_search(SearchConfig(
+                max_length=2, reference_channels=8.0, reference_out_channels=8.0,
+            )), ValidationError,
+            "reference_channels must be an integer, got 8.0", id="SearchConfig-channels",
+        ),
+        pytest.param(
+            lambda: SearchConfig(reference_out_channels=8.0), ValidationError,
+            "reference_out_channels must be an integer, got 8.0", id="SearchConfig-out",
+        ),
+        pytest.param(
+            lambda: SearchConfig(max_length=True), ValidationError,
+            "max_length must be an integer, got True", id="SearchConfig-max_length",
+        ),
+        pytest.param(
+            lambda: param_count(_pw(8.0, 8.0)), ValidationError,
+            "in_channels must be an integer, got 8.0", id="LayerSpec-in",
+        ),
+        pytest.param(
+            lambda: _pw(8, True), ValidationError,
+            "out_channels must be an integer, got True", id="LayerSpec-out",
+        ),
+        pytest.param(
+            lambda: family_params(Family.DW_PW, 8.0, 8), ValidationError,
+            "layer 1 (dw, 8.0 -> 8.0): in_channels must be an integer, got 8.0",
+            id="family_params",
+        ),
+        pytest.param(
+            lambda: Kernel(Kind.GROUP, 2.0), ValidationError,
+            "groups must be an integer, got 2.0", id="Kernel-groups",
+        ),
+        pytest.param(
+            lambda: Kernel(Kind.POINTWISE, True), ValidationError,
+            "groups must be an integer, got True", id="Kernel-ungrouped",
+        ),
         # each way besides its constructor that a checked value type builds a value
         pytest.param(
             lambda: Kernel(Kind.GROUP, 2)._replace(groups=1), ValidationError,
