@@ -250,6 +250,10 @@ def group_pair_min(family: Family, c: int, f: int) -> tuple[int, tuple[tuple[int
     """
     if not family.has_group_freedom:
         raise ValidationError(f"{family.value} has no group numbers to optimize")
+    for name, x in (("C", c), ("F", f)):
+        # `divisors` takes a whole number >= 1
+        if type(x) is not int or x < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {x!r}")
     _check_bottleneck_width(family, f)
     if family is Family.GC_PWG:
         # 9*(C/M)*C + (C/N)*F

@@ -200,6 +200,8 @@ def feasible_pairs(
     pairs meeting it exactly; "none" applies divisibility only: each group
     number divides both widths of its layer.
     """
+    if constraint not in ("le", "eq", "none"):
+        raise ValidationError(f"unknown constraint {constraint!r}; expected le, eq or none")
     if family == "gc+pwg":
         ds = divisors(c)
         ms = [d for d in ds if 2 <= d <= c - 1]

@@ -62,11 +62,6 @@ class Conventions(NamedTuple):
         return ", ".join(bits)
 
 
-# a block's family (None for the standard convolution) and kernels:
-# `BlockSpec` stores neither, and each `model_params` call reads them
-_design = functools.lru_cache(maxsize=256)(resolve_design)
-
-
 @checked
 class BlockSpec(NamedTuple):
     """One block: a standard convolution or a design-family instance, its
@@ -77,10 +72,10 @@ class BlockSpec(NamedTuple):
 
     def _check(self) -> None:
         # a group number no kernel accepts would leave `solve_width` no feasible width
-        _design(self.kind, self.groups)
+        resolve_design(*self)
 
     def layers(self, c: int, f: int) -> list[LayerSpec]:
-        return plan_layers(*_design(*self), c, f)
+        return plan_layers(*resolve_design(*self), c, f)
 
     def describe(self) -> str:
         name = self.kind.lower()  # a name `_check` resolved
@@ -125,11 +120,6 @@ class SizingReport(NamedTuple):
         return tuple(rows)
 
 
-def depth_of(block: BlockSpec, blocks_per_stage: int) -> int:
-    """Counted layers: stem conv + every block kernel + the classifier."""
-    return 1 + STAGE_COUNT * blocks_per_stage * len(_design(*block)[1]) + 1
-
-
 def _counts(layers: list[LayerSpec]) -> tuple[int, int, int]:
     """The weights of a block's `layers` before its spatial kernel, the one
     that strides, and from it on, and their output channels; the layers
@@ -147,34 +137,37 @@ def _counts(layers: list[LayerSpec]) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=512)
-def _layout(block: BlockSpec, width: int, followers: bool) -> tuple[int, ...]:
-    """The `_counts` of the stem, then of each stage's first block, its
-    followers' block (zeros without followers) and its projection shortcut
-    (zeros at stage 1), in one flat tuple.  Cached because every solve
-    probes the same widths and conventions change no layer; a layout that
-    fails raises, naming the stage and block, and is not cached."""
-    counts = [0, param_count(LayerSpec(_STEM, 3, width)), width]
+def _layout(block: BlockSpec, width: int) -> tuple[int, ...]:
+    """The block's kernel count, then the `_counts` of the stem and of each
+    stage's first block, its followers' block and its projection shortcut
+    (zeros at stage 1), in one flat tuple.  Blocks per stage and conventions
+    change only the arithmetic over it, so every solve reads one layout per
+    width it probes.  A follower at (2^s w, 2^s w) is a scaled copy of
+    stage 1's (w, w) and fails only where that does (`_lattice`).  A layout
+    that fails raises, naming the stage and block, and is not cached."""
+    family, kernels = resolve_design(*block)
+    counts = [len(kernels), param_count(LayerSpec(_STEM, 3, width)), width]
     for s in range(STAGE_COUNT):
         f = width << s
         c = f >> 1 if s else f
-        for b, c_in in enumerate((c, f) if followers else (c,)):
+        for b, c_in in enumerate((c, f)):
             try:
-                counts += _counts(block.layers(c_in, f))
+                counts += _counts(plan_layers(family, kernels, c_in, f))
             except ValidationError as err:
                 raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
-        counts += () if followers else (0, 0, 0)
         counts += (0, param_count(LayerSpec(_PROJECTION, c, f)), f) if s else (0, 0, 0)
     return tuple(counts)
 
 
 def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     """Exact whole-model parameter and MAC totals under the layout: sums
-    over the width's cached `_layout`, which no convention changes."""
+    over the width's cached `_layout`, which neither blocks per stage nor
+    conventions change."""
     w, blocks, conv = layout
     projected, batchnorm, bias = conv
     # the batch-norm and bias parameters of each output channel of a layer
     extra = (2 if batchnorm else 0) + (1 if bias else 0)
-    counts = _layout(block, w, blocks > 1)
+    counts = _layout(block, w)
     followers = blocks - 1
     stem, macs = counts[1] + extra * counts[2], counts[1] * STEM_AREA
     stage_params: list[int] = []
@@ -192,7 +185,8 @@ def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
     head = head_width * NUM_CLASSES + (NUM_CLASSES if bias else 0)
     return SizingReport(
         width=w,
-        depth=depth_of(block, blocks),
+        # counted layers: the stem, every block kernel and the classifier
+        depth=2 + STAGE_COUNT * blocks * counts[0],
         total_params=stem + sum(stage_params) + projections + head,
         total_macs=macs + head_width * NUM_CLASSES,
         stem_params=stem,

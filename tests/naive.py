@@ -112,7 +112,6 @@ from skdesign.sizer import (
     Conventions,
     NetworkLayout,
     SizingReport,
-    depth_of,
     model_params,
 )
 from skdesign.verify import INFOFIELD_CHANNELS, VerifyResult, _check_c_max
@@ -632,7 +631,7 @@ def model_params_by_layer(layout: NetworkLayout, block) -> SizingReport:
 
     stem, macs = counts(LayerSpec(Kernel(Kind.STANDARD), 3, layout.width), STEM_RESOLUTION)
     widths = [layout.width * 2**s for s in range(STAGE_COUNT)]
-    stages, projections = [], 0
+    stages, projections, depth = [], 0, 2  # the stem and the classifier
     for s in range(STAGE_COUNT):
         f, r_out = widths[s], STAGE_RESOLUTIONS[s]
         stage = 0
@@ -643,6 +642,7 @@ def model_params_by_layer(layout: NetworkLayout, block) -> SizingReport:
                 layers = block.layers(c, f)
             except ValidationError as err:
                 raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
+            depth += len(layers)
             spatial = [layer.kernel.kind.is_spatial for layer in layers]
             strided = spatial.index(True) if True in spatial else 0
             for i, layer in enumerate(layers):
@@ -656,7 +656,7 @@ def model_params_by_layer(layout: NetworkLayout, block) -> SizingReport:
     head = head_width * NUM_CLASSES + NUM_CLASSES * conv.include_bias
     return SizingReport(
         width=layout.width,
-        depth=depth_of(block, layout.blocks_per_stage),
+        depth=depth,
         total_params=stem + sum(stages) + projections + head,
         total_macs=macs + head_width * NUM_CLASSES,
         stem_params=stem,

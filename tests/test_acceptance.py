@@ -33,7 +33,6 @@ from skdesign.sizer import (
     BlockSpec,
     Conventions,
     NetworkLayout,
-    depth_of,
     model_params,
     solve_width,
 )
@@ -185,8 +184,8 @@ SIZING_MANIFEST = [
 
 
 def test_criterion_7_sizing_tables():
-    assert depth_of(BlockSpec("pw+dw+pw"), 8) == 98
-    assert depth_of(BlockSpec("pw+dw+pw"), 16) == 194
+    for blocks, depth in ((8, 98), (16, 194)):
+        assert model_params(NetworkLayout(64, blocks), BlockSpec("pw+dw+pw")).depth == depth
 
     for kind, groups, width, blocks, proj, target in SIZING_MANIFEST:
         conv = Conventions(include_projections=proj)

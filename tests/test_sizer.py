@@ -18,7 +18,6 @@ from skdesign.sizer import (
     BlockSpec,
     Conventions,
     NetworkLayout,
-    depth_of,
     model_params,
     solve_width,
     _last_step_within,
@@ -45,10 +44,11 @@ def forget():
 
 
 def test_depth_examples():
+    # the stem, every block kernel and the classifier
     three = BlockSpec("pw+dw+pw")
-    assert depth_of(three, 8) == 98
-    assert depth_of(three, 16) == 194
-    assert depth_of(BlockSpec("dw+pw"), 8) == 66
+    assert model_params(NetworkLayout(64, 8), three).depth == 98
+    assert model_params(NetworkLayout(64, 16), three).depth == 194
+    assert model_params(NetworkLayout(64, 8), BlockSpec("dw+pw")).depth == 66
 
 
 def test_model_params_width_one_hand_summed():
@@ -446,8 +446,8 @@ def test_layout_refuses_conventions_that_are_not_three_flags(conventions, messag
 @pytest.mark.parametrize("block", [*UNGROUPED, BlockSpec("gc+pwg", (4, 2)), BlockSpec("pwg+dw+pwg", (31, 29))])
 def test_a_second_solve_lays_out_only_its_answer_and_the_next_width(monkeypatch, forget, block):
     # a solve probes its block's basis widths w0, w0 + m and w0 + 2m, the
-    # same for every budget, blocks per stage above 1 and convention set,
-    # then the answer and the width after it; each width is laid out once
+    # same for every budget, blocks per stage and convention set, then the
+    # answer and the width after it; each width is laid out once
     widths = []
     build = sizer.LayerSpec
 
@@ -464,23 +464,24 @@ def test_a_second_solve_lays_out_only_its_answer_and_the_next_width(monkeypatch,
     second_widths = [second.width, second.width + m]
     assert widths == second_widths
     widths.clear()
-    # every width both solves probed is cached, at any blocks per stage above 1
+    # every width both solves probed is cached, at any blocks per stage
     for width in (w0, w0 + m, w0 + 2 * m, first.width, first.width + m, *second_widths):
-        model_params(NetworkLayout(width, 3), block)
+        for blocks in (1, 3):
+            model_params(NetworkLayout(width, blocks), block)
     assert widths == []
 
 
 def test_a_warm_model_params_lays_out_nothing(monkeypatch, forget):
-    # conventions and blocks per stage above 1 change only the arithmetic
-    # over one cached layout per width
+    # conventions and blocks per stage change only the arithmetic over one
+    # cached layout per width, which also holds the block's depth
     block = BlockSpec("pwg+dw+pwg", (4, 4))
-    layouts = [NetworkLayout(64, b, conv) for b in (2, 16) for conv in ALL_CONVENTIONS]
+    layouts = [NetworkLayout(64, b, conv) for b in (1, 2, 16) for conv in ALL_CONVENTIONS]
     want = [model_params(layout, block) for layout in layouts]
 
     def refuse(*args):
-        raise AssertionError("a warm model_params laid out a layer")
+        raise AssertionError("a warm model_params laid out a layer or read a design name")
 
-    for name in ("plan_layers", "param_count", "LayerSpec", "Kernel"):
+    for name in ("resolve_design", "plan_layers", "param_count", "LayerSpec", "Kernel"):
         monkeypatch.setattr(sizer, name, refuse)
     assert [model_params(layout, block) for layout in layouts] == want
 
@@ -587,6 +588,16 @@ def test_block_spec_validation():
         BlockSpec("gc+pwg", (1, 2))
     with pytest.raises(ValidationError, match="pwg group number must be >= 2, got 0"):
         BlockSpec("pwg+dw+pwg", (2, 0))
+
+
+def test_a_float_group_number_is_refused_after_its_int_was_built():
+    # (4.0, 2) equals and hashes as (4, 2), so a cache keyed on the groups
+    # would hand the float the int's kernels
+    block = BlockSpec("gc+pwg", (4, 2))
+    model_params(NetworkLayout(84, 2), block)
+    for build in (lambda: BlockSpec("gc+pwg", (4.0, 2)), lambda: block._replace(groups=(4.0, 2))):
+        with pytest.raises(ValidationError, match=r"^groups must be an integer, got 4\.0$"):
+            build()
 
 
 def test_model_params_family_block_width_one_hand_summed():

@@ -10,6 +10,7 @@ from skdesign.efficiency import (
     UnderBudgetError,
     family_params,
     greatest_width,
+    group_pair_min,
     optimal_group_numbers,
 )
 from skdesign.infofield import InfoField
@@ -41,6 +42,24 @@ def _pw(c_in, c_out):
         (lambda: best_permutation_channel_count([]), ValidationError, "empty design"),
         (lambda: feasible_pairs("dw+pw", 8, 8), ValidationError,
          "family 'dw+pw' has no group freedom"),
+        # a constraint is one of three names, matched exactly
+        pytest.param(
+            lambda: feasible_pairs("gc+pwg", 36, 36, "LE"), ValidationError,
+            "unknown constraint 'LE'; expected le, eq or none", id="feasible_pairs-constraint",
+        ),
+        # widths the divisor walk cannot take
+        pytest.param(
+            lambda: group_pair_min(Family.GC_PWG, 8.0, 8), ValidationError,
+            "C must be a positive integer, got 8.0", id="group_pair_min-C",
+        ),
+        pytest.param(
+            lambda: group_pair_min(Family.GC_PWG, -8, 8), ValidationError,
+            "C must be a positive integer, got -8", id="group_pair_min-negative",
+        ),
+        pytest.param(
+            lambda: optimal_group_numbers(Family.PWG_DW_PWG, 64, 64.0), ValidationError,
+            "F must be a positive integer, got 64.0", id="optimal_group_numbers-F",
+        ),
         (lambda: sizer.NetworkLayout(0), ValidationError, "width must be positive"),
         (lambda: sizer.solve_width(0, sizer.BlockSpec("dw+pw")), UnderBudgetError,
          "budget must be a positive parameter count"),
