@@ -198,10 +198,13 @@ def feasible_pairs(
     constraint "le" keeps pairs with M*N <= bound (the information-field
     feasibility bound: C for gc+pwg, K for pwg+dw+pwg); "eq" keeps only
     pairs meeting it exactly; "none" applies divisibility only: each group
-    number divides both widths of its layer.
+    number divides both widths of its layer.  C and F are positive `int`s.
     """
     if constraint not in ("le", "eq", "none"):
         raise ValidationError(f"unknown constraint {constraint!r}; expected le, eq or none")
+    for name, x in (("C", c), ("F", f)):
+        if type(x) is not int or x < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {x!r}")
     if family == "gc+pwg":
         ds = divisors(c)
         ms = [d for d in ds if 2 <= d <= c - 1]

@@ -88,9 +88,7 @@ from skdesign.kernels import (
     param_count,
 )
 from skdesign.oracles import (
-    FULL_PERMUTATION_LIMIT,
     _input_groups,
-    best_permutation_channel_count,
     check_caps,
     divisor_grid_min,
     reachable_channel_triple,
@@ -495,11 +493,6 @@ def verify_infofield_per_design(c_max: int = 16, len_max: int = 4) -> VerifyResu
                     checked += 1
                     if got == want:
                         continue
-                    if c <= FULL_PERMUTATION_LIMIT:
-                        best = best_permutation_channel_count(layers)
-                        if (got[0], got[1], best) == want:
-                            continue
-                        got = (got[0], got[1], best)
                     groups = tuple(layer.kernel.groups for layer in layers)
                     counterexamples.append(
                         f"C={c}, {sequence_name(seq)} groups={groups}: "

@@ -60,6 +60,30 @@ def _pw(c_in, c_out):
             lambda: optimal_group_numbers(Family.PWG_DW_PWG, 64, 64.0), ValidationError,
             "F must be a positive integer, got 64.0", id="optimal_group_numbers-F",
         ),
+        pytest.param(
+            lambda: feasible_pairs("gc+pwg", 8.0, 8), ValidationError,
+            "C must be a positive integer, got 8.0", id="feasible_pairs-C",
+        ),
+        pytest.param(
+            lambda: feasible_pairs("pwg+dw+pwg", 8, -8), ValidationError,
+            "F must be a positive integer, got -8", id="feasible_pairs-negative",
+        ),
+        pytest.param(
+            lambda: feasible_pairs("gc+pwg", True, 8), ValidationError,
+            "C must be a positive integer, got True", id="feasible_pairs-bool",
+        ),
+        pytest.param(
+            lambda: divisor_grid_min("gc+pwg", -8, 8), ValidationError,
+            "C must be a positive integer, got -8", id="divisor_grid_min-negative",
+        ),
+        pytest.param(
+            lambda: divisor_grid_min("pwg+dw+pwg", 8, 8.0), ValidationError,
+            "F must be a positive integer, got 8.0", id="divisor_grid_min-F",
+        ),
+        pytest.param(
+            lambda: divisor_grid_min("gc+pwg", 8, True), ValidationError,
+            "F must be a positive integer, got True", id="divisor_grid_min-bool",
+        ),
         (lambda: sizer.NetworkLayout(0), ValidationError, "width must be positive"),
         (lambda: sizer.solve_width(0, sizer.BlockSpec("dw+pw")), UnderBudgetError,
          "budget must be a positive parameter count"),

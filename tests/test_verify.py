@@ -1,13 +1,15 @@
 import gc
+import itertools
 import tracemalloc
+from collections import deque
 
 import pytest
 
 from naive import verify_infofield_per_design
 from skdesign import cli, infofield, oracles, verify
-from skdesign.infofield import InfoField
-from skdesign.kernels import Kind, ValidationError
-from skdesign.verify import verify_infofield
+from skdesign.infofield import InfoField, field_of, propagate
+from skdesign.kernels import SK_ALPHABET, Kind, ValidationError, slot_layers
+from skdesign.verify import INFOFIELD_CHANNELS, verify_infofield
 
 
 @pytest.mark.parametrize("c_max, len_max", [(16, 4), (16, 3), (8, 4)])
@@ -46,15 +48,60 @@ def test_prefix_walk_reports_a_calculus_fault_like_the_per_design_sweep(monkeypa
     assert walk == per_design
 
 
-def test_prefix_walk_reports_an_oracle_fault_like_the_per_design_sweep(monkeypatch):
-    oracles._read_masks.cache_clear()
-    monkeypatch.setattr(oracles, "interleave", lambda n, groups: tuple(range(n)))
-    try:
-        walk, per_design = _both_sweeps()
-    finally:
+_REAL_INTERLEAVE = oracles.interleave
+
+
+def _identity(n, groups):
+    return tuple(range(n))
+
+
+def _identity_at_two_groups(n, groups):
+    return tuple(range(n)) if groups == 2 else _REAL_INTERLEAVE(n, groups)
+
+
+@pytest.fixture
+def interleave_fault(monkeypatch):
+    """Puts a faulty interleave in the oracle, clearing the read masks the
+    real one filled, and clears them again afterwards."""
+
+    def inject(fault):
         oracles._read_masks.cache_clear()
-    assert len(walk["counterexamples"]) == 14_732
+        monkeypatch.setattr(oracles, "interleave", fault)
+
+    yield inject
+    oracles._read_masks.cache_clear()
+
+
+def test_prefix_walk_reports_an_oracle_fault_like_the_per_design_sweep(interleave_fault):
+    interleave_fault(_identity)
+    walk, per_design = _both_sweeps()
+    assert len(walk["counterexamples"]) == 16_272
     assert walk == per_design
+
+
+def test_every_design_the_interleave_misses_at_eight_channels_or_fewer_is_reported(
+    interleave_fault,
+):
+    # a design the interleave misses is reported even where another
+    # permutation would reach the calculus count
+    interleave_fault(_identity)
+    missed = []
+    for c in (4, 8):
+        for length in range(1, 5):
+            for kinds in itertools.product(SK_ALPHABET, repeat=length):
+                slots = [[layer for layer, _ in slot_layers(kind, c, c)] for kind in kinds]
+                for layers in itertools.product(*slots):
+                    calc = field_of(layers, c)
+                    want = (calc.spatial_x, calc.spatial_y, calc.channels)
+                    got = oracles.reachable_channel_triple(layers)
+                    if got != want:
+                        seq = "+".join(kind.value for kind in kinds)
+                        groups = tuple(layer.kernel.groups for layer in layers)
+                        missed.append(
+                            f"C={c}, {seq} groups={groups}: calculus {want}, graph {got}"
+                        )
+    assert len(missed) == 1_540
+    assert verify_infofield(8).counterexamples == missed
 
 
 # Under correct code the calculus field and the oracle's extent agree, so a
@@ -79,18 +126,56 @@ def test_prefix_walk_reports_a_spatial_fault_like_the_per_design_sweep(monkeypat
     assert walk == per_design
 
 
-def test_prefix_walk_reports_a_two_group_shuffle_fault_like_the_per_design_sweep(monkeypatch):
-    real = oracles.interleave
-    oracles._read_masks.cache_clear()
-    monkeypatch.setattr(
-        oracles, "interleave", lambda n, groups: tuple(range(n)) if groups == 2 else real(n, groups)
-    )
-    try:
-        walk, per_design = _both_sweeps()
-    finally:
-        oracles._read_masks.cache_clear()
-    assert len(walk["counterexamples"]) == 2_028
+def test_prefix_walk_reports_a_two_group_shuffle_fault_like_the_per_design_sweep(
+    interleave_fault,
+):
+    interleave_fault(_identity_at_two_groups)
+    walk, per_design = _both_sweeps()
+    assert len(walk["counterexamples"]) == 2_752
     assert walk == per_design
+
+
+def _closure(c: int) -> tuple[int, int, int]:
+    """Breadth-first closure of the sweep's channel state at C = c: the
+    calculus channel count and the oracle's reach in the order the next
+    layer reads it, stepped through every layer of every slot.  Returns the
+    states, the transitions, and the transitions whose counts differ, which
+    are not followed further."""
+    layers = [layer for kind in SK_ALPHABET for layer, _ in slot_layers(kind, c, c)]
+    start = (1, tuple(1 << j for j in range(c)))
+    seen, queue, differ = {start}, deque([start]), 0
+    while queue:
+        a, reach = queue.popleft()
+        for layer in layers:
+            new = propagate(InfoField(1, 1, a), layer, c).channels
+            if new != oracles.reach_first(reach, layer).bit_count():
+                differ += 1
+                continue
+            state = (new, oracles.reach_step(reach, layer))
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    return len(seen), len(seen) * len(layers), differ
+
+
+def test_interleave_reaches_the_calculus_from_every_state_of_the_sweep():
+    # Every prefix of every design, at any length, ends in one of these
+    # states, and each design's verdict is one transition out of its prefix's
+    # state.  Both sides grow the extent as 1 + sum(k - 1), so no transition
+    # that differs means the interleave meets the calculus triple at every
+    # length on the sweep's constant-width layers.
+    closures = {c: _closure(c) for c in INFOFIELD_CHANNELS}
+    assert closures == {4: (3, 15, 0), 8: (4, 28, 0), 12: (8, 88, 0), 16: (5, 45, 0)}
+
+
+@pytest.mark.parametrize(
+    "fault, differ",
+    [(_identity, [2, 8, 32, 18]), (_identity_at_two_groups, [2, 4, 8, 6])],
+    ids=["identity", "identity-at-two-groups"],
+)
+def test_closure_finds_an_interleave_fault_at_every_width(interleave_fault, fault, differ):
+    interleave_fault(fault)
+    assert [_closure(c)[2] for c in INFOFIELD_CHANNELS] == differ
 
 
 def test_prefix_walk_propagates_once_per_state_and_slot(monkeypatch):
