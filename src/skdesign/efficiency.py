@@ -26,7 +26,7 @@ import enum
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .kernels import Kernel, Kind, LayerSpec, ValidationError, divisors, param_count
+from .kernels import Kernel, Kind, LayerSpec, ValidationError, check_integer, divisors, param_count
 
 if TYPE_CHECKING:  # loaded only by the functions that use it
     from fractions import Fraction
@@ -351,6 +351,7 @@ def greatest_width(family: Family, budget: int, alpha: Fraction | int) -> WidthR
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
+    check_integer("budget", budget)
     if budget < 1:
         raise UnderBudgetError("budget must be a positive parameter count")
     g_real, condition = _continuous_width(family, budget, alpha)

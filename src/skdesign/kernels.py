@@ -45,13 +45,18 @@ def checked(cls: type) -> type:
     return cls
 
 
+def check_integer(name: str, x: object) -> None:
+    """Refuse `x`, named `name`, if it is anything but an int: a bool is an
+    int that hashes as 0 or 1, and 8.0 would be priced as 8."""
+    if type(x) is not int:
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
+
+
 def check_integers(value: tuple, fields: slice) -> None:
     """Refuse the checked value `value` if one of its `fields` holds anything
-    but an int: a bool is an int that hashes as 0 or 1, and 8.0 would be
-    priced as 8."""
+    but an int (`check_integer`)."""
     for name, x in zip(value._fields[fields], value[fields]):
-        if type(x) is not int:
-            raise ValidationError(f"{name} must be an integer, got {x!r}")
+        check_integer(name, x)
 
 
 class Kind(enum.Enum):

@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional
 
 from .efficiency import UnderBudgetError, plan_layers, resolve_design
 from .kernels import (
-    Kernel, Kind, LayerSpec, ValidationError, check_integers, checked, divisors, param_count,
+    Kernel, Kind, LayerSpec, ValidationError, check_integer, check_integers, checked, divisors,
+    param_count,
 )
 
 STAGE_COUNT = 4
@@ -136,61 +137,145 @@ def _counts(layers: list[LayerSpec]) -> tuple[int, int, int]:
     return pre, post, outs
 
 
-@functools.lru_cache(maxsize=512)
+# the parts of a model `_layout` counts apart: the stem, each stage's first
+# block and one of its followers, and the projection shortcuts
+_PARTS = 2 + 2 * STAGE_COUNT
+
+
 def _layout(block: BlockSpec, width: int) -> tuple[int, ...]:
-    """The block's kernel count, then the `_counts` of the stem and of each
-    stage's first block, its followers' block and its projection shortcut
-    (zeros at stage 1), in one flat tuple.  Blocks per stage and conventions
-    change only the arithmetic over it, so every solve reads one layout per
-    width it probes.  A follower at (2^s w, 2^s w) is a scaled copy of
-    stage 1's (w, w) and fails only where that does (`_lattice`).  A layout
-    that fails raises, naming the stage and block, and is not cached."""
+    """The block's model at `width`, laid out layer by layer: the weights of
+    each of the `_PARTS`, then their output channels, then the MACs of the
+    stem and first blocks, of one follower per stage and of the projections.
+    A follower at (2^s w, 2^s w) is a scaled copy of stage 1's (w, w) and
+    fails only where that does (`_record`).  A layout that fails raises,
+    naming the stage and block."""
     family, kernels = resolve_design(*block)
-    counts = [len(kernels), param_count(LayerSpec(_STEM, 3, width)), width]
-    for s in range(STAGE_COUNT):
+    stem = param_count(LayerSpec(_STEM, 3, width))
+    weights, outs = [stem], [width]
+    macs, follower_macs = stem * STEM_AREA, 0
+    projections = projection_outs = projection_macs = 0
+    for s, (area_in, area_out) in enumerate(STAGE_AREAS):
         f = width << s
         c = f >> 1 if s else f
+        runs = []
         for b, c_in in enumerate((c, f)):
             try:
-                counts += _counts(plan_layers(family, kernels, c_in, f))
+                runs.append(_counts(plan_layers(family, kernels, c_in, f)))
             except ValidationError as err:
                 raise ValidationError(f"stage {s + 1}, block {b + 1}: {err}") from err
-        counts += (0, param_count(LayerSpec(_PROJECTION, c, f)), f) if s else (0, 0, 0)
-    return tuple(counts)
+        (pre, post, first_outs), (pre2, post2, follower_outs) = runs
+        weights += (pre + post, pre2 + post2)
+        outs += (first_outs, follower_outs)
+        macs += pre * area_in + post * area_out
+        follower_macs += (pre2 + post2) * area_out
+        if s:
+            projection = param_count(LayerSpec(_PROJECTION, c, f))
+            projections += projection
+            projection_outs += f
+            projection_macs += projection * area_out
+    return (
+        *weights, projections, *outs, projection_outs, macs, follower_macs, projection_macs
+    )
+
+
+def _fold(counts: tuple[int, ...], extra: int) -> list[int]:
+    """A `_layout` with `extra` parameters per output channel: the
+    parameters of each of the `_PARTS`, then the three MAC counts."""
+    folded = [p + extra * o for p, o in zip(counts[:_PARTS], counts[_PARTS : 2 * _PARTS])]
+    folded += counts[2 * _PARTS :]
+    return folded
+
+
+def _on_quadratic(quadratics: tuple[tuple[int, int, int], ...], k: int) -> list[int]:
+    """Each count c0 + k * d1 + k (k - 1) / 2 * d2, from its (c0, d1, d2)."""
+    t = k * (k - 1) // 2
+    return [c + k * d + t * e for c, d, e in quadratics]
+
+
+@functools.lru_cache(maxsize=256)
+def _record(block: BlockSpec) -> tuple:
+    """(w0, m, kernel count, folds): the block's feasible widths w0 + k * m,
+    and for each number of extra parameters per output channel (0 to 3), each
+    count of the `_fold` there as a quadratic in k, its (c0, d1, d2).
+
+    One block per stage decides feasibility: more blocks add only
+    (2^s w, 2^s w), a scaled copy of stage 1's (w, w) that passes each
+    check (w, w) passes, and conventions change totals, not layers.  The
+    stage widths are w * 2^s and a block's group numbers are fixed, so each
+    check a layer makes is a divisibility or a lower bound on w, and every
+    count is a product of at most two widths: exact quadratics in k, read
+    from the layouts at k = 0, 1, 2 as a first row and its first and second
+    differences.  The layout at k = 3 must agree, or RuntimeError: a fold
+    that has no extra parameters checks the weights and MACs, and one with
+    them the output channels."""
+    rows = {}
+
+    def feasible(w: int) -> bool:
+        try:
+            rows[w] = _layout(block, w)
+        except ValidationError:
+            return False
+        return True
+
+    top = 8 * math.prod(block.groups or ())  # a candidate feasible width
+    if not feasible(top):
+        raise RuntimeError(f"{block.describe()}: width {top} is not feasible")
+    # m | top, so top + d for a divisor d is feasible exactly when m | d.  If
+    # none is, w0 = m = top, and the layout at k = 1, 2 * top, refuses it
+    m = next((d for d in divisors(top) if feasible(top + d)), top)
+    w0 = next(w for w in range(m, top + 1, m) if feasible(w))
+    where = f"{block.describe()} at widths {w0} + k * {m}"
+    for k in range(1, 4):
+        w = w0 + k * m
+        if w not in rows:
+            try:
+                rows[w] = _layout(block, w)
+            except ValidationError as err:
+                raise RuntimeError(f"{where}: k = {k} is not feasible: {err}") from err
+    folds = []
+    for extra in range(4):
+        f0, f1, f2, f3 = (_fold(rows[w0 + k * m], extra) for k in range(4))
+        quadratics = tuple((a, b - a, c - 2 * b + a) for a, b, c in zip(f0, f1, f2))
+        if _on_quadratic(quadratics, 3) != f3:
+            raise RuntimeError(f"{where}: the layout at k = 3 is off the quadratic of k = 0, 1, 2")
+        folds.append(quadratics)
+    return w0, m, len(resolve_design(*block)[1]), tuple(folds)
 
 
 def model_params(layout: NetworkLayout, block: BlockSpec) -> SizingReport:
-    """Exact whole-model parameter and MAC totals under the layout: sums
-    over the width's cached `_layout`, which neither blocks per stage nor
-    conventions change."""
+    """Exact whole-model parameter and MAC totals under the layout.  On the
+    block's lattice, the counts of the width are read from its `_record`,
+    and no layer is built; any other width is laid out, so it raises the
+    layer's refusal.  Neither blocks per stage nor conventions change the
+    layout, only the arithmetic over it."""
     w, blocks, conv = layout
     projected, batchnorm, bias = conv
     # the batch-norm and bias parameters of each output channel of a layer
     extra = (2 if batchnorm else 0) + (1 if bias else 0)
-    counts = _layout(block, w)
+    w0, m, kernels, folds = _record(block)
+    k, off = divmod(w - w0, m)
+    counts = _fold(_layout(block, w), extra) if off or k < 0 else _on_quadratic(folds[extra], k)
     followers = blocks - 1
-    stem, macs = counts[1] + extra * counts[2], counts[1] * STEM_AREA
-    stage_params: list[int] = []
-    projections = 0
-    for s, (area_in, area_out) in enumerate(STAGE_AREAS):
-        pre, post, outs, pre2, post2, outs2, _, proj, proj_outs = counts[3 + 9 * s : 12 + 9 * s]
-        follower = pre2 + post2
-        stage_params.append(pre + post + extra * outs + followers * (follower + extra * outs2))
-        macs += pre * area_in + (post + followers * follower) * area_out
-        if projected:
-            projections += proj + extra * proj_outs
-            macs += proj * area_out
+    stem = counts[0]
+    # per stage, its first block and its followers
+    stage_params = tuple(
+        first + followers * follower
+        for first, follower in zip(counts[1 : _PARTS - 1 : 2], counts[2 : _PARTS - 1 : 2])
+    )
+    projections = counts[_PARTS - 1] if projected else 0
+    macs, follower_macs, projection_macs = counts[_PARTS:]
+    macs += followers * follower_macs + (projection_macs if projected else 0)
 
     head_width = w << (STAGE_COUNT - 1)
     head = head_width * NUM_CLASSES + (NUM_CLASSES if bias else 0)
     return SizingReport(
         width=w,
         # counted layers: the stem, every block kernel and the classifier
-        depth=2 + STAGE_COUNT * blocks * counts[0],
+        depth=2 + STAGE_COUNT * blocks * kernels,
         total_params=stem + sum(stage_params) + projections + head,
         total_macs=macs + head_width * NUM_CLASSES,
         stem_params=stem,
-        stage_params=tuple(stage_params),
+        stage_params=stage_params,
         projection_params=projections,
         head_params=head,
         conventions=conv,
@@ -205,7 +290,7 @@ def solve_width(
     """Largest feasible width whose model total fits the parameter budget.
 
     The closed form relies on two facts of the four-stage layout, and
-    `model_params` is still the only judge of feasibility and of totals.
+    `model_params` is still the only judge of the totals it reads.
     The stage widths are w * 2^s and a block's group numbers are fixed, so
     each check a layer makes is a divisibility or a lower bound on w: the
     feasible widths are w0, w0 + m, w0 + 2m, ...  And every layer's count
@@ -213,17 +298,18 @@ def solve_width(
     total is an exact quadratic in k = (w - w0) / m, read from the totals
     at k = 0, 1, 2.  The largest k within budget then follows from an
     integer square root.  w0 and m are found once per block, from one
-    feasible width and its divisors (`_lattice`).  The answer and the next
+    feasible width and its divisors (`_record`).  The answer and the next
     feasible width are probed, and a total off the quadratic, an answer
     over budget or a next width that fits raises RuntimeError: a layout
     that breaks the structure fails loudly rather than answering short.
     """
+    check_integer("budget", budget)
     if budget < 1:
         raise UnderBudgetError("budget must be a positive parameter count")
     # checked once here, so a probe's ValidationError means only that the
     # block does not fit its width
     layout = NetworkLayout(1, blocks_per_stage, conventions=conventions)
-    w0, m = _lattice(block)
+    w0, m = _record(block)[:2]
     if w0 > budget:
         raise UnderBudgetError(f"budget {budget} is below the smallest feasible model")
     where = f"{block.describe()} at widths {w0} + k * {m}"
@@ -266,28 +352,3 @@ def _last_step_within(room: int, d1: int, d2: int) -> int:
     # that before dividing by the whole 2 d2 changes no floor: no fix-up
     b = 2 * d1 - d2
     return (math.isqrt(b * b + 8 * d2 * room) - b) // (2 * d2)
-
-
-@functools.lru_cache(maxsize=256)
-def _lattice(block: BlockSpec) -> tuple[int, int]:
-    """(w0, m): the smallest feasible width and the step to the next.
-
-    One block per stage decides it: more blocks add only (2^s w, 2^s w), a
-    scaled copy of stage 1's (w, w) that passes each check (w, w) passes,
-    and conventions change totals, not layers."""
-
-    def feasible(w: int) -> bool:
-        try:
-            model_params(NetworkLayout(w, 1), block)
-        except ValidationError:
-            return False
-        return True
-
-    top = 8 * math.prod(block.groups or ())  # a candidate feasible width
-    if not feasible(top):
-        raise RuntimeError(f"{block.describe()}: width {top} is not feasible")
-    # m | top, so top + d for a divisor d is feasible exactly when m | d.  If
-    # none is, w0 = m = top, and solve_width's probe of 2 * top refuses it
-    m = next((d for d in divisors(top) if feasible(top + d)), top)
-    return next(w for w in range(m, top + 1, m) if feasible(w)), m
-

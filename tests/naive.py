@@ -56,8 +56,9 @@ give the same report or raise the same error.
 The layer-by-layer model count: `model_params_by_layer` lays out every
 block of every stage and sums its layers one by one, each at its own
 output resolution; `sizer.model_params`, which reads the counts of the
-stem, each stage's two block shapes and its projection from one cached
-layout per width, must give the same report or raise the same error.
+stem, each stage's two block shapes and its projections from the block's
+record on its lattice of widths and lays out any other width once, must
+give the same report or raise the same error.
 
 Test helpers that `src/` does not need: `trace` (the field after each
 kernel), `TensorShape`, and one kernel constructor per kind.

@@ -27,16 +27,15 @@ NOPROJ = Conventions(include_projections=False)
 
 
 def _forget():
-    """Empty the sizer's caches: each block's progression and each width's
-    layout."""
-    sizer._lattice.cache_clear()
-    sizer._layout.cache_clear()
+    """Empty the sizer's one cache: each block's record, its progression and
+    its counts on it."""
+    sizer._record.cache_clear()
 
 
 @pytest.fixture
 def forget():
-    """Run on empty sizer caches and leave them empty, so that no fake or
-    counter reads an entry another test made, and no later test reads one
+    """Run on an empty record cache and leave it empty, so that no fake or
+    counter reads a record another test made, and no later test reads one
     made through a fake."""
     _forget()
     yield
@@ -296,7 +295,7 @@ def _feasible_widths(block, blocks=1, conventions=Conventions()):
 @example(BlockSpec("pwg+dw+pwg", (12, 11)), 16, Conventions(False, True, True))
 @example(BlockSpec("gc+pwg", (32, 31)), 3, Conventions(False, False, False))
 def test_feasible_widths_depend_on_the_block_alone(block, blocks, conventions):
-    # what `_lattice(block)`, judged at one block per stage and the default
+    # what `_record(block)`, judged at one block per stage and the default
     # conventions, rests on
     assert _feasible_widths(block, blocks, conventions) == _feasible_widths(block)
 
@@ -342,21 +341,29 @@ def test_solve_width_past_the_grid_cap(budget, block, width, params):
 
 
 def test_solve_width_finds_a_far_lattice_in_few_probes(monkeypatch, forget):
-    # w0 = m = 65,024: a scan from width 1 makes about 130,000 probes
-    calls = []
+    # w0 = m = 65,024: a scan from width 1 lays out about 130,000 widths
+    calls, layouts = [], []
+    layout_width = sizer._layout
 
     def counting(layout, block):
         calls.append(layout.width)
         return model_params(layout, block)
 
+    def laying_out(block, width):
+        layouts.append(width)
+        return layout_width(block, width)
+
     monkeypatch.setattr(sizer, "model_params", counting)
+    monkeypatch.setattr(sizer, "_layout", laying_out)
     block = BlockSpec("pwg+dw+pwg", (128, 127))
     report = solve_width(10**13, block)
     assert (report.width, report.total_params) == (455_168, 9_240_736_529_920)
-    assert len(calls) <= 40
-    calls.clear()
-    assert solve_width(10**13, block) == report
+    assert len(layouts) <= 40
     assert len(calls) == 5
+    calls.clear()
+    layouts.clear()
+    assert solve_width(10**13, block) == report
+    assert (len(calls), layouts) == (5, [])
 
 
 def _answer(fn, *args):
@@ -409,8 +416,7 @@ def test_cached_block_counts_change_no_answer(block_width, blocks, conventions, 
 
 
 def test_layout_refuses_a_width_or_block_count_that_is_not_an_int():
-    # a float would be priced with float totals, and share cached counts with its int
-    # a bool would be priced as 0 or 1, and share cached layouts with it
+    # a float would be priced with float totals, and a bool as 0 or 1
     cases = [
         (8.0, 1, "width"), (8.5, 1, "width"), (8, 2.0, "blocks_per_stage"),
         (True, 1, "width"), (True, True, "width"), (8, True, "blocks_per_stage"),
@@ -443,53 +449,116 @@ def test_layout_refuses_conventions_that_are_not_three_flags(conventions, messag
         solve_width(10**6, block, 1, conventions())
 
 
-@pytest.mark.parametrize("block", [*UNGROUPED, BlockSpec("gc+pwg", (4, 2)), BlockSpec("pwg+dw+pwg", (31, 29))])
-def test_a_second_solve_lays_out_only_its_answer_and_the_next_width(monkeypatch, forget, block):
-    # a solve probes its block's basis widths w0, w0 + m and w0 + 2m, the
-    # same for every budget, blocks per stage and convention set, then the
-    # answer and the width after it; each width is laid out once
+@settings(max_examples=150, deadline=None)
+@given(
+    block=_block_strategy(),
+    k=st.integers(0, 10**6),
+    # on the lattice, or one off it: below w0 at k = 0
+    shift=st.sampled_from([0, -1, 1]),
+    blocks=st.integers(1, 16),
+    conventions=st.sampled_from(ALL_CONVENTIONS),
+)
+@example(BlockSpec("pwg+dw+pwg", (31, 29)), 10**6, 0, 16, Conventions(True, True, True))
+@example(BlockSpec("gc+pwg", (4, 2)), 0, -1, 2, Conventions())
+@example(BlockSpec("standard"), 10**6, 1, 1, Conventions(False, True, False))
+def test_model_params_on_and_off_the_lattice_is_the_layer_by_layer_count(
+    block, k, shift, blocks, conventions,
+):
+    # the same report far along the block's widths w0 + k * m, and the same
+    # report or refusal text, stage, block and layer included, one off them
+    w0, m = sizer._record(block)[:2]
+    width = w0 + k * m + shift
+    if width < 1:
+        return
+    layout = NetworkLayout(width, blocks, conventions)
+    assert _answer(model_params, layout, block) == _answer(model_params_by_layer, layout, block)
+
+
+@pytest.mark.parametrize("block", [BlockSpec("standard"), BlockSpec("pwg+dw+pwg", (4, 4))])
+def test_a_layout_off_the_quadratic_at_k_3_fails_the_record(monkeypatch, forget, block):
+    # one count moved by one at w0 + 3m, any count: the record build, and so
+    # every model_params and solve_width of the block, raises
+    w0, m = sizer._record(block)[:2]
+    real = sizer._layout
+    for i in range(len(real(block, w0))):
+
+        def fake(block, width):
+            counts = real(block, width)
+            if width != w0 + 3 * m:
+                return counts
+            return counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+
+        _forget()
+        monkeypatch.setattr(sizer, "_layout", fake)
+        message = re.escape(f"at widths {w0} + k * {m}: the layout at k = 3 is off the quadratic")
+        for call in (
+            lambda: model_params(NetworkLayout(w0, 2), block),
+            lambda: solve_width(10**9, block),
+        ):
+            with pytest.raises(RuntimeError, match=message):
+                call()
+
+
+def _counting_stems(monkeypatch):
+    """The widths laid out from now on, one stem per layout."""
     widths = []
     build = sizer.LayerSpec
 
     def counting(kernel, c_in, c_out):
-        if kernel is sizer._STEM:  # one stem per layout
+        if kernel is sizer._STEM:
             widths.append(c_out)
         return build(kernel, c_in, c_out)
 
     monkeypatch.setattr(sizer, "LayerSpec", counting)
-    w0, m = sizer._lattice(block)
+    return widths
+
+
+@pytest.mark.parametrize("block", [*UNGROUPED, BlockSpec("gc+pwg", (4, 2)), BlockSpec("pwg+dw+pwg", (31, 29))])
+def test_a_second_solve_lays_out_nothing(monkeypatch, forget, block):
+    # the first solve builds the block's record from the layouts at
+    # k = 0 to 3, the same for every budget, blocks per stage and convention
+    # set; after it no solve and no width on the lattice lays anything out
+    widths = _counting_stems(monkeypatch)
     first = solve_width(10**10, block, 2)
+    w0, m = sizer._record(block)[:2]
+    assert set(widths) >= {w0 + k * m for k in range(4)}
+    assert len(widths) == len(set(widths))  # each width is laid out once
     widths.clear()
     second = solve_width(3 * 10**10, block, 16, Conventions(False, True, True))
-    second_widths = [second.width, second.width + m]
-    assert widths == second_widths
-    widths.clear()
-    # every width both solves probed is cached, at any blocks per stage
-    for width in (w0, w0 + m, w0 + 2 * m, first.width, first.width + m, *second_widths):
+    assert widths == []
+    for width in (w0, w0 + m, w0 + 2 * m, first.width, first.width + m, second.width + m):
         for blocks in (1, 3):
             model_params(NetworkLayout(width, blocks), block)
     assert widths == []
 
 
 def test_a_warm_model_params_lays_out_nothing(monkeypatch, forget):
-    # conventions and blocks per stage change only the arithmetic over one
-    # cached layout per width, which also holds the block's depth
+    # conventions and blocks per stage change only the arithmetic over the
+    # block's record, which also holds its depth; a width far along the
+    # lattice that nothing priced before is read from it too
     block = BlockSpec("pwg+dw+pwg", (4, 4))
-    layouts = [NetworkLayout(64, b, conv) for b in (1, 2, 16) for conv in ALL_CONVENTIONS]
-    want = [model_params(layout, block) for layout in layouts]
+    model_params(NetworkLayout(64, 1), block)
+    w0, m = sizer._record(block)[:2]
+    widths = [64, w0 + 10**6 * m, w0 + (10**12 + 7) * m]
+    layouts = [NetworkLayout(w, b, conv) for w in widths for b in (1, 2, 16) for conv in ALL_CONVENTIONS]
+    want = [model_params_by_layer(layout, block) for layout in layouts]
 
     def refuse(*args):
         raise AssertionError("a warm model_params laid out a layer or read a design name")
 
-    for name in ("resolve_design", "plan_layers", "param_count", "LayerSpec", "Kernel"):
+    for name in ("resolve_design", "plan_layers", "param_count", "LayerSpec", "Kernel", "_layout"):
         monkeypatch.setattr(sizer, name, refuse)
     assert [model_params(layout, block) for layout in layouts] == want
 
 
-def test_a_failing_width_is_not_cached(forget):
+def test_a_failing_width_is_not_cached(monkeypatch, forget):
+    # a width off the lattice is laid out on every call, refuses with the
+    # layer's text each time, and leaves the block's record as it was
     block = BlockSpec("pwg+dw+pwg", (4, 4))
     model_params(NetworkLayout(64, 2), block)
-    size = sizer._layout.cache_info().currsize
+    record = sizer._record(block)
+    size = sizer._record.cache_info().currsize
+    widths = _counting_stems(monkeypatch)
     want = (
         "stage 1, block 1: layer 1 (pwg(4), 20 -> 5): "
         "group number 4 does not divide out_channels 5"
@@ -497,7 +566,9 @@ def test_a_failing_width_is_not_cached(forget):
     for _ in range(2):
         with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
             model_params(NetworkLayout(20, 2), block)
-    assert sizer._layout.cache_info().currsize == size
+    assert widths == [20, 20]
+    assert sizer._record.cache_info().currsize == size
+    assert sizer._record(block) == record
 
 
 def _breaking(real, widths, total=None):
@@ -519,29 +590,48 @@ def _breaking(real, widths, total=None):
 GUARD_BUDGET, GUARD_WIDTH = 2_000_000, 59
 
 
-def _guard_cases(real):
+def _refusing_layout(real, widths):
+    """`_layout` that refuses the widths in `widths`."""
+
+    def fake(block, width):
+        if width in widths:
+            raise ValidationError("refused")
+        return real(block, width)
+
+    return fake
+
+
+def _guard_cases():
+    real = model_params
     return {
-        # only width 1 is feasible
-        "lattice": (_breaking(real, range(2, GUARD_BUDGET + 1)), "standard: width 8 is not feasible"),
-        "off-lattice": (_breaking(real, {3}), "k = 2 is not feasible: refused"),
+        # only width 1 is feasible, judged by the per-width layout
+        "lattice": (
+            "_layout", _refusing_layout(sizer._layout, range(2, GUARD_BUDGET + 1)),
+            "standard: width 8 is not feasible",
+        ),
+        "off-lattice": ("model_params", _breaking(real, {3}), "k = 2 is not feasible: refused"),
         "growth": (
+            "model_params",
             lambda layout, block: real(layout, block)._replace(total_params=8000),
             "do not grow as a convex quadratic",
         ),
-        "over-budget": (_breaking(real, {GUARD_WIDTH}, GUARD_BUDGET + 1), "k = 58 is over budget"),
-        "off-quadratic": (
-            _breaking(real, {GUARD_WIDTH}, 1_966_941), "the total at k = 58 is 1966941, not 1966942"
+        "over-budget": (
+            "model_params", _breaking(real, {GUARD_WIDTH}, GUARD_BUDGET + 1), "k = 58 is over budget"
         ),
-        "next-fits": (_breaking(real, {GUARD_WIDTH + 1}, GUARD_BUDGET), "k = 59 also fits"),
+        "off-quadratic": (
+            "model_params", _breaking(real, {GUARD_WIDTH}, 1_966_941),
+            "the total at k = 58 is 1966941, not 1966942",
+        ),
+        "next-fits": ("model_params", _breaking(real, {GUARD_WIDTH + 1}, GUARD_BUDGET), "k = 59 also fits"),
     }
 
 
-@pytest.mark.parametrize("guard", list(_guard_cases(model_params)))
+@pytest.mark.parametrize("guard", list(_guard_cases()))
 def test_solve_width_structure_guard(monkeypatch, forget, guard):
     # pytest.raises, not assert: the test holds under python -O too
-    fake, message = _guard_cases(model_params)[guard]
-    # the progression is found through the fake, and `forget` forgets it after
-    monkeypatch.setattr(sizer, "model_params", fake)
+    name, fake, message = _guard_cases()[guard]
+    # a record built through a fake is forgotten after, by `forget`
+    monkeypatch.setattr(sizer, name, fake)
     with pytest.raises(RuntimeError, match=message):
         solve_width(GUARD_BUDGET, BlockSpec("standard"), 1)
 
@@ -555,7 +645,7 @@ def test_solve_width_structure_guards_hold_under_python_O():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(_guard_cases(model_params))} passed" in proc.stdout
+    assert f"{len(_guard_cases())} passed" in proc.stdout
 
 
 def test_solve_width_under_budget():

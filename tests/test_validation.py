@@ -91,6 +91,23 @@ def _pw(c_in, c_out):
          "alpha must be positive"),
         (lambda: greatest_width(Family.DW_PW, 0, 1), UnderBudgetError,
          "budget must be a positive parameter count"),
+        # a float budget reached math.isqrt or was priced, and a bool was priced as 0 or 1
+        pytest.param(
+            lambda: sizer.solve_width(10**6 + 0.5, sizer.BlockSpec("dw+pw")), ValidationError,
+            "budget must be an integer, got 1000000.5", id="solve_width-float-budget",
+        ),
+        pytest.param(
+            lambda: sizer.solve_width(True, sizer.BlockSpec("dw+pw")), ValidationError,
+            "budget must be an integer, got True", id="solve_width-bool-budget",
+        ),
+        pytest.param(
+            lambda: greatest_width(Family.DW_PW, 10**6 + 0.5, 1), ValidationError,
+            "budget must be an integer, got 1000000.5", id="greatest_width-float-budget",
+        ),
+        pytest.param(
+            lambda: greatest_width(Family.GC_PWG, True, 1), ValidationError,
+            "budget must be an integer, got True", id="greatest_width-bool-budget",
+        ),
         # library callers: a value type holds whole numbers only
         pytest.param(
             lambda: run_search(SearchConfig(
